@@ -3,10 +3,11 @@
 The subpackage models every structure in Figure 3 of the paper:
 
 * :mod:`~repro.programmable.kernel` / :mod:`~repro.programmable.interpreter` —
-  the PPU kernel ISA and its functional+timing interpreter.
+  the PPU kernel ISA and its functional+timing interpreter (the reference
+  semantics the compiled tier is tested against).
 * :mod:`~repro.programmable.compiler` — ahead-of-time compilation of kernels
-  to specialised Python closures (the default execution tier; digest-cached,
-  bit-identical to the interpreter, ``REPRO_KERNEL_COMPILER=off`` to disable).
+  to specialised Python closures (the engine's execution tier; digest-cached,
+  bit-identical to the interpreter).
 * :mod:`~repro.programmable.filter` — the address filter and filter table.
 * :mod:`~repro.programmable.queues` — the observation queue and the prefetch
   request queue (droppable FIFOs).
@@ -23,7 +24,6 @@ The subpackage models every structure in Figure 3 of the paper:
 
 from .compiler import (
     compile_kernel,
-    compiler_enabled,
     generate_source,
     kernel_executor,
     program_digest,
@@ -48,7 +48,6 @@ __all__ = [
     "execute_kernel",
     "default_lookahead",
     "compile_kernel",
-    "compiler_enabled",
     "generate_source",
     "kernel_executor",
     "program_digest",

@@ -33,15 +33,15 @@ allocate a ``KernelContext`` per event::
     executor(vaddr, line_base, line_words, global_registers, lookahead)
         -> (prefetches, instructions_executed, aborted)
 
-Set ``REPRO_KERNEL_COMPILER=off`` to fall back to the interpreter; the CI
-matrix runs the golden-stats suite both ways, and the two tiers are
-bit-identical by construction.
+Compiled closures are the engine's only kernel execution tier.  The
+interpreter stays as the differential oracle: the tests run random kernels
+through both, and the golden-stats suite re-runs every programmable
+fingerprint with the engine's executors swapped for interpreter wrappers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from typing import Callable, Optional, Sequence
 
@@ -51,22 +51,15 @@ from .interpreter import (
     MAX_DYNAMIC_INSTRUCTIONS,
     KernelContext,
     KernelExecutionResult,
-    execute_kernel,
 )
 from .kernel import BRANCH_OPCODES, KernelProgram, Opcode, Operand
 
-#: A compiled (or interpreter-wrapping) kernel executor.  Returns
+#: A compiled kernel executor; returns
 #: ``(prefetches, instructions_executed, aborted)``.
 KernelExecutor = Callable[
     [int, int, Optional[Sequence[int]], Sequence[int], Callable[[int], int]],
     tuple,
 ]
-
-#: Environment variable selecting the execution tier.  Anything in
-#: :data:`_OFF_VALUES` routes kernels through the interpreter instead.
-COMPILER_ENV_VAR = "REPRO_KERNEL_COMPILER"
-
-_OFF_VALUES = frozenset({"off", "0", "false", "no", "interpreter"})
 
 _U64 = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
@@ -417,41 +410,10 @@ def clear_compiled_cache() -> None:
     _COMPILED_CACHE.clear()
 
 
-def interpreter_executor(program: KernelProgram) -> KernelExecutor:
-    """Wrap :func:`execute_kernel` in the flat executor calling convention."""
-
-    def run(vaddr, line_base, line_words, global_registers, lookahead):
-        result = execute_kernel(
-            program,
-            KernelContext(
-                vaddr=vaddr,
-                line_base=line_base,
-                line_words=line_words,
-                global_registers=global_registers,
-                lookahead=lookahead,
-            ),
-        )
-        return result.prefetches, result.instructions_executed, result.aborted
-
-    return run
-
-
-def compiler_enabled() -> bool:
-    """Whether the compiled tier is selected (default on; env-switchable)."""
-
-    return os.environ.get(COMPILER_ENV_VAR, "on").strip().lower() not in _OFF_VALUES
-
-
 def kernel_executor(program: KernelProgram) -> KernelExecutor:
-    """The executor the engine should route events through.
+    """The executor the engine routes ``program``'s events through."""
 
-    Compiled by default; ``REPRO_KERNEL_COMPILER=off`` selects the
-    interpreter fallback (same calling convention, bit-identical results).
-    """
-
-    if compiler_enabled():
-        return compile_kernel(program)
-    return interpreter_executor(program)
+    return compile_kernel(program)
 
 
 def run_compiled(program: KernelProgram, context: KernelContext) -> KernelExecutionResult:

@@ -2,9 +2,9 @@
 
 Each PPU is a tiny in-order core.  The model tracks when each unit is busy and
 how much work it has done; kernel execution itself (both its effects and its
-dynamic instruction count) is handled by
-:func:`repro.programmable.interpreter.execute_kernel`, and the PPU converts
-the instruction count into busy time using the PPU/core clock ratio.
+dynamic instruction count) is handled by the compiled kernel executors of
+:mod:`repro.programmable.compiler`, and the engine converts the instruction
+count into busy time using the PPU/core clock ratio.
 """
 
 from __future__ import annotations
@@ -58,13 +58,6 @@ class PPU:
         self.stats.instructions_executed += ppu_instructions
         self.stats.busy_cycles += duration
         return self.busy_until
-
-    def extend(self, until: float) -> None:
-        """Keep the PPU busy until ``until`` (used by the blocking ablation)."""
-
-        if until > self.busy_until:
-            self.stats.busy_cycles += until - self.busy_until
-            self.busy_until = until
 
     def activity_factor(self, total_cycles: float) -> float:
         """Fraction of the run this PPU spent awake (Figure 10)."""

@@ -14,25 +14,27 @@ The engine is a discrete-event model sharing the simulation's global clock
 demand access, so the prefetcher's state (including lines it has filled into
 the cache model) is up to date whenever the core looks.
 
-A *blocking* variant (``ProgrammablePrefetcherConfig.blocking_mode``) models
-the Figure 11 ablation: instead of scheduling a fresh event when a prefetch
-returns, the PPU that issued it stalls until the data arrives and continues
-the chain itself, exactly like a helper thread that must wait on intermediate
-loads.
+One event loop runs every configuration.  The *blocking* variant
+(``ProgrammablePrefetcherConfig.blocking_mode``) models the Figure 11
+ablation as a branch at dispatch: instead of scheduling a fresh event when a
+prefetch returns, the PPU that issued it stalls until the data arrives and
+continues the chain itself, exactly like a helper thread that must wait on
+intermediate loads.  Scheduling policies other than the paper's
+lowest-free-id scan are consulted through their ``select`` at the same
+point.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..config import CACHE_LINE_BYTES, SystemConfig
 from ..errors import ConfigurationError
 from ..memory.hierarchy import MemoryHierarchy
-from ..memory.layout import line_address
 from .compiler import kernel_executor
-from .config_api import PrefetcherConfiguration, RangeConfig, TagConfig
+from .config_api import PrefetcherConfiguration
 from .ewma import LookaheadCalculator
 from .events import Observation, ObservationKind, PrefetchRequest
 from .filter import AddressFilter
@@ -51,9 +53,12 @@ _EV_FILL = 3
 _OBS_LOAD = ObservationKind.LOAD
 _OBS_PREFETCH = ObservationKind.PREFETCH
 
+# The arrivals of a PPU-done event: nothing to push, one dispatch.
+_DISPATCH_ONLY = (None,)
+
 
 @dataclass(slots=True)
-class EngineStats:
+class PrefetcherStats:
     """Aggregate statistics of one run of the programmable prefetcher."""
 
     loads_snooped: int = 0
@@ -126,11 +131,10 @@ class EventTriggeredPrefetcher:
             )
             for name, stream in self._streams.items()
         }
-        # Kernels are resolved to executors once, here — compiled closures by
-        # default (cached process-wide by program digest), or interpreter
-        # wrappers under ``REPRO_KERNEL_COMPILER=off``.  Event handling then
-        # pays a single dict lookup and one call per event instead of
-        # re-dispatching every kernel instruction.
+        # Kernels are resolved to executors once, here — compiled closures
+        # cached process-wide by program digest.  Event handling then pays a
+        # single dict lookup and one call per event instead of re-dispatching
+        # every kernel instruction.
         self._executors = {
             name: kernel_executor(program)
             for name, program in configuration.kernels.items()
@@ -140,9 +144,8 @@ class EventTriggeredPrefetcher:
         # needs to be built.
         self._globals_view = self.globals.values_view()
         # Per-event hot-path state, resolved once: the tag table as a plain
-        # dict, look-ahead calculators by stream index, the default distance
-        # for unconfigured streams, and whether the scheduling policy is the
-        # paper's lowest-free-id policy (inlined in _dispatch).
+        # dict, look-ahead calculators by stream index and the default
+        # distance for unconfigured streams.
         self._tag_configs = configuration.tags
         # Package-private peek at the filter's pre-partitioned load entries:
         # _on_snoop runs for every demand read, and inlining the match saves
@@ -163,19 +166,13 @@ class EventTriggeredPrefetcher:
         self._single_load_match = (
             [self._load_entries[0][2]] if len(self._load_entries) == 1 else None
         )
-        # Upper bound on observations one fill can create (one for its tag
-        # plus one per matching prefetch range): when the observation queue
-        # has at least this much headroom, the fill fast path can batch its
-        # pushes without changing drop accounting.
-        self._max_fill_observations = 1 + len(self._prefetch_entries)
         self._calc_by_index = {
             stream.index: self._lookaheads[name]
             for name, stream in self._streams.items()
         }
         self._unconfigured_distance = LookaheadCalculator().default_distance
-        self._fast_policy = type(self.policy) is LowestFreeIdPolicy
 
-        self.stats = EngineStats()
+        self.stats = PrefetcherStats()
         self._hierarchy: Optional[MemoryHierarchy] = None
         self._heap: list[tuple[float, int, int, object]] = []
         self._sequence = 0
@@ -262,400 +259,204 @@ class EventTriggeredPrefetcher:
 
     # ------------------------------------------------------------------ clock
 
-    def _push(self, time: float, kind: int, payload: object) -> None:
-        self._sequence += 1
-        heapq.heappush(self._heap, (time, self._sequence, kind, payload))
-
     def advance_to(self, time: float) -> None:
         """Process every internal event scheduled at or before ``time``.
 
-        This is the engine's main loop, called before every demand access.
-        The per-event handlers (queue pushes with drop accounting, PPU
-        dispatch, kernel execution, request enqueueing) are inlined here:
-        with compiled kernels the interpreter is no longer the bottleneck,
-        and the call fan-out per event — handler → queue.push → dispatch →
-        policy.select → run_event → ppu.assign — was the next largest cost.
-        Semantics (event ordering, drop accounting, statistics) are
-        unchanged and pinned by the golden-stats suite; the blocking
-        ablation and custom scheduling policies take the original
-        method-per-step path.
+        This is the engine's one event loop; the memory hierarchy calls it
+        before every demand access.  Each event first adds what it carries:
+
+        * an observation joins the observation queue (dropping the oldest
+          entry when full);
+        * a finished PPU moves its prefetches into the request queue and
+          schedules a drain;
+        * a drain issues queued prefetches while an L1 MSHR is free and
+          re-arms itself for the next free one;
+        * an interesting fill builds its follow-on observations
+          (:meth:`_fill_observations`), and each is pushed and dispatched
+          in turn.
+
+        Dispatch then hands the oldest waiting observation to a free PPU —
+        the paper's lowest-free-id scan inline, any other policy through
+        its ``select`` — and runs the kernel.  The blocking ablation is the
+        one branch there: instead of returning the prefetches as a
+        PPU-done event, the PPU issues them at once, waits for each
+        interesting fill and runs the follow-on kernels itself.
         """
 
         heap = self._heap
         if not heap or heap[0][0] > time:
             return
         stats = self.stats
-        hierarchy = self._hierarchy
-        tag_configs = self._tag_configs
-        prefetch_entries = self._prefetch_entries
-        filter_stats = self._filter_stats
-        lookaheads = self._lookaheads
-        observation_queue = self.observation_queue
-        obs_entries = observation_queue.entries
-        obs_capacity = observation_queue.capacity
-        request_queue = self.request_queue
-        req_entries = request_queue.entries
-        req_capacity = request_queue.capacity
+        next_free = self._hierarchy.l1_mshrs.next_free_time
+        push_observation = self.observation_queue.push
+        obs_entries = self.observation_queue.entries
+        push_request = self.request_queue.push
+        req_entries = self.request_queue.entries
         ppus = self.ppus
-        fast = self._fast_policy and not self.blocking
+        select = None if type(self.policy) is LowestFreeIdPolicy else self.policy.select
+        blocking = self.blocking
         executors = self._executors
         globals_view = self._globals_view
         lookahead = self._lookahead_by_index
         cycle_ratio = self.cycle_ratio
+        issue = self._issue
+        fill_observations = self._fill_observations
+        # Follow-on observations of one blocking chain, oldest first; always
+        # empty between dispatches.
+        chain: list[Observation] = []
         heappop = heapq.heappop
         heappush = heapq.heappush
-        if hierarchy is not None:
-            prefetch_access = hierarchy.prefetch_access
-            next_free = hierarchy.l1_mshrs.next_free_time
 
         while heap and heap[0][0] <= time:
             event_time, _seq, kind, payload = heappop(heap)
-            drain_after = False
+
+            if kind == _EV_DRAIN:
+                # Issue while an L1 MSHR is free; otherwise re-arm for the
+                # next free one.
+                while req_entries:
+                    free_at = next_free(event_time)
+                    if free_at > event_time:
+                        self._sequence = sequence = self._sequence + 1
+                        heappush(heap, (free_at, sequence, _EV_DRAIN, None))
+                        break
+                    request = req_entries.popleft()
+                    fill_time = issue(request, event_time)
+                    if fill_time is not None:
+                        self._sequence = sequence = self._sequence + 1
+                        heappush(heap, (fill_time, sequence, _EV_FILL, request))
+                continue
 
             if kind == _EV_OBSERVATION:
-                observation_queue.pushed += 1
-                if len(obs_entries) >= obs_capacity:
-                    obs_entries.popleft()
-                    observation_queue.dropped += 1
-                    stats.observations_dropped += 1
-                obs_entries.append(payload)
-
+                arrivals = (payload,)
             elif kind == _EV_PPU_DONE:
                 prefetches, observation = payload
-                stream = observation.stream
-                chain_start_time = observation.chain_start_time
                 for addr, tag in prefetches:
-                    request_queue.pushed += 1
-                    if len(req_entries) >= req_capacity:
-                        req_entries.popleft()
-                        request_queue.dropped += 1
-                        stats.prefetches_dropped += 1
-                    req_entries.append(
-                        PrefetchRequest(addr, tag, event_time, stream, chain_start_time)
-                    )
-                # The PPU that finished is free again; fall through to
-                # dispatch waiting observations, then drain the requests
-                # (the drain must order after the dispatch's PPU-done
-                # pushes, so it runs below).
-                drain_after = bool(req_entries)
-
-            elif kind == _EV_DRAIN:
-                self._handle_drain(event_time)
-                continue
-
-            else:  # _EV_FILL
-                # _fill_observations, inlined: EWMA chain updates and the
-                # follow-on observations push straight into the queue in the
-                # same order the list-building version produced them.
-                stats.fills_observed += 1
-                request = payload
-                if len(obs_entries) + self._max_fill_observations > obs_capacity:
-                    # Near-saturated observation queue: batching the pushes
-                    # could drop entries a dispatch between them would have
-                    # freed room for, so replicate the original
-                    # per-observation push→dispatch interleaving exactly.
-                    for observation in self._fill_observations(request, event_time):
-                        stats.observations_created += 1
-                        dropped_before = observation_queue.dropped
-                        observation_queue.push(observation)
-                        stats.observations_dropped += (
-                            observation_queue.dropped - dropped_before
+                    if push_request(
+                        PrefetchRequest(
+                            addr, tag, event_time, observation.stream,
+                            observation.chain_start_time,
                         )
-                        self._dispatch(event_time)
-                    continue
-                addr = request.addr
-                line_base = addr - (addr % CACHE_LINE_BYTES)
-                line_words = hierarchy._line_words_cache.get(line_base)
-                if line_words is None:
-                    line_words = hierarchy.read_line_words(addr)
-                tag = request.tag
-                created = 0
-                tag_config = tag_configs.get(tag) if tag >= 0 else None
-                if tag_config is not None:
-                    stream = tag_config.stream or request.stream
-                    chain = request.chain_start_time
-                    if tag_config.chain_end and chain is not None and stream is not None:
-                        lookaheads[stream].observe_chain(chain, event_time)
-                        chain = None
-                    observation = Observation(
-                        _OBS_PREFETCH,
-                        addr,
-                        event_time,
-                        tag_config.kernel,
-                        line_base,
-                        line_words,
-                        stream,
-                        chain,
-                    )
-                    stats.observations_created += 1
-                    observation_queue.pushed += 1
-                    if len(obs_entries) >= obs_capacity:
-                        obs_entries.popleft()
-                        observation_queue.dropped += 1
-                        stats.observations_dropped += 1
-                    obs_entries.append(observation)
-                    created += 1
-                matched = False
-                for base, end, entry in prefetch_entries:
-                    if not base <= addr < end:
-                        continue
-                    if not matched:
-                        matched = True
-                        filter_stats.prefetch_matches += 1
-                    stream = entry.stream or request.stream
-                    chain = request.chain_start_time
-                    if entry.chain_end and chain is not None and stream is not None:
-                        lookaheads[stream].observe_chain(chain, event_time)
-                        chain = None
-                    if entry.chain_start:
-                        chain = event_time
-                    if entry.prefetch_kernel is None:
-                        continue
-                    observation = Observation(
-                        _OBS_PREFETCH,
-                        addr,
-                        event_time,
-                        entry.prefetch_kernel,
-                        line_base,
-                        line_words,
-                        stream,
-                        chain,
-                    )
-                    stats.observations_created += 1
-                    observation_queue.pushed += 1
-                    if len(obs_entries) >= obs_capacity:
-                        obs_entries.popleft()
-                        observation_queue.dropped += 1
-                        stats.observations_dropped += 1
-                    obs_entries.append(observation)
-                    created += 1
-                if not created:
-                    continue
-
-            # Dispatch: oldest waiting observation onto the lowest free PPU.
-            if obs_entries and not fast:
-                self._dispatch(event_time)
-            while obs_entries and fast:
-                # Lowest-free-id scan; PPU 0 free is the common case, so it
-                # is tested before paying for the loop.
-                free = ppus[0]
-                if free.busy_until > event_time:
-                    free = None
-                    for ppu in ppus:
-                        if ppu.busy_until <= event_time:
-                            free = ppu
-                            break
-                    if free is None:
-                        break
-                observation = obs_entries.popleft()
-                # _run_event, inlined.
-                prefetches, instructions, aborted = executors[observation.kernel_name](
-                    observation.addr,
-                    observation.line_base,
-                    observation.line_words,
-                    globals_view,
-                    lookahead,
-                )
-                ppu_stats = free.stats
-                stats.events_executed += 1
-                stats.ppu_instructions += instructions
-                if aborted:
-                    stats.kernel_aborts += 1
-                    ppu_stats.kernel_aborts += 1
-                duration = (
-                    instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES
-                ) * cycle_ratio
-                finish = event_time + duration
-                free.busy_until = finish
-                ppu_stats.events_executed += 1
-                ppu_stats.instructions_executed += instructions
-                ppu_stats.busy_cycles += duration
-                generated = len(prefetches)
-                ppu_stats.prefetches_generated += generated
-                stats.prefetches_generated += generated
-                self._sequence = sequence = self._sequence + 1
-                heappush(
-                    heap, (finish, sequence, _EV_PPU_DONE, (prefetches, observation))
-                )
-
-            if not drain_after:
-                continue
-            if heap and heap[0][0] <= event_time:
-                # Another event at this timestamp must process before the
-                # drain (its sequence number precedes the drain's), so the
-                # drain stays a heap event.  Pushing it here, after the
-                # dispatch, assigns the same relative order the original
-                # pre-dispatch push produced: every event already in the
-                # heap has a smaller sequence number either way.
-                self._sequence = sequence = self._sequence + 1
-                heappush(heap, (event_time, sequence, _EV_DRAIN, None))
-                continue
-            # No pending event precedes the drain, so pushing it would only
-            # make it the very next pop with nothing running in between —
-            # inline it instead (_handle_drain's loop with the locals
-            # already hoisted; sequence-relative order is unchanged).
-            while req_entries:
-                free_at = next_free(event_time)
-                if free_at > event_time:
+                    ):
+                        stats.prefetches_dropped += 1
+                if req_entries:
+                    # Every event already queued at this timestamp precedes
+                    # the drain, and everything the dispatch below schedules
+                    # lies in the future, so the drain runs next.
                     self._sequence = sequence = self._sequence + 1
-                    heappush(heap, (free_at, sequence, _EV_DRAIN, None))
-                    break
-                request = req_entries.popleft()
-                stats.prefetches_issued += 1
-                addr = request.addr
-                fill_time = prefetch_access(addr, event_time)
-                if fill_time is None:
-                    stats.prefetches_discarded += 1
-                    continue
-                request_tag = request.tag
-                if request_tag >= 0 and request_tag in tag_configs:
-                    interesting = True
-                else:
-                    for base, end, _entry in prefetch_entries:
-                        if base <= addr < end:
-                            filter_stats.prefetch_matches += 1
-                            interesting = True
-                            break
+                    heappush(heap, (event_time, sequence, _EV_DRAIN, None))
+                arrivals = _DISPATCH_ONLY
+            else:  # _EV_FILL
+                arrivals = fill_observations(payload, event_time)
+                stats.observations_created += len(arrivals)
+
+            for arrival in arrivals:
+                if arrival is not None and push_observation(arrival):
+                    stats.observations_dropped += 1
+                while obs_entries:
+                    if select is None:
+                        for ppu in ppus:
+                            if ppu.busy_until <= event_time:
+                                break
+                        else:
+                            break  # every PPU is busy
                     else:
-                        interesting = request.chain_start_time is not None
-                if interesting:
-                    self._sequence = sequence = self._sequence + 1
-                    heappush(heap, (fill_time, sequence, _EV_FILL, request))
+                        ppu = select(ppus, event_time)
+                        if ppu is None:
+                            break
+                    observation = obs_entries.popleft()
+                    ppu_stats = ppu.stats
+                    finish = event_time
+                    while True:
+                        prefetches, instructions, aborted = executors[observation.kernel_name](
+                            observation.addr,
+                            observation.line_base,
+                            observation.line_words,
+                            globals_view,
+                            lookahead,
+                        )
+                        stats.events_executed += 1
+                        stats.ppu_instructions += instructions
+                        ppu_stats.events_executed += 1
+                        ppu_stats.instructions_executed += instructions
+                        if aborted:
+                            stats.kernel_aborts += 1
+                            ppu_stats.kernel_aborts += 1
+                        generated = len(prefetches)
+                        stats.prefetches_generated += generated
+                        ppu_stats.prefetches_generated += generated
+                        duration = (
+                            instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES
+                        ) * cycle_ratio
+                        finish += duration
+                        if not blocking:
+                            ppu_stats.busy_cycles += duration
+                            self._sequence = sequence = self._sequence + 1
+                            heappush(
+                                heap,
+                                (finish, sequence, _EV_PPU_DONE, (prefetches, observation)),
+                            )
+                            break
+                        for addr, tag in prefetches:
+                            request = PrefetchRequest(
+                                addr, tag, finish, observation.stream,
+                                observation.chain_start_time,
+                            )
+                            fill_time = issue(request, finish)
+                            if fill_time is not None:
+                                # Blocking: wait for the data before running
+                                # the next kernel of the chain.
+                                finish = max(finish, fill_time)
+                                chain.extend(fill_observations(request, fill_time))
+                        if not chain:
+                            ppu_stats.busy_cycles += finish - event_time
+                            break
+                        observation = chain.pop(0)
+                    ppu.busy_until = finish
 
     def drain(self, until: float) -> None:
         """Run the engine past the end of the core trace (end-of-run cleanup)."""
 
         self.advance_to(until)
 
-    # ------------------------------------------------------------ observation
+    def _issue(self, request: PrefetchRequest, time: float) -> Optional[float]:
+        """Send ``request`` to the L1 at ``time``.
 
-    def _dispatch(self, time: float) -> None:
-        pending = self.observation_queue.entries
-        if not pending:
-            return
-        ppus = self.ppus
-        blocking = self.blocking
-        if self._fast_policy:
-            # The paper's lowest-free-id policy, inlined: one scan instead of
-            # a policy-object call per dispatched observation.
-            while pending:
-                for ppu in ppus:
-                    if ppu.busy_until <= time:
-                        break
-                else:
-                    return
-                observation = pending.popleft()
-                if blocking:
-                    self._run_blocking(ppu, observation, time)
-                else:
-                    self._run_event(ppu, observation, time)
-            return
-        select = self.policy.select
-        while pending:
-            ppu = select(ppus, time)
-            if ppu is None:
-                return
-            observation = pending.popleft()
-            if blocking:
-                self._run_blocking(ppu, observation, time)
-            else:
-                self._run_event(ppu, observation, time)
+        Returns the fill time when the fill will wake the prefetcher, i.e.
+        when it is *interesting*: its tag is configured, its line lies in a
+        prefetch-watched range, or it carries a timed chain.  Any other
+        fill, and a prefetch the hierarchy discards, returns ``None``.
+        """
 
-    def _run_event(self, ppu: PPU, observation: Observation, start: float) -> None:
-        prefetches, instructions, aborted = self._executors[observation.kernel_name](
-            observation.addr,
-            observation.line_base,
-            observation.line_words,
-            self._globals_view,
-            self._lookahead_by_index,
-        )
         stats = self.stats
-        ppu_stats = ppu.stats
-        stats.events_executed += 1
-        stats.ppu_instructions += instructions
-        if aborted:
-            stats.kernel_aborts += 1
-            ppu_stats.kernel_aborts += 1
-        # PPU.assign, inlined (one method call per event was measurable).
-        duration = (instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES) * self.cycle_ratio
-        finish = start + duration
-        ppu.busy_until = finish
-        ppu_stats.events_executed += 1
-        ppu_stats.instructions_executed += instructions
-        ppu_stats.busy_cycles += duration
-        generated = len(prefetches)
-        ppu_stats.prefetches_generated += generated
-        stats.prefetches_generated += generated
-        self._sequence = sequence = self._sequence + 1
-        heapq.heappush(self._heap, (finish, sequence, _EV_PPU_DONE, (prefetches, observation)))
-
-    # ------------------------------------------------------------------ drain
-
-    def _handle_drain(self, time: float) -> None:
-        hierarchy = self._hierarchy
-        assert hierarchy is not None
-        pending = self.request_queue.entries
-        stats = self.stats
-        next_free = hierarchy.l1_mshrs.next_free_time
-        prefetch_access = hierarchy.prefetch_access
-        tag_configs = self._tag_configs
-        prefetch_entries = self._prefetch_entries
-        filter_stats = self._filter_stats
-        heap = self._heap
-        while pending:
-            free_at = next_free(time)
-            if free_at > time:
-                self._sequence = sequence = self._sequence + 1
-                heapq.heappush(heap, (free_at, sequence, _EV_DRAIN, None))
-                return
-            # _issue and _fill_is_interesting, inlined into the drain loop
-            # (two calls per issued prefetch otherwise).
-            request = pending.popleft()
-            stats.prefetches_issued += 1
-            addr = request.addr
-            fill_time = prefetch_access(addr, time)
-            if fill_time is None:
-                stats.prefetches_discarded += 1
-                continue
-            if request.tag >= 0 and request.tag in tag_configs:
-                interesting = True
-            else:
-                for base, end, _entry in prefetch_entries:
-                    if base <= addr < end:
-                        filter_stats.prefetch_matches += 1
-                        interesting = True
-                        break
-                else:
-                    interesting = request.chain_start_time is not None
-            if interesting:
-                self._sequence = sequence = self._sequence + 1
-                heapq.heappush(heap, (fill_time, sequence, _EV_FILL, request))
-
-    def _fill_is_interesting(self, request: PrefetchRequest) -> bool:
-        if request.tag >= 0 and self._tag_configs.get(request.tag) is not None:
-            return True
-        # AddressFilter.match_prefetch, inlined (runs per issued prefetch).
+        stats.prefetches_issued += 1
         addr = request.addr
+        fill_time = self._hierarchy.prefetch_access(addr, time)
+        if fill_time is None:
+            stats.prefetches_discarded += 1
+            return None
+        if request.tag >= 0 and request.tag in self._tag_configs:
+            return fill_time
+        # AddressFilter.match_prefetch, inlined (runs per issued prefetch).
         for base, end, _entry in self._prefetch_entries:
             if base <= addr < end:
                 self._filter_stats.prefetch_matches += 1
-                return True
-        return request.chain_start_time is not None
+                return fill_time
+        return fill_time if request.chain_start_time is not None else None
 
     # ------------------------------------------------------------------- fill
 
     def _fill_observations(self, request: PrefetchRequest, time: float) -> list[Observation]:
-        """Apply EWMA chain updates and build the follow-on observations for a fill."""
+        """Count an interesting fill, apply its EWMA chain updates and build
+        its follow-on observations: one for its tag, then one per matching
+        prefetch-watched range that names a kernel."""
 
-        hierarchy = self._hierarchy
-        assert hierarchy is not None
+        self.stats.fills_observed += 1
+        addr = request.addr
+        line_base = addr - (addr % CACHE_LINE_BYTES)
+        line_words = self._hierarchy.read_line_words(addr)
         observations: list[Observation] = []
-        line_words = hierarchy.read_line_words(request.addr)
-        line_base = line_address(request.addr)
 
-        tag_config: Optional[TagConfig] = (
-            self._tag_configs.get(request.tag) if request.tag >= 0 else None
-        )
+        tag_config = self._tag_configs.get(request.tag) if request.tag >= 0 else None
         if tag_config is not None:
             stream = tag_config.stream or request.stream
             chain = request.chain_start_time
@@ -664,25 +465,19 @@ class EventTriggeredPrefetcher:
                 chain = None
             observations.append(
                 Observation(
-                    _OBS_PREFETCH,
-                    request.addr,
-                    time,
-                    tag_config.kernel,
-                    line_base,
-                    line_words,
-                    stream,
-                    chain,
+                    _OBS_PREFETCH, addr, time, tag_config.kernel, line_base, line_words,
+                    stream, chain,
                 )
             )
 
         # AddressFilter.match_prefetch, inlined (runs per interesting fill).
-        addr = request.addr
-        matches = [
-            entry for base, end, entry in self._prefetch_entries if base <= addr < end
-        ]
-        if matches:
-            self._filter_stats.prefetch_matches += 1
-        for entry in matches:
+        matched = False
+        for base, end, entry in self._prefetch_entries:
+            if not base <= addr < end:
+                continue
+            if not matched:
+                matched = True
+                self._filter_stats.prefetch_matches += 1
             stream = entry.stream or request.stream
             chain = request.chain_start_time
             if entry.chain_end and chain is not None and stream is not None:
@@ -690,76 +485,14 @@ class EventTriggeredPrefetcher:
                 chain = None
             if entry.chain_start:
                 chain = time
-            if entry.prefetch_kernel is None:
-                continue
-            observations.append(
-                Observation(
-                    _OBS_PREFETCH,
-                    request.addr,
-                    time,
-                    entry.prefetch_kernel,
-                    line_base,
-                    line_words,
-                    stream,
-                    chain,
+            if entry.prefetch_kernel is not None:
+                observations.append(
+                    Observation(
+                        _OBS_PREFETCH, addr, time, entry.prefetch_kernel, line_base,
+                        line_words, stream, chain,
+                    )
                 )
-            )
         return observations
-
-    # --------------------------------------------------------------- blocking
-
-    def _run_blocking(self, ppu: PPU, observation: Observation, start: float) -> None:
-        """Figure 11 ablation: the PPU stalls on every intermediate load."""
-
-        hierarchy = self._hierarchy
-        assert hierarchy is not None
-        time = start
-        instructions = 0
-        pending: list[Observation] = [observation]
-        events = 0
-
-        while pending:
-            current = pending.pop(0)
-            prefetches, executed, aborted = self._executors[current.kernel_name](
-                current.addr,
-                current.line_base,
-                current.line_words,
-                self._globals_view,
-                self._lookahead_by_index,
-            )
-            events += 1
-            instructions += executed
-            if aborted:
-                self.stats.kernel_aborts += 1
-                ppu.stats.kernel_aborts += 1
-            time += (
-                executed + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES
-            ) * self.cycle_ratio
-            self.stats.prefetches_generated += len(prefetches)
-            ppu.stats.prefetches_generated += len(prefetches)
-
-            for addr, tag in prefetches:
-                self.stats.prefetches_issued += 1
-                fill_time = hierarchy.prefetch_access(addr, time)
-                if fill_time is None:
-                    self.stats.prefetches_discarded += 1
-                    continue
-                request = PrefetchRequest(
-                    addr, tag, time, current.stream, current.chain_start_time
-                )
-                if not self._fill_is_interesting(request):
-                    continue
-                # Blocking: wait for the data before running the next kernel.
-                time = max(time, fill_time)
-                pending.extend(self._fill_observations(request, fill_time))
-                self.stats.fills_observed += 1
-
-        self.stats.events_executed += events
-        self.stats.ppu_instructions += instructions
-        ppu.stats.events_executed += events
-        ppu.stats.instructions_executed += instructions
-        ppu.stats.busy_cycles += time - start
-        ppu.busy_until = time
 
     # ------------------------------------------------------------------ EWMAs
 

@@ -35,12 +35,16 @@ class _DroppableFIFO(Generic[T]):
         self.pushed = 0
         self.dropped = 0
 
-    def push(self, entry: T) -> None:
+    def push(self, entry: T) -> bool:
+        """Append ``entry``; return whether the oldest entry was dropped for it."""
+
         self.pushed += 1
-        if len(self.entries) >= self._capacity:
+        dropped = len(self.entries) >= self._capacity
+        if dropped:
             self.entries.popleft()
             self.dropped += 1
         self.entries.append(entry)
+        return dropped
 
     def pop(self) -> Optional[T]:
         if not self.entries:

@@ -17,7 +17,7 @@ and point any driver at it::
 
     python examples/reproduce_paper.py --service 127.0.0.1:7421
 
-Daemons form a high-availability fabric (protocol v3): clients accept an
+Daemons form a high-availability fabric: clients accept an
 ordered endpoint list (``--service ADDR,ADDR,...``) and fail over between
 daemons behind per-endpoint circuit breakers, ``health`` probes gate
 endpoint selection, daemons replicate finished results from ``--peer``

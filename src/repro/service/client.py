@@ -14,7 +14,7 @@ Four layers, lowest to highest:
 * :class:`ServiceEngine` — the drop-in
   :class:`~repro.sim.engine.SimEngine` facade, now a **failover engine**:
   it accepts an ordered endpoint list (``ADDR,ADDR,...``), health-probes
-  endpoints for selection (protocol v3), quarantines flapping daemons
+  endpoints for selection, quarantines flapping daemons
   behind per-endpoint :class:`~repro.service.breaker.CircuitBreaker`\\ s,
   banks streamed per-digest outcomes so a daemon dying mid-plan costs only
   the unresolved remainder, and — when every endpoint is down — degrades
@@ -48,7 +48,13 @@ from ..resilience import RetryPolicy
 from ..sim.engine import BatchResult, EngineStats, SimPlan, SimRequest
 from ..sim.results import SimulationResult
 from .breaker import CircuitBreaker
-from .protocol import MAX_MESSAGE_BYTES, decode_message, encode_message, request_to_wire
+from .protocol import (
+    MAX_MESSAGE_BYTES,
+    PROTOCOL_VERSION,
+    decode_message,
+    encode_message,
+    request_to_wire,
+)
 
 #: Event callback: receives every server message for one submission.
 EventCallback = Callable[[dict[str, Any]], None]
@@ -172,6 +178,13 @@ class ServiceClient:
                 raise ServiceProtocolError(
                     f"expected welcome, got {self.welcome.get('type')!r}"
                 )
+            protocol = self.welcome.get("protocol")
+            if protocol != PROTOCOL_VERSION:
+                self.close()
+                raise ServiceProtocolError(
+                    f"service at {self.address!r} speaks protocol {protocol!r}; "
+                    f"this client speaks protocol {PROTOCOL_VERSION}"
+                )
             return
         raise ServiceError(
             f"could not connect to service at {self.address!r} "
@@ -195,21 +208,6 @@ class ServiceClient:
     @property
     def connected(self) -> bool:
         return self._sock is not None
-
-    @property
-    def server_protocol(self) -> int:
-        """Protocol version the server advertised in its ``welcome``.
-
-        The negotiation pivot: v3 features (health probes, streamed
-        outcomes) are only used when the server speaks v3 — against an
-        older daemon the client degrades to plain v2 behaviour.
-        """
-
-        welcome = self.welcome or {}
-        try:
-            return int(welcome.get("protocol") or 1)
-        except (TypeError, ValueError):
-            return 1
 
     def __enter__(self) -> "ServiceClient":
         return self
@@ -286,14 +284,14 @@ class ServiceClient:
         failover :class:`ServiceEngine` does, to resubmit the unresolved
         remainder to another endpoint.
 
-        A ``rejected`` answer (admission control, protocol v2) is honored
+        A ``rejected`` answer (admission control) is honored
         by sleeping at least the server's ``retry_after`` — and at least
         this client's own backoff for the attempt — then resubmitting, up
         to :attr:`rejection_limit` times.  Rejections do not consume
         connection-retry attempts: being told "later" is flow control, not
         a fault.
 
-        With ``stream=True`` (protocol v3) the server additionally emits a
+        With ``stream=True`` the server additionally emits a
         per-digest ``outcome`` event as each result lands; the events flow
         through ``on_event`` like every other message, which is how the
         failover engine banks partial progress.
@@ -368,13 +366,8 @@ class ServiceClient:
                 return
 
     def health(self) -> dict[str, Any]:
-        """One protocol-v3 ``health`` round-trip (raises against pre-v3)."""
+        """One ``health`` round-trip."""
 
-        if self.server_protocol < 3:
-            raise ServiceError(
-                f"server at {self.address!r} speaks protocol "
-                f"{self.server_protocol}; health probes need v3"
-            )
         self._send({"type": "health"})
         while True:
             event = self.read_event()
@@ -569,8 +562,7 @@ class ServiceEngine:
         breaker refuses traffic.  A breaker in half-open (and any endpoint
         without a live connection) is validated with a health probe first:
         unreachable or draining endpoints are failed without submitting a
-        plan to them.  Pre-v3 endpoints cannot be health-probed — for them
-        a successful connection is the whole probe (clean degradation).
+        plan to them.
         """
 
         from .health import probe_endpoint  # local import: health imports client
@@ -670,7 +662,7 @@ class ServiceEngine:
                     pending,
                     on_event=banking_on_event,
                     deadline=self.deadline,
-                    stream=client.server_protocol >= 3,
+                    stream=True,
                 )
             except ServiceError:
                 # Connect failure, mid-plan disconnect, drain refusal:

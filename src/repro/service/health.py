@@ -10,11 +10,9 @@ One probe — :func:`probe_endpoint` — serves three consumers:
   probe round-trip against live daemons.
 
 A probe is one short-lived connection: connect, ``hello``/``welcome``
-handshake, and — when the server speaks protocol v3 — one ``health``
-request.  Against an older (v2) daemon the probe degrades cleanly: the
-endpoint reports reachable with its advertised protocol and no health
-detail, never an error.  An unreachable endpoint yields ``ok=False`` with
-the failure text; probing never raises.
+handshake, and one ``health`` request.  An unreachable endpoint, or one
+speaking another protocol version, yields ``ok=False`` with the failure
+text; probing never raises.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ class EndpointHealth:
     error: Optional[str] = None
     #: Protocol version the server advertised (``None`` when unreachable).
     protocol: Optional[int] = None
-    #: ``"ok"`` / ``"draining"`` from the v3 health payload; ``"legacy"``
-    #: for a reachable pre-v3 server that cannot answer ``health``.
+    #: ``"ok"`` / ``"draining"`` from the health payload.
     status: Optional[str] = None
     uptime: Optional[float] = None
     workers: Optional[int] = None
@@ -50,7 +47,7 @@ class EndpointHealth:
     memo_entries: Optional[int] = None
     peer_hits: Optional[int] = None
     executed: Optional[int] = None
-    #: The raw v3 health payload, for consumers that want every field.
+    #: The raw health payload, for consumers that want every field.
     raw: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -81,11 +78,6 @@ def probe_endpoint(address: str, *, timeout: float = 5.0) -> EndpointHealth:
     except ServiceError as error:
         return EndpointHealth(address=address, ok=False, error=str(error))
     try:
-        protocol = client.server_protocol
-        if protocol < 3:
-            return EndpointHealth(
-                address=address, ok=True, protocol=protocol, status="legacy"
-            )
         payload = client.health()
     except ServiceError as error:
         return EndpointHealth(address=address, ok=False, error=str(error))
@@ -94,7 +86,7 @@ def probe_endpoint(address: str, *, timeout: float = 5.0) -> EndpointHealth:
     return EndpointHealth(
         address=address,
         ok=True,
-        protocol=protocol,
+        protocol=payload.get("protocol"),
         status=payload.get("status"),
         uptime=payload.get("uptime"),
         workers=payload.get("workers"),

@@ -15,6 +15,10 @@ ProcessPoolExecutor`; every in-flight future fails with
 :class:`~repro.errors.WorkerCrashedError` per chunk and transparently
 replaces the executor (once per breakage, guarded by a generation
 counter), leaving requeue policy to the server.
+
+Workers never outlive the daemon: each one restores plain signal handling
+and exits on its own once its parent is gone, so a SIGKILLed daemon leaves
+no orphaned worker behind.
 """
 
 from __future__ import annotations
@@ -22,7 +26,10 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import os
+import signal
 import stat
+import threading
+import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Optional, Sequence
 
@@ -33,6 +40,9 @@ from ..trace_store import TraceStore
 #: One executed chunk: the per-request outcomes, the trace-tier counters,
 #: and how many requests were satisfied by multi-config vector batches.
 ChunkOutcome = tuple[list[ExecutedRequest], TraceStoreStats, int]
+
+#: How often a worker checks that the daemon that started it is alive.
+PARENT_POLL_SECONDS = 0.5
 
 
 def _close_inherited_sockets() -> None:
@@ -57,6 +67,49 @@ def _close_inherited_sockets() -> None:
                 os.close(fd)
         except OSError:
             continue
+
+
+def _reset_signal_handling() -> None:
+    """Worker initializer step: drop the daemon's signal handling.
+
+    A forked worker inherits the daemon's asyncio SIGTERM/SIGINT handling:
+    a no-op Python handler plus a wakeup fd into the daemon's event loop,
+    under which SIGTERM cannot end the worker.  Restore the default, so an
+    explicit SIGTERM ends it.  SIGINT is ignored instead: a terminal's
+    Ctrl-C reaches the whole process group, and the daemon answers it by
+    draining, which needs its running chunks to finish.
+    """
+
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
+def _exit_with_parent() -> None:
+    """Worker initializer step: exit as soon as the daemon is gone.
+
+    An idle worker blocks on its call queue forever, so a daemon that dies
+    without shutting its pool down (SIGKILL, OOM kill) would orphan it.  A
+    daemon thread polls the parent PID and ends the process once it
+    changes, i.e. once the worker has been re-parented.
+    """
+
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
+def _init_worker() -> None:
+    """Pool worker initializer: shed what the worker inherited from the daemon."""
+
+    _close_inherited_sockets()
+    _reset_signal_handling()
+    _exit_with_parent()
 
 
 def _run_chunk(payload: tuple[Sequence, Optional[str]]) -> ChunkOutcome:
@@ -94,7 +147,7 @@ class ChunkPool:
     def generation(self) -> int:
         """How many broken executors have been retired (0 = original pool).
 
-        Served on the protocol-v3 ``health`` probe: a climbing generation
+        Served on the ``health`` probe: a climbing generation
         on a quiet daemon is the fingerprint of crashing workers.
         """
 
@@ -105,7 +158,7 @@ class ChunkPool:
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 mp_context=self._context,
-                initializer=_close_inherited_sockets,
+                initializer=_init_worker,
             )
         return self._executor
 

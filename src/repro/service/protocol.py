@@ -5,19 +5,21 @@ deliberately primitive — any language (or ``nc``) can speak it — and every
 message carries a ``"type"`` field naming its meaning.
 
 Client → server
-    ``hello``      optional handshake; answered with ``welcome``.
+    ``hello``      optional handshake; answered with ``welcome``.  The
+                   client refuses a server whose ``welcome`` carries a
+                   different protocol version.
     ``submit``     ``{"id": <client id>, "requests": [<wire request>, ...]}``
                    plus an optional ``"deadline"`` (seconds): after that
                    budget the server fails the submission's unresolved
                    requests instead of keeping it waiting forever.
     ``stats``      global server counters; answered with ``stats``.
     ``ping``       liveness probe; answered with ``pong``.
-    ``health``     readiness probe (protocol v3); answered with ``health``:
+    ``health``     readiness probe; answered with ``health``:
                    uptime, queue depth, in-flight digests, pool
                    generation, cache/memo state, draining flag.  Clients
                    use it for endpoint selection and circuit-breaker
                    half-open probing.
-    ``fetch``      peer replication pull (protocol v3):
+    ``fetch``      peer replication pull:
                    ``{"digests": [...]}`` asks whether this daemon already
                    holds results for the given content digests; answered
                    with ``fetch-result`` carrying checksummed payloads for
@@ -35,19 +37,18 @@ Server → client
                        well-behaved client backs off at least that long and
                        resubmits (``ServiceClient.submit`` does, through
                        its :class:`~repro.resilience.RetryPolicy`).
-                       Protocol v2.
     ``chunk-started``  a chunk containing digests this submission waits on
                        began executing (carries a global ``seq`` so clients
                        can observe dispatch order).
     ``chunk-requeued`` the chunk's worker crashed and it was requeued.
     ``progress``       ``completed``/``total`` unique digests resolved.
     ``outcome``        one resolved digest's outcome, streamed as it lands
-                       (protocol v3, only for submissions that set
-                       ``"stream": true``).  Carries the ``positions`` of
-                       the resolved requests in the submitted list and a
-                       ``source`` (``"executed"`` / ``"peer"``), so a
-                       failover client can bank partial results before a
-                       daemon dies and resubmit only what is missing.
+                       (only for submissions that set ``"stream": true``).
+                       Carries the ``positions`` of the resolved requests
+                       in the submitted list and a ``source``
+                       (``"executed"`` / ``"peer"``), so a failover client
+                       can bank partial results before a daemon dies and
+                       resubmit only what is missing.
     ``done``           positional ``outcomes`` (aligned with the submitted
                        request list) plus per-submission statistics.
     ``error``          submission-scoped or connection-scoped failure text.
@@ -80,14 +81,9 @@ from ..config import (
 from ..errors import ServiceProtocolError
 from ..sim.engine import SimRequest
 
-#: Protocol revision; bumped on any incompatible message change.
-#: v2 added admission control: the ``rejected`` server message and the
-#: optional ``deadline`` field on ``submit``.
-#: v3 added the HA fabric: the ``health`` readiness probe, streamed
-#: ``outcome`` events (opt-in via ``"stream": true`` on ``submit``) and
-#: the peer-replication ``fetch`` / ``fetch-result`` pair.  All v3
-#: messages are additive — a v3 client talking to a v2 server degrades
-#: cleanly to v2 behaviour (no probes, no streaming, no peer pulls).
+#: Protocol revision; bumped on any incompatible message change.  Client
+#: and daemon ship together, so there is no negotiation: a client refuses
+#: a ``welcome`` that advertises any other version.
 PROTOCOL_VERSION = 3
 
 #: Upper bound on one encoded message line (and the server's readline

@@ -22,7 +22,7 @@ Robustness guarantees (exercised by the fault-injection tests):
 * SIGTERM/SIGINT (or a ``shutdown`` message) drains: queued and running
   chunks finish, every pending submission receives its ``done``, new
   submissions are refused, then the process exits;
-* **admission control** (protocol v2): a client whose in-flight request
+* **admission control**: a client whose in-flight request
   count would exceed ``--max-inflight``, or any submission arriving while
   the scheduler already holds ``--max-queued-chunks`` chunks, is answered
   with ``rejected`` + ``retry_after`` instead of being queued — one greedy
@@ -32,7 +32,7 @@ Robustness guarantees (exercised by the fault-injection tests):
   wait; on expiry its unresolved requests fail with a retryable label,
   its un-shared queued work is cancelled, and work shared with other
   clients (or already running) continues and warms the caches;
-* **HA fabric** (protocol v3): a ``health`` readiness probe (uptime,
+* **HA fabric**: a ``health`` readiness probe (uptime,
   queue depth, in-flight digests, pool generation, cache state) that
   failover clients select endpoints by; streamed per-digest ``outcome``
   events for submissions that opt in, so a client surviving this daemon's
@@ -113,14 +113,14 @@ class ServiceStats:
     #: Requests failed to their submission because its deadline expired.
     expired: int = 0
     #: Requests resolved by pulling a finished result from a ``--peer``
-    #: daemon instead of executing locally (protocol v3 replication).
+    #: daemon instead of executing locally (peer replication).
     peer_hits: int = 0
     #: Requests asked of every configured peer and answered by none.
     peer_misses: int = 0
     #: Peer fetch attempts that failed outright (dead peer, bad checksum,
     #: protocol error).  Each is also a miss for its requests.
     peer_errors: int = 0
-    #: ``health`` probes answered (protocol v3).
+    #: ``health`` probes answered.
     health_probes: int = 0
     chunks_dispatched: int = 0
     trace_hits: int = 0
@@ -187,7 +187,7 @@ class _Submission:
     ) -> None:
         self.conn = conn
         self.sid = sid
-        #: Stream per-digest ``outcome`` events as results land (v3), so a
+        #: Stream per-digest ``outcome`` events as results land, so a
         #: failover client can bank partial progress before this daemon
         #: (or the connection) dies.
         self.stream = stream
@@ -268,7 +268,6 @@ class ReproServer:
         retry_after: float = DEFAULT_RETRY_AFTER,
         peers: Sequence[str] = (),
         peer_timeout: float = DEFAULT_PEER_TIMEOUT,
-        protocol_version: int = PROTOCOL_VERSION,
     ) -> None:
         self.host = host
         self.port = port
@@ -297,12 +296,6 @@ class ReproServer:
             peer: CircuitBreaker(failure_threshold=1, reset_timeout=5.0)
             for peer in self.peers
         }
-        #: Advertised protocol revision.  Running a daemon in v2 compat
-        #: mode (``protocol_version=2``) suppresses every v3 feature —
-        #: ``health``, ``fetch`` and streamed outcomes — which is how the
-        #: negotiation regression test pins a v3 client against a v2-only
-        #: server.
-        self.protocol_version = min(protocol_version, PROTOCOL_VERSION)
         self._started_at: Optional[float] = None
         self.cache = ResultCache(cache_dir) if cache_dir else None
         store = trace_store_from_spec(trace_store)
@@ -425,15 +418,15 @@ class ReproServer:
                 {
                     "type": "welcome",
                     "server": "repro-serve",
-                    "protocol": self.protocol_version,
+                    "protocol": PROTOCOL_VERSION,
                     "code": code_fingerprint(),
                     "workers": self.pool.workers,
                 }
             )
-        elif kind == "health" and self.protocol_version >= 3:
+        elif kind == "health":
             self.stats.health_probes += 1
             conn.send(self._health_payload())
-        elif kind == "fetch" and self.protocol_version >= 3:
+        elif kind == "fetch":
             conn.send(self._handle_fetch(message))
         elif kind == "submit":
             self._handle_submit(conn, message)
@@ -457,7 +450,7 @@ class ReproServer:
             conn.send({"type": "error", "message": f"unknown message type {kind!r}"})
 
     def _health_payload(self) -> dict[str, Any]:
-        """The protocol-v3 readiness snapshot clients select endpoints by."""
+        """The readiness snapshot clients select endpoints by."""
 
         uptime = (
             time.monotonic() - self._started_at if self._started_at is not None else 0.0
@@ -465,7 +458,7 @@ class ReproServer:
         return {
             "type": "health",
             "status": "draining" if self._draining else "ok",
-            "protocol": self.protocol_version,
+            "protocol": PROTOCOL_VERSION,
             "address": self.address,
             "uptime": uptime,
             "workers": self.pool.workers,
@@ -571,7 +564,7 @@ class ReproServer:
             )
             return
 
-        stream = bool(message.get("stream")) and self.protocol_version >= 3
+        stream = bool(message.get("stream"))
         submission = _Submission(conn, sid, requests, stream=stream)
         conn.submissions[sid] = submission
         counts = submission.counts
@@ -911,8 +904,8 @@ class ReproServer:
                     raise ServiceProtocolError(
                         f"peer {peer} rejected fetch: {message.get('message')}"
                     )
-                # Skip unrelated chatter (a v2 peer answers nothing useful;
-                # its error message lands in the branch above).
+                # Skip unrelated chatter; a refusal lands in the branch
+                # above.
         finally:
             writer.close()
             try:
@@ -960,7 +953,7 @@ class ReproServer:
                 counts["failed"] += 1
                 counts["failures"][failure] = counts["failures"].get(failure, 0) + 1
             if submission.stream:
-                # v3 failover clients bank these as they land, so a daemon
+                # Failover clients bank these as they land, so a daemon
                 # dying mid-plan costs only the unresolved remainder.
                 submission.conn.send(
                     {

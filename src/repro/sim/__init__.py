@@ -26,7 +26,10 @@ from .sweeps import (
     ppu_count_frequency_sweep,
     ppu_frequency_sweep,
 )
-from .vector import vector_backend_enabled
+
+# Vector replay runs exactly when numpy imports; perfbench/run.py still
+# reads that fact under this older name for its provenance line.
+from .vector import numpy_available as vector_backend_enabled
 
 __all__ = [
     "PrefetchMode",
@@ -34,7 +37,6 @@ __all__ = [
     "SimulationResult",
     "simulate",
     "simulate_batch",
-    "vector_backend_enabled",
     "cache_geometry_sweep",
     "run_comparison",
     "comparison_plan",

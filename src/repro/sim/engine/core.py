@@ -19,7 +19,7 @@ executes only the missing requests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -92,30 +92,17 @@ class EngineStats:
         return self.deduplicated + self.memo_hits + self.cache_hits
 
     def merge(self, other: "EngineStats") -> None:
-        self.submitted += other.submitted
-        self.unique += other.unique
-        self.deduplicated += other.deduplicated
-        self.memo_hits += other.memo_hits
-        self.cache_hits += other.cache_hits
-        self.executed += other.executed
-        self.unavailable += other.unavailable
-        self.failed += other.failed
-        for label, count in other.failures.items():
-            self.failures[label] = self.failures.get(label, 0) + count
-        self.trace_hits += other.trace_hits
-        self.trace_built += other.trace_built
-        self.trace_stored += other.trace_stored
-        self.batched += other.batched
-        self.resumed += other.resumed
-        self.retried += other.retried
-        self.requeues += other.requeues
-        self.hung_killed += other.hung_killed
-        self.expired += other.expired
-        self.rejected += other.rejected
-        self.failed_over += other.failed_over
-        self.peer_hits += other.peer_hits
-        self.degraded_local += other.degraded_local
-        self.runner = other.runner
+        """Add ``other``'s counters and failure labels; take its runner."""
+
+        for spec in fields(self):
+            name = spec.name
+            if name == "failures":
+                for label, count in other.failures.items():
+                    self.failures[label] = self.failures.get(label, 0) + count
+            elif name == "runner":
+                self.runner = other.runner
+            else:
+                setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def summary(self) -> str:
         text = (

@@ -70,7 +70,7 @@ from ...workloads.base import Workload
 from ..modes import mode_available
 from ..results import SimulationResult
 from ..system import simulate, try_simulate_batch_vector
-from ..vector import vector_backend_enabled
+from ..vector import numpy_available
 from .request import SimRequest, resolve_policy
 
 #: One executed request: ``(digest, result, failure)``.  ``result`` is
@@ -195,7 +195,7 @@ def _execute_vector_batches(
     """
 
     prebatched: dict[int, ExecutedRequest] = {}
-    if not vector_backend_enabled():
+    if not numpy_available():
         return prebatched
     batches: dict[tuple[str, Optional[str]], list[int]] = {}
     for index, request in enumerate(requests):

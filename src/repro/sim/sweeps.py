@@ -164,9 +164,9 @@ def cache_geometry_sweep(
     multi-config batching consumes: all N configurations are built with
     :meth:`~repro.config.SystemConfig.with_caches` and handed to
     :func:`~repro.sim.system.simulate_batch`, so the trace columns are
-    decoded once and every geometry becomes a replay lane.  With the
-    interpreter backend the call transparently degrades to N serial runs
-    with identical results.
+    decoded once and every geometry becomes a replay lane.  Without numpy
+    the call transparently degrades to N serial runs with identical
+    results.
     """
 
     from .system import simulate_batch  # local: system imports modes/results too

@@ -15,7 +15,7 @@ from ..programmable.scheduler import SchedulingPolicy
 from ..workloads.base import Workload
 from .modes import PrefetchMode, mode_available
 from .results import SimulationResult
-from .vector import replay_trace, replay_trace_batch, vector_backend_enabled
+from .vector import numpy_available, replay_trace, replay_trace_batch
 
 
 def _programmable_configuration(
@@ -83,7 +83,7 @@ def simulate(
 
     trace = workload.trace(mode.trace_variant)
     core_stats = None
-    if engine is None and vector_backend_enabled():
+    if engine is None and numpy_available():
         # Non-programmable modes replay through the vectorized backend when
         # it supports the configuration; results are bit-identical either
         # way (the golden suite pins this), only wall-clock time differs.
@@ -159,7 +159,7 @@ def simulate_batch(
     Each lane gets its own hierarchy and its own hardware-prefetcher
     instance, so results are identical to N independent :func:`simulate`
     calls — which is also the automatic fallback whenever batching is not
-    applicable (programmable modes, interpreter backend, differing core
+    applicable (programmable modes, numpy missing, differing core
     configurations, unsupported geometry).
     """
 
@@ -185,8 +185,8 @@ def try_simulate_batch_vector(
     """The vector-batched path of :func:`simulate_batch`, or ``None``.
 
     Returns ``None`` whenever batching does not apply — fewer than two
-    configurations, a programmable mode, the interpreter backend selected,
-    differing core configurations, an unavailable mode, or a trace/geometry
+    configurations, a programmable mode, numpy missing, differing core
+    configurations, an unavailable mode, or a trace/geometry
     the replay backend rejects — so callers (``simulate_batch``, the engine
     runners) can fall back to per-configuration simulation and, unlike with
     an internal fallback, *know* whether the batch happened.
@@ -196,7 +196,7 @@ def try_simulate_batch_vector(
     if (
         len(configs) < 2
         or mode.uses_programmable_prefetcher
-        or not vector_backend_enabled()
+        or not numpy_available()
         or not all(cfg.core == configs[0].core for cfg in configs)
         or not mode_available(workload, mode)
     ):

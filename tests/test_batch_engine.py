@@ -1,5 +1,6 @@
 """Tests for the batch simulation engine (plan → execute → cache)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from repro.errors import ConfigurationError, DuplicateResultError
 from repro.eval.figure7 import run_figure7
 from repro.sim import (
     ComparisonResult,
+    EngineStats,
     MultiprocessRunner,
     PrefetchMode,
     ResultCache,
@@ -103,6 +105,32 @@ class TestSimPlan:
         assert len(groups) == len(WORKLOADS)
         for group in groups:
             assert len({request.workload_key for request in group}) == 1
+
+
+class TestEngineStats:
+    def test_merge_carries_every_field(self):
+        # Every field gets a distinct non-default value, so a counter that
+        # merge forgot (or a new field it cannot handle) fails here.
+        def filled(offset: int) -> EngineStats:
+            stats = EngineStats()
+            for index, spec in enumerate(dataclasses.fields(EngineStats)):
+                if spec.name == "failures":
+                    stats.failures = {"shared": offset, f"only-{offset}": 1}
+                elif spec.name == "runner":
+                    stats.runner = f"runner-{offset}"
+                else:
+                    setattr(stats, spec.name, offset + index + 1)
+            return stats
+
+        merged, other = filled(100), filled(1000)
+        merged.merge(other)
+        for index, spec in enumerate(dataclasses.fields(EngineStats)):
+            if spec.name == "failures":
+                assert merged.failures == {"shared": 1100, "only-100": 1, "only-1000": 1}
+            elif spec.name == "runner":
+                assert merged.runner == "runner-1000"
+            else:
+                assert getattr(merged, spec.name) == 1100 + 2 * (index + 1), spec.name
 
 
 class TestExecution:

@@ -13,20 +13,15 @@ watchdog-looping programs.
 
 from __future__ import annotations
 
-import os
 import pickle
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import KernelRuntimeError
 from repro.programmable.compiler import (
-    COMPILER_ENV_VAR,
     compile_kernel,
-    compiler_enabled,
     generate_source,
-    interpreter_executor,
     kernel_executor,
     program_digest,
     run_compiled,
@@ -46,6 +41,8 @@ from repro.programmable.kernel import (
     Operand,
 )
 from repro.workloads import build_workload, registry
+
+from kernel_oracle import interpreter_executor
 
 _U64 = (1 << 64) - 1
 
@@ -251,26 +248,11 @@ class TestCompilerMachinery:
             assert source.startswith("def _kernel_")
             compile(source, "<test>", "exec")  # must be valid Python
 
-    def test_env_flag_selects_interpreter(self):
-        k = KernelBuilder("switchable")
+    def test_engine_executor_is_the_compiled_closure(self):
+        k = KernelBuilder("engine_tier")
         k.prefetch(k.imm(64))
         program = k.build()
-        with mock.patch.dict(os.environ, {COMPILER_ENV_VAR: "off"}):
-            assert not compiler_enabled()
-            executor = kernel_executor(program)
-            assert executor is not compile_kernel(program)
-        with mock.patch.dict(os.environ, {COMPILER_ENV_VAR: "on"}):
-            assert compiler_enabled()
-            assert kernel_executor(program) is compile_kernel(program)
-
-    def test_simulation_identical_with_compiler_off(self, tiny_workloads, scaled_config):
-        from repro.sim import PrefetchMode, simulate
-
-        workload = tiny_workloads.get("randacc")
-        on = simulate(workload, PrefetchMode.MANUAL, scaled_config)
-        with mock.patch.dict(os.environ, {COMPILER_ENV_VAR: "off"}):
-            off = simulate(workload, PrefetchMode.MANUAL, scaled_config)
-        assert on.as_dict() == off.as_dict()
+        assert kernel_executor(program) is compile_kernel(program)
 
 
 class TestLookaheadDefault:

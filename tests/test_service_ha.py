@@ -131,28 +131,25 @@ def test_draining_daemon_reports_not_ready_on_live_connection(svc_dir):
                         break
 
 
-# ---------------------------------------------------- protocol negotiation
+# ------------------------------------------------------- protocol version
 
 
-def test_v3_client_degrades_cleanly_against_v2_server():
-    """Regression: a new client against an old daemon is plain v2."""
+def test_protocol_version_mismatch_is_rejected(monkeypatch):
+    """Client and daemon ship together: any other version is refused."""
 
-    with ServerThread(workers=1, protocol_version=2) as daemon:
-        with ServiceClient(daemon.address, timeout=120.0) as client:
-            assert client.server_protocol == 2
-            # v3-only requests are refused with an error, never a hang.
-            with pytest.raises(ServiceError):
-                client.health()
-        # The probe degrades to reachability-only.
+    import repro.service.server as server_module
+
+    monkeypatch.setattr(server_module, "PROTOCOL_VERSION", PROTOCOL_VERSION - 1)
+    with ServerThread(workers=1) as daemon:
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(daemon.address, timeout=120.0, connect_retries=0)
+        message = str(excinfo.value)
+        assert f"protocol {PROTOCOL_VERSION - 1}" in message
+        assert f"protocol {PROTOCOL_VERSION}" in message
+        # The probe reports the endpoint as unusable, so failover skips it.
         report = probe_endpoint(daemon.address)
-        assert report.ok and report.ready
-        assert report.status == "legacy" and report.protocol == 2
-        # Plans still run (no streaming requested, no health gating).
-        engine = ServiceEngine(daemon.address, timeout=120.0)
-        batch = engine.run(small_plan())
-        assert len(batch.results) == 2 and not batch.failures
-        assert batch.stats.executed == 2
-        engine.close()
+        assert not report.ok and not report.ready
+        assert f"protocol {PROTOCOL_VERSION - 1}" in report.error
 
 
 # --------------------------------------------------------- peer replication
@@ -292,6 +289,42 @@ def test_sigkill_mid_plan_fails_over_with_banked_partial_progress(svc_dir):
                 assert secondary.server.stats.executed == 1, (
                     "the banked outcome must not re-execute after failover"
                 )
+
+
+def _process_state(pid: int):
+    """``(state, parent pid)`` from ``/proc/<pid>/stat``, or ``None`` if gone."""
+
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to find pool workers")
+def test_sigkilled_daemon_leaves_no_orphaned_worker():
+    """Regression: a pool worker blocked on its call queue used to outlive a
+    SIGKILLed daemon forever, re-parented and deaf to SIGTERM."""
+
+    with spawn_local_daemon(workers=1) as (process, address):
+        engine = ServiceEngine(address, timeout=120.0)
+        batch = engine.run(small_plan())
+        engine.close()
+        assert len(batch.results) == 2 and not batch.failures
+        workers = [
+            int(entry)
+            for entry in os.listdir("/proc")
+            if entry.isdigit() and (_process_state(int(entry)) or ("", 0))[1] == process.pid
+        ]
+        assert workers, "the plan must have run in a pool worker"
+        os.kill(process.pid, signal.SIGKILL)
+        process.wait()
+        deadline = time.monotonic() + 15.0
+        # An exited worker nobody has reaped yet is a zombie: gone all the same.
+        while any((_process_state(pid) or ("Z",))[0] != "Z" for pid in workers):
+            assert time.monotonic() < deadline, f"pool workers {workers} outlived the daemon"
+            time.sleep(0.05)
 
 
 def test_failover_reuses_shared_cache_without_reexecuting(tmp_path):

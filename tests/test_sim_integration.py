@@ -5,13 +5,17 @@ from pathlib import Path
 
 import pytest
 
+import repro.programmable.prefetcher as prefetcher_module
 from repro.config import SystemConfig
 from repro.errors import WorkloadError
 from repro.sim import PrefetchMode, mode_available, run_comparison, simulate
 from repro.sim.modes import FIGURE7_MODES
 from repro.sim.results import geometric_mean
 from repro.sim.sweeps import ppu_count_frequency_sweep, ppu_frequency_sweep
+from repro.sim.vector import columns as vector_columns
 from repro.workloads import registry
+
+from kernel_oracle import interpreter_executor
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_stats.json"
 
@@ -123,31 +127,56 @@ class TestGoldenStats:
     workload under every available mode at tiny scale.  Any hot-path
     optimisation must reproduce these numbers *exactly*; a mismatch means
     the timing model changed, not just its speed.
+
+    Every fingerprint is checked on the production path — vector replay
+    when numpy imports, compiled kernels — and once more on the other
+    implementation of its layer: the non-programmable modes with numpy
+    hidden (interpreter-core replay), the programmable modes with every
+    kernel run by the interpreter oracle.
     """
 
     def test_golden_file_covers_every_registered_workload(self, golden_stats):
         covered = {key.split("/", 1)[0] for key in golden_stats}
         assert covered == set(registry.names())
 
+    @staticmethod
+    def _check(workload, modes, config, golden_stats) -> None:
+        checked = 0
+        for mode in modes:
+            key = f"{workload.name}/{mode.value}"
+            if not mode_available(workload, mode):
+                assert key not in golden_stats
+                continue
+            result = simulate(workload, mode, config)
+            measured = json.loads(json.dumps(result.as_dict()))
+            assert measured == golden_stats[key], (
+                f"{key}: simulation diverged from the golden fingerprint — "
+                f"the timing model changed"
+            )
+            checked += 1
+        assert checked > 0
+
     @pytest.mark.parametrize("name", registry.names())
     def test_bit_identical_results_for_every_available_mode(
         self, name, tiny_workloads, config, golden_stats
     ):
-        workload = tiny_workloads.get(name)
-        checked = 0
-        for mode in PrefetchMode:
-            if not mode_available(workload, mode):
-                assert f"{name}/{mode.value}" not in golden_stats
-                continue
-            expected = golden_stats[f"{name}/{mode.value}"]
-            result = simulate(workload, mode, config)
-            measured = json.loads(json.dumps(result.as_dict()))
-            assert measured == expected, (
-                f"{name}/{mode.value}: simulation diverged from the golden "
-                f"fingerprint — the timing model changed"
-            )
-            checked += 1
-        assert checked > 0
+        self._check(tiny_workloads.get(name), PrefetchMode, config, golden_stats)
+
+    @pytest.mark.parametrize("name", registry.names())
+    def test_non_programmable_modes_without_numpy(
+        self, name, tiny_workloads, config, golden_stats, monkeypatch
+    ):
+        monkeypatch.setattr(vector_columns, "_np", None)
+        modes = [mode for mode in PrefetchMode if not mode.uses_programmable_prefetcher]
+        self._check(tiny_workloads.get(name), modes, config, golden_stats)
+
+    @pytest.mark.parametrize("name", registry.names())
+    def test_programmable_modes_through_the_interpreter(
+        self, name, tiny_workloads, config, golden_stats, monkeypatch
+    ):
+        monkeypatch.setattr(prefetcher_module, "kernel_executor", interpreter_executor)
+        modes = [mode for mode in PrefetchMode if mode.uses_programmable_prefetcher]
+        self._check(tiny_workloads.get(name), modes, config, golden_stats)
 
 
 class TestComparisonDriver:

@@ -5,15 +5,13 @@ Three layers of evidence that the backend is a pure wall-clock change:
 1. a *differential harness* — hypothesis-generated op sequences replayed
    through both backends over identical hierarchies must produce identical
    core and hierarchy statistics, floats included;
-2. the *golden fingerprints* — every non-programmable golden entry must be
-   reproduced bit-for-bit with the vector backend forced on;
+2. the *golden fingerprints* — ``tests/test_sim_integration.py`` checks every
+   non-programmable golden entry with numpy (vector replay) and without it
+   (interpreter core);
 3. *batch parity* — N cache geometries replayed over one trace pass must
    equal N independent simulations, through every entry point (``simulate_batch``,
    ``cache_geometry_sweep``, engine requests).
 """
-
-import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,18 +31,15 @@ from repro.sim import (
     SimPlan,
     SimRequest,
     cache_geometry_sweep,
-    mode_available,
     simulate,
     simulate_batch,
-    vector_backend_enabled,
 )
+from repro.sim import system as system_module
 from repro.sim.system import try_simulate_batch_vector
-from repro.sim.vector import BACKEND_ENV_VAR, TraceColumnPlan
+from repro.sim.vector import TraceColumnPlan
 from repro.sim.vector import columns as vector_columns
 from repro.sim.vector.replay import replay_trace, replay_trace_batch
 from repro.workloads import registry
-
-GOLDEN_PATH = Path(__file__).resolve().parent / "data" / "golden_stats.json"
 
 
 @pytest.fixture(scope="module")
@@ -52,30 +47,32 @@ def config():
     return SystemConfig.scaled()
 
 
-@pytest.fixture(scope="module")
-def golden_stats():
-    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-
-
 class TestBackendSelection:
-    def test_default_is_vector_when_numpy_present(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert vector_backend_enabled()
+    def _count_vector_replays(self, monkeypatch) -> dict:
+        calls = {"replays": 0}
+        original = system_module.replay_trace
 
-    @pytest.mark.parametrize("value", ["interp", "interpreter", "off", "0", "false", "NO"])
-    def test_off_values_force_the_interpreter(self, monkeypatch, value):
-        monkeypatch.setenv(BACKEND_ENV_VAR, value)
-        assert not vector_backend_enabled()
+        def counting(*args, **kwargs):
+            calls["replays"] += 1
+            return original(*args, **kwargs)
 
-    @pytest.mark.parametrize("value", ["vector", "", "on", "anything-else"])
-    def test_other_values_keep_the_backend_on(self, monkeypatch, value):
-        monkeypatch.setenv(BACKEND_ENV_VAR, value)
-        assert vector_backend_enabled()
+        monkeypatch.setattr(system_module, "replay_trace", counting)
+        return calls
 
-    def test_numpy_absent_disables_the_backend(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_vector_replay_whenever_numpy_imports(self, tiny_workloads, config, monkeypatch):
+        calls = self._count_vector_replays(monkeypatch)
+        workload = tiny_workloads.get("randacc")
+        simulate(workload, PrefetchMode.NONE, config)
+        assert calls["replays"] == 1
+        simulate(workload, PrefetchMode.MANUAL, config)  # programmable: interpreter core
+        assert calls["replays"] == 1
+
+    def test_numpy_absent_disables_the_backend(self, tiny_workloads, config, monkeypatch):
+        calls = self._count_vector_replays(monkeypatch)
         monkeypatch.setattr(vector_columns, "_np", None)
-        assert not vector_backend_enabled()
+        assert not vector_columns.numpy_available()
+        simulate(tiny_workloads.get("randacc"), PrefetchMode.NONE, config)
+        assert calls["replays"] == 0
 
     def test_numpy_absent_still_simulates(self, tiny_workloads, config, monkeypatch):
         workload = tiny_workloads.get("randacc")
@@ -199,30 +196,6 @@ class TestDifferentialHarness:
         assert vector_hier == interp_hier
 
 
-class TestGoldenParity:
-    """Every non-programmable golden fingerprint, vector backend forced."""
-
-    @pytest.mark.parametrize("name", registry.names())
-    def test_vector_backend_reproduces_golden_stats(
-        self, name, tiny_workloads, config, golden_stats, monkeypatch
-    ):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "vector")
-        workload = tiny_workloads.get(name)
-        checked = 0
-        for mode in PrefetchMode:
-            if mode.uses_programmable_prefetcher or not mode_available(workload, mode):
-                continue
-            expected = golden_stats[f"{name}/{mode.value}"]
-            result = simulate(workload, mode, config)
-            measured = json.loads(json.dumps(result.as_dict()))
-            assert measured == expected, (
-                f"{name}/{mode.value}: vector backend diverged from the "
-                f"golden fingerprint"
-            )
-            checked += 1
-        assert checked > 0
-
-
 GEOMETRIES = [
     {"l1": {"size_bytes": 8 * 1024}},
     {"l1": {"size_bytes": 32 * 1024}},
@@ -249,19 +222,19 @@ class TestMultiConfigBatching:
         configs = self._configs(config)
         assert try_simulate_batch_vector(workload, PrefetchMode.NONE, configs) is not None
         # Not batchable: single config, programmable mode, differing cores,
-        # interpreter forced.
+        # numpy missing.
         assert try_simulate_batch_vector(workload, PrefetchMode.NONE, configs[:1]) is None
         assert try_simulate_batch_vector(workload, PrefetchMode.MANUAL, configs) is None
         mixed = [configs[0], configs[1].with_core(rob_entries=64)]
         assert try_simulate_batch_vector(workload, PrefetchMode.NONE, mixed) is None
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
+        monkeypatch.setattr(vector_columns, "_np", None)
         assert try_simulate_batch_vector(workload, PrefetchMode.NONE, configs) is None
 
     def test_geometry_sweep_is_backend_independent(self, tiny_workloads, config, monkeypatch):
         workload = tiny_workloads.get("randacc")
         sizes = [8 * 1024, 16 * 1024, 32 * 1024]
         vector = cache_geometry_sweep(workload, l1_sizes=sizes, config=config)
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
+        monkeypatch.setattr(vector_columns, "_np", None)
         interp = cache_geometry_sweep(workload, l1_sizes=sizes, config=config)
         assert list(vector) == sizes == list(interp)
         for size in sizes:
@@ -308,7 +281,7 @@ class TestMultiConfigBatching:
             assert batch[request].as_dict() == direct.as_dict()
 
     def test_engine_batched_is_zero_under_interpreter(self, config, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "interp")
+        monkeypatch.setattr(vector_columns, "_np", None)
         plan = SimPlan(
             SimRequest(
                 workload="intsort",
