@@ -26,8 +26,8 @@ the same role the paper's source code plus annotations plays.
 * :mod:`repro.compiler.frontend` — restricted-Python front end: a plain
   traversal function parsed (never executed) into the loop IR.
 * :mod:`repro.compiler.pipeline` — the registry-facing derivation pipeline
-  that turns a hinted loop into the ``manual``-mode configuration
-  (the ``compiled`` kernel source).
+  that turns a hinted loop into the ``manual``-mode configuration of every
+  workload that does not hand-write its kernels.
 """
 
 from .codegen import CompiledPrefetchProgram

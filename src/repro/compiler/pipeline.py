@@ -2,16 +2,18 @@
 
 The conversion and pragma passes (:mod:`repro.compiler.convert`,
 :mod:`repro.compiler.pragma`) model the paper's *automatic* compiler and are
-deliberately limited to what it can prove; the ``manual`` mode has so far been
-hand-written kernels.  This module closes the gap: it drives the same stages
-— dependence analysis, bounds detection, DCE accounting, code generation —
-but honours the programmer hints the loop IR can carry
+deliberately limited to what it can prove.  This module produces the
+``manual`` mode's kernels: it drives the same stages — dependence analysis,
+bounds detection, DCE accounting, code generation — but honours the
+programmer hints the loop IR can carry
 (:class:`~repro.compiler.ir.SoftwarePrefetchStmt` hint fields and
-:class:`~repro.compiler.ir.PointerChaseStmt`), producing a configuration that
-is behaviourally identical to the hand-written one.  Workloads opt in through
-:meth:`repro.workloads.base.Workload.derived_manual_configuration`, and the
-``compiled`` kernel source selects the result everywhere a manual kernel is
-used.
+:class:`~repro.compiler.ir.PointerChaseStmt`).  Every workload's manual
+configuration comes from here
+(:meth:`repro.workloads.base.Workload.manual_configuration`) unless the
+workload hand-writes it and says why in its ``derive_note``.  For the
+workloads that once had hand-written kernels, the derived configurations
+are pinned behaviour-for-behaviour to those kernels by
+``tests/test_derived_kernels.py`` and ``tests/data/manual_kernels.json``.
 
 Stages (each recorded on the returned :class:`DerivedKernels` so
 ``tools/dump_kernel.py --stage`` can show the intermediates):

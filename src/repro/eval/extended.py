@@ -6,7 +6,8 @@ with :mod:`repro.workloads.registry` (BFS, SpMV, union-find out of the box —
 plus anything a user registers).  Each kernel is simulated under the four
 prefetching schemes a new workload gets for free — no prefetching, the
 stride prefetcher, the GHB prefetcher, and the programmable prefetcher
-running the workload's manual PPU kernels — through one deduplicated batch
+running the workload's manual PPU kernels (derived from its loop IR, or
+hand-written where the workload says why) — through one deduplicated batch
 engine plan, and the table reports the speedups plus the engine's dedup and
 cache statistics.
 """
@@ -18,7 +19,7 @@ from typing import Iterable, Optional
 
 from ..config import SystemConfig
 from ..sim.comparison import ComparisonResult, comparison_plan
-from ..sim.engine import EngineStats, SimEngine, SimRequest
+from ..sim.engine import EngineStats, SimEngine
 from ..sim.modes import PrefetchMode
 from ..sim.results import geometric_mean
 from ..workloads import registry
@@ -42,18 +43,12 @@ class ExtendedData:
         speedups: ``{workload: {mode value: speedup-over-baseline}}``; the
             baseline (``none``) column is always 1.0, missing modes are
             ``None``.
-        compiled_speedups: ``{workload: speedup}`` for the manual mode run
-            with compiler-derived kernels (``kernel_source="compiled"``);
-            only workloads whose spec declares ``derives_manual`` appear.
-            Kept separate from ``speedups`` because the mode value is still
-            ``manual`` — only the kernel provenance differs.
         comparison: The underlying per-mode results.
         engine_stats: Statistics of the batch-engine run that produced the
             results (submitted / deduplicated / cache hits / simulated).
     """
 
     speedups: dict[str, dict[str, Optional[float]]] = field(default_factory=dict)
-    compiled_speedups: dict[str, Optional[float]] = field(default_factory=dict)
     comparison: Optional[ComparisonResult] = None
     engine_stats: Optional[EngineStats] = None
 
@@ -64,11 +59,6 @@ class ExtendedData:
                 for row in self.speedups.values()
                 if row.get(mode.value) is not None
             ]
-        )
-
-    def compiled_geomean(self) -> float:
-        return geometric_mean(
-            [value for value in self.compiled_speedups.values() if value is not None]
         )
 
 
@@ -105,33 +95,10 @@ def run_extended(
         engine = SimEngine()
 
     plan = comparison_plan(names, mode_list, config=system_config, scale=scale, seed=seed)
-    base_requests = list(plan)
-
-    # One extra manual-mode point per derivable workload, pinned to the
-    # compiler-derived kernels.  Same plan, same engine run: kernel
-    # provenance is part of the request digest, so these never alias the
-    # hand-written manual points, and the dedup/cache statistics cover the
-    # whole batch.
-    compiled_requests: dict[str, SimRequest] = {}
-    if PrefetchMode.MANUAL in mode_list:
-        for name in names:
-            if not registry.get(name).derives_manual:
-                continue
-            request = SimRequest(
-                workload=name,
-                mode=PrefetchMode.MANUAL.value,
-                scale=scale,
-                seed=seed,
-                config=system_config,
-                kernel_source="compiled",
-            )
-            compiled_requests[name] = request
-            plan.add(request)
-
     batch = engine.run(plan)
 
     comparison = ComparisonResult(engine_stats=batch.stats)
-    for request in base_requests:
+    for request in plan:
         result = batch.get(request)
         if result is not None:
             comparison.add(result)
@@ -144,12 +111,6 @@ def run_extended(
                 1.0 if comparison.result(name, PrefetchMode.NONE) is not None else None
             )
         data.speedups[name] = row
-    for name, request in compiled_requests.items():
-        result = batch.get(request)
-        baseline = comparison.result(name, PrefetchMode.NONE)
-        data.compiled_speedups[name] = (
-            result.speedup_over(baseline) if result is not None and baseline is not None else None
-        )
     return data
 
 
@@ -158,12 +119,7 @@ def format_extended(data: ExtendedData, *, modes: Optional[Iterable[PrefetchMode
 
     mode_list = list(modes) if modes is not None else list(EXTENDED_MODES)
     mode_values = [mode.value for mode in mode_list]
-    columns = list(mode_values)
-    show_compiled = bool(data.compiled_speedups)
-    if show_compiled:
-        # The compiler-derived manual kernels, next to the hand-written ones.
-        columns.append("manual(comp)")
-    header = f"{'workload':<12}" + "".join(f"{column:>14}" for column in columns)
+    header = f"{'workload':<12}" + "".join(f"{value:>14}" for value in mode_values)
     lines = [
         "Extended workloads: speedup over no prefetching",
         header,
@@ -174,17 +130,11 @@ def format_extended(data: ExtendedData, *, modes: Optional[Iterable[PrefetchMode
         for value in mode_values:
             speedup = row.get(value)
             cells.append(f"{speedup:>14.2f}" if speedup is not None else f"{'--':>14}")
-        if show_compiled:
-            speedup = data.compiled_speedups.get(name)
-            cells.append(f"{speedup:>14.2f}" if speedup is not None else f"{'--':>14}")
         lines.append(f"{name:<12}" + "".join(cells))
     lines.append("-" * len(header))
     geomeans = []
     for mode in mode_list:
         value = data.geomean(mode)
-        geomeans.append(f"{value:>14.2f}" if value else f"{'--':>14}")
-    if show_compiled:
-        value = data.compiled_geomean()
         geomeans.append(f"{value:>14.2f}" if value else f"{'--':>14}")
     lines.append(f"{'geomean':<12}" + "".join(geomeans))
     if data.engine_stats is not None:

@@ -2,9 +2,11 @@
 
 The subpackage models every structure in Figure 3 of the paper:
 
-* :mod:`~repro.programmable.kernel` / :mod:`~repro.programmable.interpreter` —
-  the PPU kernel ISA and its functional+timing interpreter (the reference
-  semantics the compiled tier is tested against).
+* :mod:`~repro.programmable.kernel` — the PPU kernel ISA, the event context
+  a kernel reads and the result it produces.
+* :mod:`~repro.programmable.interpreter` — the functional+timing interpreter
+  (the reference semantics the compiled tier is tested against); a test
+  oracle, so nothing on the simulation path imports it.
 * :mod:`~repro.programmable.compiler` — ahead-of-time compilation of kernels
   to specialised Python closures (the engine's execution tier; digest-cached,
   bit-identical to the interpreter).
@@ -31,8 +33,14 @@ from .compiler import (
 )
 from .config_api import PrefetcherConfiguration, RangeConfig
 from .ewma import EWMA, LookaheadCalculator
-from .interpreter import KernelExecutionResult, default_lookahead, execute_kernel
-from .kernel import KernelBuilder, KernelProgram, Opcode, Reg
+from .kernel import (
+    KernelBuilder,
+    KernelExecutionResult,
+    KernelProgram,
+    Opcode,
+    Reg,
+    default_lookahead,
+)
 from .ppu import PPU
 from .prefetcher import EventTriggeredPrefetcher
 from .queues import ObservationQueue, PrefetchRequestQueue
@@ -45,7 +53,6 @@ __all__ = [
     "Opcode",
     "Reg",
     "KernelExecutionResult",
-    "execute_kernel",
     "default_lookahead",
     "compile_kernel",
     "generate_source",

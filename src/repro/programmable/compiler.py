@@ -47,12 +47,15 @@ from typing import Callable, Optional, Sequence
 
 from ..config import WORD_BYTES
 from ..errors import KernelRuntimeError
-from .interpreter import (
+from .kernel import (
+    BRANCH_OPCODES,
     MAX_DYNAMIC_INSTRUCTIONS,
     KernelContext,
     KernelExecutionResult,
+    KernelProgram,
+    Opcode,
+    Operand,
 )
-from .kernel import BRANCH_OPCODES, KernelProgram, Opcode, Operand
 
 #: A compiled kernel executor; returns
 #: ``(prefetches, instructions_executed, aborted)``.

@@ -17,82 +17,19 @@ those already generated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
-
-from ..config import WORD_BYTES
 from ..errors import KernelRuntimeError
-from .kernel import NUM_LOCAL_REGISTERS, KernelProgram, Opcode, Operand
+from .kernel import (
+    MAX_DYNAMIC_INSTRUCTIONS,
+    NUM_LOCAL_REGISTERS,
+    KernelContext,
+    KernelExecutionResult,
+    KernelProgram,
+    Opcode,
+    Operand,
+)
 
-#: Hard bound on dynamically executed instructions per event.  Prefetch
-#: kernels are "typically only a few lines of code" (Section 4.4); the bound
-#: exists to terminate buggy kernels the way a watchdog would.
-MAX_DYNAMIC_INSTRUCTIONS = 4096
-
-_WORDS_PER_LINE = 8
 _U64 = (1 << 64) - 1
 _SIGN_BIT = 1 << 63
-
-
-def _to_signed(value: int) -> int:
-    value &= _U64
-    return value - (1 << 64) if value & _SIGN_BIT else value
-
-
-def default_lookahead(stream: int) -> int:
-    """Default look-ahead when no EWMA stream is wired up: one element ahead.
-
-    A module-level named function rather than a lambda default so that
-    contexts pickle cleanly (multiprocess paths) and tracebacks through the
-    look-ahead callback name something greppable.
-    """
-
-    del stream
-    return 1
-
-
-class KernelContext(NamedTuple):
-    """Everything a kernel can read while it runs.
-
-    A ``NamedTuple``: one context is built per prefetcher event, and tuple
-    construction is markedly cheaper than a frozen dataclass's.
-    """
-
-    vaddr: int
-    line_base: int
-    line_words: Optional[Sequence[int]]
-    global_registers: Sequence[int]
-    lookahead: Callable[[int], int] = default_lookahead
-
-    def data_word(self) -> int:
-        """The word at the triggering address within the forwarded line."""
-
-        if self.line_words is None:
-            raise KernelRuntimeError("no cache line was forwarded with this event")
-        offset = (self.vaddr - self.line_base) // WORD_BYTES
-        if not 0 <= offset < _WORDS_PER_LINE:
-            raise KernelRuntimeError("triggering address lies outside the forwarded line")
-        return self.line_words[offset]
-
-    def word(self, index: int) -> int:
-        if self.line_words is None:
-            raise KernelRuntimeError("no cache line was forwarded with this event")
-        if not 0 <= index < _WORDS_PER_LINE:
-            raise KernelRuntimeError(f"line word index {index} out of range")
-        return self.line_words[index]
-
-
-@dataclass
-class KernelExecutionResult:
-    """Outcome of running one kernel for one observation."""
-
-    prefetches: list[tuple[int, int]] = field(default_factory=list)
-    instructions_executed: int = 0
-    aborted: bool = False
-
-    @property
-    def prefetch_addresses(self) -> list[int]:
-        return [addr for addr, _tag in self.prefetches]
 
 
 def _read(operand: Operand, registers: list[int]) -> int:

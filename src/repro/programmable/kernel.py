@@ -28,9 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
-from ..errors import KernelError
+from ..config import WORD_BYTES
+from ..errors import KernelError, KernelRuntimeError
 
 #: Number of local registers available to a kernel (the paper's PPUs are
 #: microcontroller-class cores; 16 general-purpose registers matches the
@@ -40,6 +41,13 @@ NUM_LOCAL_REGISTERS = 16
 #: Encoded size of one kernel instruction in bytes (for instruction-cache
 #: footprint accounting only).
 INSTRUCTION_BYTES = 4
+
+#: Hard bound on dynamically executed instructions per event.  Prefetch
+#: kernels are "typically only a few lines of code" (Section 4.4); the bound
+#: exists to terminate buggy kernels the way a watchdog would.
+MAX_DYNAMIC_INSTRUCTIONS = 4096
+
+_WORDS_PER_LINE = 8
 
 
 class Opcode(IntEnum):
@@ -357,6 +365,62 @@ class KernelBuilder:
         program = KernelProgram(self.name, tuple(instructions))
         program.validate()
         return program
+
+
+def default_lookahead(stream: int) -> int:
+    """Default look-ahead when no EWMA stream is wired up: one element ahead.
+
+    A module-level named function rather than a lambda default so that
+    contexts pickle cleanly (multiprocess paths) and tracebacks through the
+    look-ahead callback name something greppable.
+    """
+
+    del stream
+    return 1
+
+
+class KernelContext(NamedTuple):
+    """Everything a kernel can read while it runs.
+
+    A ``NamedTuple``: one context is built per prefetcher event, and tuple
+    construction is markedly cheaper than a frozen dataclass's.
+    """
+
+    vaddr: int
+    line_base: int
+    line_words: Optional[Sequence[int]]
+    global_registers: Sequence[int]
+    lookahead: Callable[[int], int] = default_lookahead
+
+    def data_word(self) -> int:
+        """The word at the triggering address within the forwarded line."""
+
+        if self.line_words is None:
+            raise KernelRuntimeError("no cache line was forwarded with this event")
+        offset = (self.vaddr - self.line_base) // WORD_BYTES
+        if not 0 <= offset < _WORDS_PER_LINE:
+            raise KernelRuntimeError("triggering address lies outside the forwarded line")
+        return self.line_words[offset]
+
+    def word(self, index: int) -> int:
+        if self.line_words is None:
+            raise KernelRuntimeError("no cache line was forwarded with this event")
+        if not 0 <= index < _WORDS_PER_LINE:
+            raise KernelRuntimeError(f"line word index {index} out of range")
+        return self.line_words[index]
+
+
+@dataclass
+class KernelExecutionResult:
+    """Outcome of running one kernel for one observation."""
+
+    prefetches: list[tuple[int, int]] = field(default_factory=list)
+    instructions_executed: int = 0
+    aborted: bool = False
+
+    @property
+    def prefetch_addresses(self) -> list[int]:
+        return [addr for addr, _tag in self.prefetches]
 
 
 def total_code_bytes(programs: Iterable[KernelProgram]) -> int:

@@ -177,7 +177,6 @@ def request_from_wire(data: dict[str, Any]) -> SimRequest:
             seed=int(data.get("seed", 42)),
             config=config_from_wire(data["config"]),
             policy=data.get("policy"),
-            kernel_source=data.get("kernel_source"),
         )
     except ServiceProtocolError:
         raise

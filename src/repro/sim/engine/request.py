@@ -84,13 +84,6 @@ class SimRequest:
         config: Full system configuration for the run.
         policy: Scheduling-policy name from :data:`POLICY_REGISTRY`, or
             ``None`` for the prefetcher's built-in policy.
-        kernel_source: Manual-kernel provenance (``"hand"``/``"compiled"``).
-            Normalised at construction: non-manual modes store ``None``
-            (kernel source cannot affect them), manual modes resolve
-            ``None`` through ``REPRO_KERNEL_SOURCE`` and the workload
-            spec's default so the *effective* source is always part of the
-            digest — compiled and hand-written runs never alias in the
-            result cache.
     """
 
     workload: str
@@ -99,7 +92,6 @@ class SimRequest:
     seed: int = 42
     config: SystemConfig = field(default_factory=SystemConfig.scaled)
     policy: Optional[str] = None
-    kernel_source: Optional[str] = None
 
     def __post_init__(self) -> None:
         # Normalise enum inputs and fail fast on unknown modes/policies.
@@ -107,14 +99,6 @@ class SimRequest:
             object.__setattr__(self, "mode", self.mode.value)
         PrefetchMode(self.mode)
         resolve_policy(self.policy)
-        object.__setattr__(self, "kernel_source", self._normalised_kernel_source())
-
-    def _normalised_kernel_source(self) -> Optional[str]:
-        if self.prefetch_mode not in (PrefetchMode.MANUAL, PrefetchMode.MANUAL_BLOCKED):
-            return None
-        from ...workloads.registry import resolve_kernel_source
-
-        return resolve_kernel_source(self.workload, self.kernel_source)
 
     @property
     def prefetch_mode(self) -> PrefetchMode:
@@ -135,7 +119,6 @@ class SimRequest:
             "scale": self.scale,
             "seed": self.seed,
             "policy": self.policy,
-            "kernel_source": self.kernel_source,
             "config": asdict(self.config),
             "code": code_fingerprint(),
         }

@@ -20,6 +20,8 @@ failure label, mirroring the drivers' historical "skip the bar" behaviour.
 Any *other* :class:`~repro.errors.WorkloadError` also executes to ``None``
 but carries a failure label, which the engine counts and surfaces — failed
 requests are no longer silently indistinguishable from unavailable ones.
+So does every request of a group whose workload cannot be resolved at all
+(an unknown name, an unsupported scale): the rest of the plan still runs.
 
 Both runners are resilience-aware (see ``docs/resilience.md``):
 
@@ -55,7 +57,7 @@ try:  # POSIX shared memory; absent on some minimal platforms.
 except ImportError:  # pragma: no cover - exercised via monkeypatched tests
     _shared_memory = None
 
-from ...errors import WorkloadError
+from ...errors import RegistryError, WorkloadError
 from ...resilience import Deadline, DeadlineLike, RetryPolicy
 from ...trace_store import (
     GroupResolver,
@@ -158,7 +160,6 @@ def execute_request(
             request.prefetch_mode,
             request.config,
             policy=resolve_policy(request.policy),
-            kernel_source=request.kernel_source,
         )
         return result, None
     except WorkloadError as error:
@@ -213,7 +214,7 @@ def _execute_vector_batches(
                 [requests[index].config for index in indices],
                 policy=resolve_policy(policy_name),
             )
-        except WorkloadError:
+        except (WorkloadError, RegistryError):
             continue  # per-request execution reports the proper label
         if results is None:
             continue
@@ -268,6 +269,20 @@ def execute_group(
         if on_executed is not None:
             on_executed(done)
 
+    def run_with_retries(request: SimRequest, workload: Workload) -> ExecutedRequest:
+        result, failure = execute_request(request, workload)
+        if failure is not None and retry_policy is not None:
+            for attempt in range(retry_policy.retries):
+                if deadline is not None and deadline.expired:
+                    break
+                sleep(retry_policy.delay(attempt))
+                if resilience is not None:
+                    resilience.retried += 1
+                result, failure = execute_request(request, workload)
+                if failure is None:
+                    break
+        return (request.digest, result, failure)
+
     for group in group_requests(requests):
         first = group[0]
         if deadline is not None and deadline.expired:
@@ -288,6 +303,10 @@ def execute_group(
         )
         prebatched = _execute_vector_batches(group, resolver)
         batched += len(prebatched)
+        # Set when the group's workload cannot be resolved (unknown name,
+        # unsupported scale): its remaining requests fail with that label
+        # and the rest of the plan still runs.
+        unresolvable: Optional[Exception] = None
         for index, request in enumerate(group):
             done = prebatched.get(index)
             if done is None:
@@ -295,22 +314,18 @@ def execute_group(
                     if resilience is not None:
                         resilience.expired += 1
                     done = _deadline_failure(request, deadline)
-                else:
-                    workload = resolver.workload_for_mode(request.prefetch_mode)
-                    result, failure = execute_request(request, workload)
-                    if failure is not None and retry_policy is not None:
-                        for attempt in range(retry_policy.retries):
-                            if deadline is not None and deadline.expired:
-                                break
-                            sleep(retry_policy.delay(attempt))
-                            if resilience is not None:
-                                resilience.retried += 1
-                            result, failure = execute_request(request, workload)
-                            if failure is None:
-                                break
-                    done = (request.digest, result, failure)
+                elif unresolvable is None:
+                    try:
+                        workload = resolver.workload_for_mode(request.prefetch_mode)
+                    except (WorkloadError, RegistryError) as error:
+                        unresolvable = error
+                    else:
+                        done = run_with_retries(request, workload)
+                if done is None:
+                    done = (request.digest, None, f"{request.workload}/{request.mode}: {unresolvable}")
             finish(done)
-        resolver.persist(variants_needed([r.prefetch_mode for r in group]))
+        if unresolvable is None:
+            resolver.persist(variants_needed([r.prefetch_mode for r in group]))
         stats.merge(resolver.stats)
     return executed, stats, batched
 

@@ -18,12 +18,9 @@ from .results import SimulationResult
 from .vector import numpy_available, replay_trace, replay_trace_batch
 
 
-def _programmable_configuration(
-    workload: Workload, mode: PrefetchMode, kernel_source: Optional[str] = None
-):
+def _programmable_configuration(workload: Workload, mode: PrefetchMode):
     if mode in (PrefetchMode.MANUAL, PrefetchMode.MANUAL_BLOCKED):
-        resolved = workload.resolve_kernel_source(kernel_source)
-        return workload.manual_configuration_for(resolved)
+        return workload.manual_configuration()
     if mode == PrefetchMode.CONVERTED:
         return workload.converted_configuration()
     if mode == PrefetchMode.PRAGMA:
@@ -37,7 +34,6 @@ def simulate(
     config: Optional[SystemConfig] = None,
     *,
     policy: Optional[SchedulingPolicy] = None,
-    kernel_source: Optional[str] = None,
 ) -> SimulationResult:
     """Run ``workload`` under ``mode`` and return the recorded result.
 
@@ -52,11 +48,6 @@ def simulate(
         config: System parameters; defaults to ``SystemConfig.scaled()``.
         policy: PPU scheduling policy override for programmable modes;
             ``None`` uses the prefetcher's built-in lowest-free-ID policy.
-        kernel_source: Where the manual-mode kernels come from: ``"hand"``
-            (hand-written) or ``"compiled"`` (derived from the loop IR by
-            the compiler pipeline).  ``None`` resolves through
-            ``REPRO_KERNEL_SOURCE`` and the workload's default.  Only
-            meaningful for the ``manual``/``manual-blocked`` modes.
 
     Returns:
         A :class:`~repro.sim.results.SimulationResult` with cycles,
@@ -65,11 +56,9 @@ def simulate(
 
     Raises:
         repro.errors.WorkloadError: When the mode cannot be built for the
-            workload (e.g. software prefetching for PageRank), or when an
-            explicit ``kernel_source="compiled"`` is requested for a
-            workload whose kernels cannot be derived; callers that want the
-            Figure 7 behaviour of simply omitting the bar should check
-            :func:`~repro.sim.modes.mode_available` first.
+            workload (e.g. software prefetching for PageRank); callers that
+            want the Figure 7 behaviour of simply omitting the bar should
+            check :func:`~repro.sim.modes.mode_available` first.
     """
 
     system_config = config if config is not None else SystemConfig.scaled()
@@ -78,7 +67,7 @@ def simulate(
 
     workload.build()
     hierarchy, engine, system_config = _assemble_hierarchy(
-        workload, mode, system_config, policy, kernel_source=kernel_source
+        workload, mode, system_config, policy
     )
 
     trace = workload.trace(mode.trace_variant)
@@ -114,7 +103,6 @@ def _assemble_hierarchy(
     mode: PrefetchMode,
     system_config: SystemConfig,
     policy: Optional[SchedulingPolicy],
-    kernel_source: Optional[str] = None,
 ) -> tuple[MemoryHierarchy, Optional[EventTriggeredPrefetcher], SystemConfig]:
     """Build a hierarchy with the prefetcher ``mode`` calls for attached.
 
@@ -136,7 +124,7 @@ def _assemble_hierarchy(
     elif mode.uses_programmable_prefetcher:
         if mode == PrefetchMode.MANUAL_BLOCKED:
             system_config = system_config.with_prefetcher(blocking_mode=True)
-        configuration = _programmable_configuration(workload, mode, kernel_source)
+        configuration = _programmable_configuration(workload, mode)
         engine = EventTriggeredPrefetcher(system_config, configuration, policy=policy)
         engine.attach(hierarchy)
     return hierarchy, engine, system_config

@@ -112,12 +112,6 @@ class ReplayWorkload(Workload):
     def _emit_trace(self, tb: TraceBuilder, *, software_prefetch: bool) -> None:
         raise WorkloadError(f"{self.name}: a replay workload cannot re-emit traces")
 
-    def _build_manual_configuration(self):
-        raise WorkloadError(
-            f"{self.name}: replay artifacts carry no prefetcher configuration; "
-            "programmable modes must build the real workload"
-        )
-
     def _build_loop_ir(self):
         raise WorkloadError(
             f"{self.name}: replay artifacts carry no loop IR; "

@@ -3,8 +3,9 @@
 Each workload re-implements the memory behaviour of its benchmark over the
 simulated address space: it builds the data structures, emits the dynamic
 trace the main core executes (with data dependences), and provides the
-prefetcher programming for every mode the paper evaluates — hand-written PPU
-kernels (*manual*), the loop IR plus software prefetches that the conversion
+prefetcher programming for every mode the paper evaluates — PPU kernels
+(*manual*, derived from the loop IR or, where the workload says why,
+hand-written), the loop IR plus software prefetches that the conversion
 pass consumes (*converted*), the pragma-annotated loop (*pragma generated*)
 and the software-prefetch trace variant (*software*).
 

@@ -6,7 +6,9 @@ into it, and can then produce
 * dynamic traces for the main core (``plain`` — the unmodified benchmark — and
   ``software`` — the benchmark with software prefetches and their
   address-generation overhead inserted);
-* the hand-written PPU kernel configuration (``manual_configuration``);
+* the manual-mode PPU kernel configuration (``manual_configuration``) —
+  derived from the loop IR by :mod:`repro.compiler.pipeline` unless the
+  workload hand-writes it (and says why in ``derive_note``);
 * the loop IR + parameter bindings that the two compiler passes consume
   (``loop_ir``), from which ``converted_configuration`` and
   ``pragma_configuration`` are derived.
@@ -19,7 +21,6 @@ instructions).
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -36,54 +37,6 @@ from ..programmable.config_api import PrefetcherConfiguration
 #: Multiplicative hash constant used by the hash-join and RandomAccess
 #: workloads (Knuth's 2^32 / phi), also baked into their PPU kernels.
 HASH_MULTIPLIER = 2654435761
-
-#: Environment variable selecting where manual-mode kernels come from:
-#: ``hand`` (the hand-written configuration) or ``compiled`` (derived from
-#: the loop IR by :mod:`repro.compiler.pipeline`).
-KERNEL_SOURCE_ENV_VAR = "REPRO_KERNEL_SOURCE"
-
-#: Valid kernel sources.
-KERNEL_SOURCES = ("hand", "compiled")
-
-
-def resolve_kernel_source(
-    explicit: Optional[str] = None,
-    *,
-    default: str = "hand",
-    derivable: bool = False,
-) -> str:
-    """Resolve which manual-kernel source to use.
-
-    Precedence: ``explicit`` argument > :data:`KERNEL_SOURCE_ENV_VAR` >
-    ``default``.  An explicit ``compiled`` is returned as-is even for a
-    workload that cannot derive its kernels — the caller then fails loudly
-    when the derivation comes up empty — whereas an env/default ``compiled``
-    falls back to ``hand`` for non-derivable workloads, which is the
-    *declared* fallback drivers may report.
-
-    Raises:
-        WorkloadError: On a value outside :data:`KERNEL_SOURCES`.
-    """
-
-    if explicit is not None:
-        if explicit not in KERNEL_SOURCES:
-            raise WorkloadError(
-                f"unknown kernel source {explicit!r}; expected one of {KERNEL_SOURCES}"
-            )
-        return explicit
-    value = os.environ.get(KERNEL_SOURCE_ENV_VAR, "").strip().lower()
-    if value:
-        if value not in KERNEL_SOURCES:
-            raise WorkloadError(
-                f"{KERNEL_SOURCE_ENV_VAR}={value!r}; expected one of {KERNEL_SOURCES}"
-            )
-        source = value
-    else:
-        source = default
-    if source == "compiled" and not derivable:
-        return "hand"
-    return source
-
 
 @dataclass(frozen=True)
 class WorkloadScale:
@@ -123,16 +76,20 @@ class Workload(ABC):
     paper_input: str = ""
     #: The scaled input this reproduction uses.
     repro_input: str = ""
-    #: True when the manual-mode configuration can be derived from the loop
-    #: IR by the compiler pipeline (the ``compiled`` kernel source).
-    derives_manual: bool = False
-    #: Default manual-kernel source for this workload (``hand``/``compiled``);
-    #: overridable per run via ``REPRO_KERNEL_SOURCE`` or an explicit request.
-    kernel_source: str = "hand"
-    #: For workloads with loop IR but ``derives_manual = False``: why the
-    #: pipeline cannot (yet) reproduce the hand-written kernels.  CI fails
-    #: any workload that declares neither — no silent fallbacks.
+    #: For a workload that hand-writes its manual kernels (overrides
+    #: :meth:`_build_manual_configuration`): why the pipeline cannot derive
+    #: them.  Registration rejects a hand-written workload without one.
     derive_note: str = ""
+    #: Whether the manual kernels are derived from the loop IR — computed
+    #: for every subclass from whether it overrides
+    #: :meth:`_build_manual_configuration`; never set by hand.
+    derives_manual: bool = True
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.derives_manual = (
+            cls._build_manual_configuration is Workload._build_manual_configuration
+        )
 
     def __init__(self, scale: str = "default", seed: int = 42) -> None:
         self.scale = WorkloadScale.from_name(scale)
@@ -214,7 +171,7 @@ class Workload(ABC):
     # ------------------------------------------------------ prefetcher modes
 
     def manual_configuration(self) -> PrefetcherConfiguration:
-        """Hand-written PPU kernels and configuration (the paper's 'manual').
+        """The PPU kernels and configuration of the paper's 'manual' mode.
 
         Returns:
             The validated, cached :class:`PrefetcherConfiguration` —
@@ -229,9 +186,24 @@ class Workload(ABC):
             self._manual.validate()
         return self._manual
 
-    @abstractmethod
     def _build_manual_configuration(self) -> PrefetcherConfiguration:
-        ...
+        """Derive the manual configuration from the loop IR.
+
+        Workloads whose kernels the pipeline cannot derive override this
+        with hand-written kernels and say why in :attr:`derive_note`.
+
+        Raises:
+            WorkloadError: When the pipeline derives no kernels.
+        """
+
+        derived = self.derived_kernels()
+        if not derived.derived:
+            reasons = "; ".join(f"{source}: {reason}" for source, reason in derived.failures)
+            raise WorkloadError(
+                f"{self.name}: the compiler pipeline derived no manual kernels"
+                + (f" — {reasons}" if reasons else "")
+            )
+        return derived.configuration
 
     def derived_kernels(self) -> DerivedKernels:
         """Run (and cache) the loop-IR → manual-kernel derivation pipeline.
@@ -250,42 +222,22 @@ class Workload(ABC):
             )
         return self._derived
 
-    def derived_manual_configuration(self) -> PrefetcherConfiguration:
-        """Manual-mode configuration derived from the loop IR (``compiled``).
+    # ``perfbench/workloads.py`` still asks for the manual configuration by
+    # source; these two accessors keep it working.
 
-        Raises:
-            WorkloadError: When the pipeline produces no kernels for this
-                workload (its loop IR cannot express the hand-written
-                behaviour; see :attr:`derive_note`).
-        """
+    def resolve_kernel_source(self) -> str:
+        """``"compiled"`` for derived manual kernels, ``"hand"`` otherwise."""
 
-        derived = self.derived_kernels()
-        if not derived.derived:
-            reasons = "; ".join(f"{source}: {reason}" for source, reason in derived.failures)
-            note = f" ({self.derive_note})" if self.derive_note else ""
+        return "compiled" if self.derives_manual else "hand"
+
+    def manual_configuration_for(self, source: str) -> PrefetcherConfiguration:
+        """:meth:`manual_configuration`, if ``source`` names where it comes from."""
+
+        if source != self.resolve_kernel_source():
             raise WorkloadError(
-                f"{self.name}: the compiler pipeline derived no manual kernels{note}"
-                + (f" — {reasons}" if reasons else "")
+                f"{self.name}: manual kernels are {self.resolve_kernel_source()!r}, not {source!r}"
             )
-        return derived.configuration
-
-    def resolve_kernel_source(self, explicit: Optional[str] = None) -> str:
-        """Resolve the manual-kernel source for this workload instance."""
-
-        return resolve_kernel_source(
-            explicit, default=self.kernel_source, derivable=self.derives_manual
-        )
-
-    def manual_configuration_for(self, kernel_source: str) -> PrefetcherConfiguration:
-        """The manual configuration for an already-resolved kernel source."""
-
-        if kernel_source == "compiled":
-            return self.derived_manual_configuration()
-        if kernel_source == "hand":
-            return self.manual_configuration()
-        raise WorkloadError(
-            f"unknown kernel source {kernel_source!r}; expected one of {KERNEL_SOURCES}"
-        )
+        return self.manual_configuration()
 
     def loop_ir(self) -> tuple[Loop, Mapping[str, int]]:
         """The loop IR + parameter bindings the compiler passes operate on.

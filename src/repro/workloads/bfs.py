@@ -31,10 +31,8 @@ import numpy as np
 from ..compiler import ir
 from ..compiler.frontend import parse_loop, prefetch
 from ..cpu.trace import TraceBuilder
-from ..programmable.config_api import PrefetcherConfiguration
 from .base import Workload
 from .data.rmat import generate_rmat_csr
-from .kernels import add_stride_indirect_chain, identity_transform
 from .registry import register_workload
 
 SOFTWARE_PREFETCH_DISTANCE = 8
@@ -48,7 +46,6 @@ class FrontierBFSWorkload(Workload):
     pattern = "Frontier-stride-indirect + edge walks"
     paper_input = "— (off-paper workload)"
     repro_input = "R-MAT scale 11, edge factor 5, array frontiers (scaled)"
-    derives_manual = True
 
     def __init__(self, scale: str = "default", seed: int = 42) -> None:
         super().__init__(scale=scale, seed=seed)
@@ -138,47 +135,13 @@ class FrontierBFSWorkload(Workload):
             level_start, level_end = level_end, appended
             level += 1
 
-    # ---------------------------------------------------------------- manual
-
-    def _build_manual_configuration(self) -> PrefetcherConfiguration:
-        config = PrefetcherConfiguration()
-        # Chain 1: frontier reads look ahead along the buffer; the fetched
-        # vertex id gathers its CSR offsets.
-        add_stride_indirect_chain(
-            config,
-            prefix="bfs2",
-            root_name="frontier",
-            root_base=self.frontier.base_addr,
-            root_end=self.frontier.end_addr,
-            target_name="row_offsets",
-            target_base=self.row_offsets.base_addr,
-            transform=identity_transform,
-            default_distance=4,
-        )
-        # Chain 2: demand reads of the edge array stream it ahead and fetch
-        # the distance entries of the upcoming destinations (the same
-        # large-vertex schedule G500-CSR uses).
-        add_stride_indirect_chain(
-            config,
-            prefix="bfs2_edges",
-            root_name="columns",
-            root_base=self.columns.base_addr,
-            root_end=self.columns.end_addr,
-            target_name="dist",
-            target_base=self.dist.base_addr,
-            target_end=self.dist.end_addr,
-            transform=identity_transform,
-            default_distance=16,
-        )
-        return config
-
     # -------------------------------------------------------------- compiler
 
     def _build_loop_ir(self) -> tuple[ir.Loop, Mapping[str, int]]:
         # The traversal is written as plain Python and *parsed* into the loop
-        # IR; the prefetch hints carry the hand-tuned stream names, seed
-        # distances and the chain-end choice, so the derivation pipeline
-        # reproduces the hand-written configuration exactly.  The per-vertex
+        # IR; the prefetch hints carry the tuned stream names, seed
+        # distances and the chain-end choice, which the derivation pipeline
+        # turns into the manual-mode configuration.  The per-vertex
         # edge walk is a data-dependent inner loop: its loads are control
         # dependent and out of reach of both compiler passes.
         def traversal(i, frontier, row_offsets, columns, dist):

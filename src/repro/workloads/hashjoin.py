@@ -86,12 +86,6 @@ class HashJoin2Workload(_HashJoinBase):
     pattern = "Stride-hash-indirect"
     paper_input = "-r 12800000 -s 12800000"
     repro_input = "16,000 probes into a 32,768-bucket inline hash table (scaled)"
-    derive_note = (
-        "The legacy loop IR carries no stream/distance hints, so the derived "
-        "chain diverges from the tuned hand kernels (look-ahead distance and "
-        "hash-constant global ordering); pending a frontend migration the "
-        "hand configuration stays authoritative."
-    )
 
     #: Bucket layout: [key, payload] — 16 bytes.
     _BUCKET_WORDS = 2
@@ -143,26 +137,6 @@ class HashJoin2Workload(_HashJoinBase):
                 tb.store(self.output.addr_of(matches % self.num_probes), deps=[compare])
                 matches += 1
 
-    # ---------------------------------------------------------------- manual
-
-    def _build_manual_configuration(self) -> PrefetcherConfiguration:
-        config = PrefetcherConfiguration()
-        config.set_global("hj2_hash_mult", HASH_MULTIPLIER)
-        config.set_global("hj2_hash_mask", self.bucket_mask)
-        add_stride_indirect_chain(
-            config,
-            prefix="hj2",
-            root_name="probe_keys",
-            root_base=self.probe_keys.base_addr,
-            root_end=self.probe_keys.end_addr,
-            target_name="htab",
-            target_base=self.htab.base_addr,
-            target_end=self.htab.end_addr,
-            target_element_shift=4,  # 16-byte buckets
-            transform=hash_transform("hj2_hash_mult", "hj2_hash_mask"),
-        )
-        return config
-
     # -------------------------------------------------------------- compiler
 
     def _build_loop_ir(self) -> tuple[ir.Loop, Mapping[str, int]]:
@@ -187,6 +161,8 @@ class HashJoin2Workload(_HashJoinBase):
                 htab_decl,
                 hash_expr(ir.Load(keys_decl, ir.add(i, SOFTWARE_PREFETCH_DISTANCE))),
                 name="swpf_htab",
+                distance_hint=8,
+                stream="hj2_probe_keys",
             )
         )
         bucket = ir.Load(htab_decl, hash_expr(ir.Load(keys_decl, i)))

@@ -16,11 +16,9 @@ import numpy as np
 
 from ..compiler import ir
 from ..cpu.trace import TraceBuilder
-from ..programmable.config_api import PrefetcherConfiguration
 from .base import Workload
 from .registry import register_workload
 from .data.distributions import random_keys
-from .kernels import add_stride_indirect_chain, identity_transform
 
 #: Software prefetch look-ahead distance (loop iterations), as a programmer
 #: would choose for this kernel.
@@ -35,12 +33,6 @@ class IntSortWorkload(Workload):
     pattern = "Stride-indirect"
     paper_input = "NAS class B"
     repro_input = "24,576 keys over a 32,768-bucket histogram (scaled)"
-    derive_note = (
-        "The legacy loop IR carries no stream/distance hints, so the derived "
-        "chain uses the raw software-prefetch distance (32) instead of the "
-        "tuned look-ahead of 8; pending a frontend migration the hand "
-        "configuration stays authoritative."
-    )
 
     def __init__(self, scale: str = "default", seed: int = 42) -> None:
         super().__init__(scale=scale, seed=seed)
@@ -75,23 +67,6 @@ class IntSortWorkload(Workload):
             tb.store(self.counts.addr_of(int(keys[i])), deps=[increment])
             tb.branch()
 
-    # ---------------------------------------------------------------- manual
-
-    def _build_manual_configuration(self) -> PrefetcherConfiguration:
-        config = PrefetcherConfiguration()
-        add_stride_indirect_chain(
-            config,
-            prefix="is",
-            root_name="keys",
-            root_base=self.keys.base_addr,
-            root_end=self.keys.end_addr,
-            target_name="counts",
-            target_base=self.counts.base_addr,
-            target_end=self.counts.end_addr,
-            transform=identity_transform,
-        )
-        return config
-
     # -------------------------------------------------------------- compiler
 
     def _build_loop_ir(self) -> tuple[ir.Loop, Mapping[str, int]]:
@@ -110,6 +85,8 @@ class IntSortWorkload(Workload):
                 counts_decl,
                 ir.Load(keys_decl, ir.add(i, SOFTWARE_PREFETCH_DISTANCE)),
                 name="swpf_counts",
+                distance_hint=8,
+                stream="is_keys",
             )
         )
         current_key = ir.Load(keys_decl, i)

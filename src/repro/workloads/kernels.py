@@ -1,12 +1,15 @@
-"""Shared helpers for building manual PPU kernel configurations.
+"""Shared helpers for the hand-written manual PPU kernel configurations.
 
-Most of the non-graph benchmarks follow the same two-event shape the paper's
-Figure 4 illustrates: a strided *root* array whose demand loads trigger a
-look-ahead prefetch of the root itself, and an *indirect target* array whose
-element index is computed from the root value (possibly hashed or masked).
-:func:`add_stride_indirect_chain` builds that pair of kernels, the tags, the
-EWMA stream and the filter-table entries; workloads with extra levels (hash
-joins with list walks, BFS) write their kernels by hand on top.
+Most workloads derive their manual kernels from the loop IR
+(:mod:`repro.compiler.pipeline`); these helpers serve the ones that still
+hand-write them (each says why in its ``derive_note``).  Their chains follow
+the two-event shape the paper's Figure 4 illustrates: a strided *root* array
+whose demand loads trigger a look-ahead prefetch of the root itself, and an
+*indirect target* array whose element index is computed from the root value
+(possibly hashed).  :func:`add_stride_indirect_chain` builds that pair of
+kernels, the tags, the EWMA stream and the filter-table entries; workloads
+with extra levels (hash-join list walks, Graph500) write further kernels by
+hand on top.
 """
 
 from __future__ import annotations
@@ -27,15 +30,6 @@ def identity_transform(builder: KernelBuilder, data: Reg, config: PrefetcherConf
 
     del config
     return data
-
-
-def masked_transform(mask_global: str) -> IndexTransform:
-    """Target index is ``root_value & mask`` (RandomAccess style)."""
-
-    def transform(builder: KernelBuilder, data: Reg, config: PrefetcherConfiguration) -> Reg:
-        return builder.and_(data, builder.get_global(config.global_index(mask_global)))
-
-    return transform
 
 
 def hash_transform(multiplier_global: str, mask_global: str) -> IndexTransform:

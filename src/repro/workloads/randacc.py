@@ -23,10 +23,8 @@ import numpy as np
 
 from ..compiler import ir
 from ..cpu.trace import TraceBuilder
-from ..programmable.config_api import PrefetcherConfiguration
 from .base import Workload
 from .registry import register_workload
-from .kernels import add_stride_indirect_chain, masked_transform
 
 SOFTWARE_PREFETCH_DISTANCE = 32
 
@@ -39,12 +37,6 @@ class RandomAccessWorkload(Workload):
     pattern = "Stride-hash-indirect"
     paper_input = "100,000,000 updates"
     repro_input = "20,480 updates over a 65,536-entry table (scaled)"
-    derive_note = (
-        "The legacy loop IR carries no stream/distance hints, so the derived "
-        "chain diverges from the tuned hand kernels (look-ahead distance and "
-        "the pre-registered mask global's slot); pending a frontend migration "
-        "the hand configuration stays authoritative."
-    )
 
     def __init__(self, scale: str = "default", seed: int = 42) -> None:
         super().__init__(scale=scale, seed=seed)
@@ -86,24 +78,6 @@ class RandomAccessWorkload(Workload):
             tb.store(self.table.addr_of(entry), deps=[update])
             tb.branch()
 
-    # ---------------------------------------------------------------- manual
-
-    def _build_manual_configuration(self) -> PrefetcherConfiguration:
-        config = PrefetcherConfiguration()
-        config.set_global("ra_mask", self.table_mask)
-        add_stride_indirect_chain(
-            config,
-            prefix="ra",
-            root_name="ran",
-            root_base=self.ran.base_addr,
-            root_end=self.ran.end_addr,
-            target_name="table",
-            target_base=self.table.base_addr,
-            target_end=self.table.end_addr,
-            transform=masked_transform("ra_mask"),
-        )
-        return config
-
     # -------------------------------------------------------------- compiler
 
     def _build_loop_ir(self) -> tuple[ir.Loop, Mapping[str, int]]:
@@ -125,6 +99,8 @@ class RandomAccessWorkload(Workload):
                     ir.Param("table_mask"),
                 ),
                 name="swpf_table",
+                distance_hint=8,
+                stream="ra_ran",
             )
         )
         entry = ir.Load(table_decl, ir.and_(ir.Load(ran_decl, i), ir.Param("table_mask")))

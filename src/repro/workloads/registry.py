@@ -20,7 +20,10 @@ adding a workload is one file::
 Importing :mod:`repro.workloads` populates the registry with the eight paper
 benchmarks plus the off-paper extensions (BFS, SpMV, union-find); the
 module-level helpers (:func:`names`, :func:`get`, :func:`build`, ...) operate
-on that shared registry.
+on that shared registry.  A workload's manual kernels have one source: they
+are derived from its loop IR unless the class hand-writes them, and
+registration rejects a hand-written workload that does not say why in its
+``derive_note``.
 """
 
 from __future__ import annotations
@@ -53,13 +56,11 @@ class WorkloadSpec:
         pattern: Access-pattern summary (the Table 2 column).
         description: One-line summary, taken from the factory docstring when
             not given explicitly.
-        derives_manual: ``True`` when the compiler pipeline can derive this
-            workload's manual-mode kernels from its loop IR (the
-            ``compiled`` kernel source).
-        kernel_source: Default manual-kernel source (``hand``/``compiled``).
-        derive_note: For workloads with loop IR but ``derives_manual`` off:
-            the declared reason the pipeline cannot reproduce the
-            hand-written kernels.  CI rejects specs declaring neither.
+        derives_manual: ``True`` when the workload's manual-mode kernels
+            are derived from its loop IR by the compiler pipeline; ``False``
+            when the class hand-writes them.
+        derive_note: For a hand-written workload, why the pipeline cannot
+            derive its kernels.
     """
 
     name: str
@@ -68,8 +69,7 @@ class WorkloadSpec:
     paper_reference: bool = False
     pattern: str = ""
     description: str = ""
-    derives_manual: bool = False
-    kernel_source: str = "hand"
+    derives_manual: bool = True
     derive_note: str = ""
 
     def build(self, scale: str = "default", seed: int = 42) -> Workload:
@@ -185,6 +185,10 @@ def register_workload(
 
     Returns:
         The class, unchanged, so decoration does not alter construction.
+
+    Raises:
+        RegistryError: For a missing or duplicate name, or a class that
+            hand-writes its manual kernels without a ``derive_note``.
     """
 
     target = registry if registry is not None else REGISTRY
@@ -197,6 +201,11 @@ def register_workload(
             )
         for scale in scales:
             WorkloadScale.from_name(scale)  # fail fast on unknown scale names
+        if not cls.derives_manual and not cls.derive_note.strip():
+            raise RegistryError(
+                f"{cls.__name__} hand-writes its manual kernels; "
+                "say why the pipeline cannot derive them in 'derive_note'"
+            )
         doc = (cls.__doc__ or "").strip().splitlines()
         target.register(
             WorkloadSpec(
@@ -207,7 +216,6 @@ def register_workload(
                 pattern=cls.pattern,
                 description=doc[0] if doc else "",
                 derives_manual=cls.derives_manual,
-                kernel_source=cls.kernel_source,
                 derive_note=cls.derive_note,
             )
         )
@@ -255,24 +263,3 @@ def specs() -> list[WorkloadSpec]:
     """Every registered spec, in registration order."""
 
     return REGISTRY.specs()
-
-
-def resolve_kernel_source(name: str, explicit: Optional[str] = None) -> str:
-    """Resolve the manual-kernel source for workload ``name`` by its spec.
-
-    Imports :mod:`repro.workloads` first so the registry is populated even
-    when the caller (e.g. the batch engine normalising a
-    :class:`~repro.sim.engine.request.SimRequest`) has not touched workloads
-    yet.  Unregistered names resolve as non-derivable, i.e. ``compiled``
-    from the environment falls back to ``hand``.
-    """
-
-    from importlib import import_module
-
-    from .base import resolve_kernel_source as _resolve
-
-    import_module(__package__)
-    if name in REGISTRY:
-        spec = REGISTRY.get(name)
-        return _resolve(explicit, default=spec.kernel_source, derivable=spec.derives_manual)
-    return _resolve(explicit, default="hand", derivable=False)

@@ -23,10 +23,8 @@ import numpy as np
 from ..compiler import ir
 from ..compiler.frontend import compute, parse_loop, prefetch
 from ..cpu.trace import TraceBuilder
-from ..programmable.config_api import PrefetcherConfiguration
 from .base import Workload
 from .data.rmat import generate_rmat_csr
-from .kernels import add_stride_indirect_chain, identity_transform
 from .registry import register_workload
 
 SOFTWARE_PREFETCH_DISTANCE = 16
@@ -40,7 +38,6 @@ class SpMVWorkload(Workload):
     pattern = "Stride-indirect gather"
     paper_input = "— (off-paper workload)"
     repro_input = "R-MAT scale 13, edge factor 4, ~20k-nonzero sweep (scaled)"
-    derives_manual = True
 
     def __init__(self, scale: str = "default", seed: int = 42) -> None:
         super().__init__(scale=scale, seed=seed)
@@ -108,30 +105,12 @@ class SpMVWorkload(Workload):
             tb.store(self.y.addr_of(row), deps=[accumulate])
             tb.branch()
 
-    # ---------------------------------------------------------------- manual
-
-    def _build_manual_configuration(self) -> PrefetcherConfiguration:
-        config = PrefetcherConfiguration()
-        add_stride_indirect_chain(
-            config,
-            prefix="spmv",
-            root_name="col_idx",
-            root_base=self.col_idx.base_addr,
-            root_end=self.col_idx.end_addr,
-            target_name="x",
-            target_base=self.x.base_addr,
-            target_end=self.x.end_addr,
-            transform=identity_transform,
-        )
-        return config
-
     # -------------------------------------------------------------- compiler
 
     def _build_loop_ir(self) -> tuple[ir.Loop, Mapping[str, int]]:
         # Written as a plain traversal function and parsed into the loop IR
         # (docs/workloads.md walks through exactly this code); the stream and
-        # distance hints make the derived kernels match the hand-written
-        # configuration.
+        # distance hints tune the derived manual-mode kernels.
         def traversal(j, col_idx, vals, x):
             prefetch(
                 x[col_idx[j + SOFTWARE_PREFETCH_DISTANCE]],

@@ -26,10 +26,7 @@ import numpy as np
 from ..compiler import ir
 from ..compiler.frontend import parse_loop, prefetch
 from ..cpu.trace import TraceBuilder
-from ..programmable.config_api import PrefetcherConfiguration
-from ..programmable.kernel import KernelBuilder
 from .base import Workload
-from .kernels import add_stride_indirect_chain, identity_transform
 from .registry import register_workload
 
 SOFTWARE_PREFETCH_DISTANCE = 16
@@ -46,7 +43,6 @@ class UnionFindWorkload(Workload):
     pattern = "Stride-indirect + pointer chasing (path halving)"
     paper_input = "— (off-paper workload)"
     repro_input = "12,288 finds over 32,768 elements in 12-deep chains (scaled)"
-    derives_manual = True
 
     def __init__(self, scale: str = "default", seed: int = 42) -> None:
         super().__init__(scale=scale, seed=seed)
@@ -122,45 +118,6 @@ class UnionFindWorkload(Workload):
             tb.store(self.roots.addr_of(i), deps=[previous])
             tb.branch()
         self.compressed_parent = parent
-
-    # ---------------------------------------------------------------- manual
-
-    def _build_manual_configuration(self) -> PrefetcherConfiguration:
-        config = PrefetcherConfiguration()
-        parent_base = config.set_global("uf_parent_base", self.parent.base_addr)
-
-        # Chain walker: a parent entry arrived.  Recover the element index
-        # from the address; if the value equals the index we are at a root,
-        # otherwise prefetch the parent of the value — tagged with this very
-        # kernel so the walk re-triggers until it reaches the root.
-        walker = KernelBuilder("uf_walk_parent")
-        base = walker.get_global(parent_base)
-        value = walker.get_data()
-        index = walker.shr(walker.sub(walker.get_vaddr(), base), 3)
-        walker.branch_eq(value, index, "root")
-        walker.prefetch(walker.add(base, walker.shl(value, 3)), tag=0)
-        walker.label("root")
-        walker.halt()
-        config.add_kernel(walker.build())
-        walker_tag = config.add_tag("uf_parent_fill", "uf_walk_parent", stream=None)
-        if walker_tag != 0:
-            raise AssertionError("union-find walker tag expected to be 0")
-
-        # Root chain: ops reads look ahead along the query buffer; each
-        # fetched element id starts a tagged walk at parent[id].
-        add_stride_indirect_chain(
-            config,
-            prefix="uf",
-            root_name="ops",
-            root_base=self.ops.base_addr,
-            root_end=self.ops.end_addr,
-            target_name="parent",
-            target_base=self.parent.base_addr,
-            target_end=self.parent.end_addr,
-            transform=identity_transform,
-            follow_on_tag=walker_tag,
-        )
-        return config
 
     # -------------------------------------------------------------- compiler
 

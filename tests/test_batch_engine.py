@@ -185,6 +185,31 @@ class TestExecution:
         assert request.digest in batch.skipped
         assert batch.stats.unavailable == 1
 
+    @pytest.mark.parametrize(
+        "make_runner",
+        [lambda: SerialRunner(trace_store=None), lambda: MultiprocessRunner(2, trace_store=None)],
+        ids=["serial", "multiprocess"],
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [SimRequest("randacc", "none", scale="huge"), SimRequest("nosuch", "none", scale="tiny")],
+        ids=["unsupported-scale", "unknown-workload"],
+    )
+    def test_unresolvable_workload_fails_alone(self, make_runner, bad):
+        # A group whose workload cannot be resolved is labelled like a
+        # simulate-time WorkloadError; it neither aborts the plan nor is
+        # retried as if it were a crashed worker.
+        good = SimRequest("intsort", "none", scale="tiny")
+        runner = make_runner()
+        engine = SimEngine(runner=runner)
+        batch = engine.run(SimPlan([good, bad]))
+        assert batch.get(good) is not None
+        assert batch.get(bad) is None
+        assert list(batch.failures) == [bad.digest]
+        assert batch.failures[bad.digest].startswith(f"{bad.workload}/none: ")
+        assert engine.stats.failed == 1
+        assert runner.resilience.requeues == 0 and runner.resilience.retried == 0
+
     def test_memo_shares_results_across_runs(self, config):
         engine = SimEngine()
         plan = tiny_plan(config, workloads=["intsort"])

@@ -19,20 +19,10 @@ class TestExtendedComparison:
             # The manual PPU kernels must beat the no-prefetching baseline.
             assert row[PrefetchMode.MANUAL.value] > 1.0
 
-        # Every derivable workload gets an extra manual point pinned to the
-        # compiler-derived kernels, riding in the same engine plan.
-        derivable = [
-            name for name in registry.extended_names() if registry.get(name).derives_manual
-        ]
-        assert sorted(data.compiled_speedups) == sorted(derivable)
-        for name, speedup in data.compiled_speedups.items():
-            assert speedup is not None and speedup > 1.0, name
-
         # Dedup + cache statistics come back from the batch engine.
         stats = data.engine_stats
         assert stats is not None
-        expected = len(registry.extended_names()) * len(EXTENDED_MODES) + len(derivable)
-        assert stats.submitted == expected
+        assert stats.submitted == len(registry.extended_names()) * len(EXTENDED_MODES)
         assert stats.executed == stats.unique - stats.memo_hits - stats.cache_hits
         assert "deduplicated" in stats.summary() and "cache hits" in stats.summary()
 
@@ -51,5 +41,4 @@ class TestExtendedComparison:
         text = format_extended(data, modes=[PrefetchMode.NONE, PrefetchMode.MANUAL])
         assert "spmv" in text
         assert "geomean" in text
-        assert "manual(comp)" in text
         assert "Batch engine:" in text

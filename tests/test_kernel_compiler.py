@@ -13,7 +13,11 @@ watchdog-looping programs.
 
 from __future__ import annotations
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,19 +30,17 @@ from repro.programmable.compiler import (
     program_digest,
     run_compiled,
 )
-from repro.programmable.interpreter import (
-    MAX_DYNAMIC_INSTRUCTIONS,
-    KernelContext,
-    default_lookahead,
-    execute_kernel,
-)
+from repro.programmable.interpreter import execute_kernel
 from repro.programmable.kernel import (
+    MAX_DYNAMIC_INSTRUCTIONS,
     NUM_LOCAL_REGISTERS,
     Instruction,
     KernelBuilder,
+    KernelContext,
     KernelProgram,
     Opcode,
     Operand,
+    default_lookahead,
 )
 from repro.workloads import build_workload, registry
 
@@ -253,6 +255,19 @@ class TestCompilerMachinery:
         k.prefetch(k.imm(64))
         program = k.build()
         assert kernel_executor(program) is compile_kernel(program)
+
+    def test_interpreter_stays_off_the_production_import_path(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys\n"
+            "import repro.sim, repro.eval.report, repro.service\n"
+            "print('repro.programmable.interpreter' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestLookaheadDefault:

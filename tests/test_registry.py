@@ -27,9 +27,6 @@ class _DummyWorkload(Workload):
         for i in range(64):
             tb.load(self.data.addr_of(i))
 
-    def _build_manual_configuration(self):
-        raise NotImplementedError
-
     def _build_loop_ir(self):
         raise NotImplementedError
 
@@ -78,6 +75,22 @@ class TestRegistration:
     def test_unknown_name_rejected(self):
         with pytest.raises(RegistryError):
             registry.get("nonexistent")
+
+    def test_hand_written_kernels_need_a_derive_note(self):
+        class HandWritten(_DummyWorkload):
+            name = "hand-written"
+
+            def _build_manual_configuration(self):
+                raise NotImplementedError
+
+        assert _DummyWorkload.derives_manual
+        assert not HandWritten.derives_manual
+        private = WorkloadRegistry()
+        with pytest.raises(RegistryError, match="derive_note"):
+            register_workload(registry=private)(HandWritten)
+        HandWritten.derive_note = "the loop IR cannot express it"
+        register_workload(registry=private)(HandWritten)
+        assert not private.get("hand-written").derives_manual
 
     def test_unknown_scale_rejected_at_registration(self):
         private = WorkloadRegistry()

@@ -434,7 +434,7 @@ class TestEngineIntegration:
     def test_failed_requests_are_counted_and_labelled(self, tmp_path, scaled_config, monkeypatch):
         from repro.sim.engine import runner as runner_module
 
-        def _explode(workload, mode, config, policy=None, kernel_source=None):
+        def _explode(workload, mode, config, policy=None):
             raise WorkloadError("synthetic failure for testing")
 
         monkeypatch.setattr(runner_module, "simulate", _explode)

@@ -7,11 +7,14 @@ the debugging view for kernel authors.  For every kernel of the chosen
 workload and configuration it prints the instruction listing's vital stats
 (digest, instruction count, encoded bytes) followed by the generated source.
 
-With ``--stage`` the tool instead prints an intermediate of the loop-IR →
-manual-kernel derivation pipeline (``repro.compiler.pipeline``): the raw
-loop IR, the post-analysis chains and lowered pointer chases, the
-post-DCE/bounds configuration tables, or the generated kernels as PPU
-disassembly.  See docs/compiler.md for a walkthrough of the stages.
+The ``manual`` mode shows the configuration the ``manual`` simulations
+install: derived from the loop IR, or hand-written for the workloads that
+say why in their ``derive_note``.  With ``--stage`` the tool instead prints
+an intermediate of the loop-IR → manual-kernel derivation pipeline
+(``repro.compiler.pipeline``): the raw loop IR, the post-analysis chains and
+lowered pointer chases, the post-DCE/bounds configuration tables, or the
+generated kernels as PPU disassembly.  See docs/compiler.md for a
+walkthrough of the stages.
 
 Examples::
 
@@ -20,9 +23,6 @@ Examples::
 
     # One kernel, by name, from the pragma-generated configuration
     python tools/dump_kernel.py conjgrad --mode pragma --kernel cg_row_start
-
-    # The compiler-derived manual kernels (must derive cleanly)
-    python tools/dump_kernel.py bfs --mode compiled
 
     # Pipeline intermediates: raw IR, chains, bounds/DCE, disassembly
     python tools/dump_kernel.py spmv --stage ir
@@ -53,7 +53,6 @@ from repro.workloads import build_workload, registry  # noqa: E402
 #: How each dumpable mode resolves to a prefetcher configuration.
 _MODES = {
     "manual": lambda workload: workload.manual_configuration(),
-    "compiled": lambda workload: workload.derived_manual_configuration(),
     "converted": lambda workload: workload.converted_configuration(),
     "pragma": lambda workload: workload.pragma_configuration(),
 }
