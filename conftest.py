@@ -1,9 +1,8 @@
 """Repository-level pytest configuration.
 
 Makes the ``repro`` package importable directly from the source tree so that
-``pytest tests/`` and ``pytest benchmarks/`` work even when an editable
-install is not possible (e.g. fully offline environments where pip cannot
-build PEP 660 editable wheels).
+``pytest tests/`` works even when an editable install is not possible (e.g.
+fully offline environments where pip cannot build PEP 660 editable wheels).
 """
 
 import sys

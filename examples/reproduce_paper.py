@@ -80,10 +80,6 @@ def main() -> int:
     parser.add_argument("--write-experiments", metavar="PATH", nargs="?",
                         const="EXPERIMENTS.md", default=None,
                         help="write the Markdown report to PATH (default EXPERIMENTS.md)")
-    parser.add_argument("--perf-track", action="store_true",
-                        help="after the report, time the benchmark suite at the same "
-                             "scale and append a BENCH_<n>.json snapshot to the "
-                             "repository's performance trajectory")
     args = parser.parse_args()
 
     parallel = args.parallel or args.jobs is not None
@@ -142,24 +138,6 @@ def main() -> int:
     else:
         # Show the paper-vs-measured summary either way.
         print("\n" + render_markdown(report))
-
-    if args.perf_track:
-        from pathlib import Path
-
-        from repro.perf import append_trajectory_point, format_diff, format_snapshot
-
-        snapshot, diff, path = append_trajectory_point(
-            Path(__file__).resolve().parent.parent,
-            scale=args.scale,
-            workloads=args.workloads,
-            label=f"reproduce_paper --scale {args.scale}",
-        )
-        print()
-        print(format_snapshot(snapshot))
-        if diff is not None:
-            print()
-            print(format_diff(diff))
-        print(f"\nWrote {path}")
 
     return failure_exit_code(report.engine_stats)
 

@@ -9,13 +9,26 @@ The simulator itself is dependency-free pure Python.  The ``vector`` extra
 pulls in numpy for the vectorized replay backend (see
 ``docs/performance.md``); without it every simulation transparently runs on
 the interpreter backend with identical results.
+
+The version is read from ``src/repro/__init__.py`` as text, not imported, so
+``repro.__version__`` (what ``repro version`` prints) is its one source.
 """
+
+import re
+from pathlib import Path
 
 from setuptools import find_packages, setup
 
+
+def read_version() -> str:
+    init = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+    text = init.read_text(encoding="utf-8")
+    return re.search(r'^__version__ = "([^"]+)"$', text, re.M).group(1)
+
+
 setup(
     name="repro-programmable-prefetcher",
-    version="0.7.0",
+    version=read_version(),
     description=(
         "Software reproduction of an event-triggered programmable prefetcher "
         "with a cycle-approximate cache and out-of-order core model"

@@ -5,7 +5,7 @@ kernel one instruction at a time — a tuple unpack plus a chain of opcode
 comparisons per *dynamic* instruction, paid on every PPU event.  Manual-mode
 simulations run one kernel per observation and one per interesting fill,
 which made the interpreter the hottest loop of the whole simulator
-(BENCH_1: manual mode 5–8× slower than the no-prefetch baseline).
+(manual mode ran 5–8× slower than the no-prefetch baseline).
 
 This module removes the per-event dispatch cost by translating each
 :class:`~repro.programmable.kernel.KernelProgram` **once** into specialised

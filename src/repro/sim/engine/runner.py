@@ -479,26 +479,6 @@ def _attach_encoded(
     return encoded, attached
 
 
-def _execute_group_task(
-    payload: tuple[Sequence[SimRequest], Mapping[str, EncodedRef], Optional[str]]
-) -> tuple[list[ExecutedRequest], TraceStoreStats, int]:
-    """Execute one shipped chunk (also the service pool's entry point)."""
-
-    requests, refs, store_dir = payload
-    store = TraceStore(store_dir) if store_dir else None
-    encoded, attached = _attach_encoded(refs)
-    try:
-        return execute_group(requests, store=store, encoded=encoded)
-    finally:
-        encoded.clear()
-        for view, segment in attached:
-            try:
-                view.release()
-                segment.close()
-            except BufferError:  # pragma: no cover - a dangling export
-                pass  # the mapping is freed with the worker process instead
-
-
 def _watchdog_worker(conn) -> None:
     """Worker-process loop of the watchdogged :class:`MultiprocessRunner`.
 

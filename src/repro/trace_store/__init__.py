@@ -13,9 +13,8 @@ gap:
   on-disk store with atomic writes, corruption-as-miss reads and the
   ``REPRO_TRACE_STORE`` switch;
 * :mod:`~repro.trace_store.replay` — :class:`ReplayWorkload` and
-  :class:`GroupResolver`: how the engine's runners and the perf harness
-  turn warm artifacts into runnable simulations without rebuilding
-  workloads.
+  :class:`GroupResolver`: how the engine's runners turn warm artifacts
+  into runnable simulations without rebuilding workloads.
 
 See ``docs/trace_store.md`` for the format and invalidation story.
 """

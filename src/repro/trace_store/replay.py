@@ -11,7 +11,7 @@ always take the full-build path (with the emission step skipped when the
 store already holds the trace).
 
 :class:`GroupResolver` is the shared resolution policy used by the plan
-runners and the perf harness: for one request group — one
+runners: for one request group — one
 ``(workload, scale, seed)`` — it warms artifacts from the store (or from
 encoded columns shipped by a parent process), falls back to building the
 workload when it must, and persists freshly-emitted traces so the next run,
