@@ -55,14 +55,13 @@ def main() -> int:
                         help="trace-artifact store directory, or 'off' to disable the "
                              "tier (default: $REPRO_TRACE_STORE, falling back to the "
                              "per-user cache directory)")
-    parser.add_argument("--service", metavar="ADDR[,ADDR...]", default=None,
-                        help="submit simulations to running 'repro serve' daemons at "
-                             "the given ordered endpoint list (each host:port or "
-                             "unix:/path) instead of simulating locally, failing over "
-                             "between endpoints; --parallel/--jobs/--cache/"
-                             "--trace-store then apply on the daemon side — except "
-                             "that they also configure the local fallback used when "
-                             "every endpoint is unreachable")
+    parser.add_argument("--service", metavar="ADDR", default=None,
+                        help="submit simulations to a running 'repro serve' daemon at "
+                             "ADDR (host:port or unix:/path) instead of simulating "
+                             "locally; --deadline is forwarded, while --parallel, "
+                             "--jobs, --cache, --trace-store, --checkpoint, --resume "
+                             "and --max-attempts are refused (set workers, cache and "
+                             "trace store on 'repro serve' instead)")
     parser.add_argument("--checkpoint", metavar="DIR", nargs="?", const="", default=None,
                         help="record completed requests in a run manifest under DIR "
                              "(default: $REPRO_CHECKPOINT_DIR or the per-user cache); "
@@ -88,10 +87,13 @@ def main() -> int:
         from repro.sim.engine import default_checkpoint_dir
 
         checkpoint_dir = str(default_checkpoint_dir())
-    engine = build_engine(parallel=parallel, workers=args.jobs, cache_dir=args.cache,
-                          trace_store_dir=args.trace_store, service=args.service,
-                          checkpoint_dir=checkpoint_dir, resume=args.resume,
-                          deadline=args.deadline, max_attempts=args.max_attempts)
+    try:
+        engine = build_engine(parallel=parallel, workers=args.jobs, cache_dir=args.cache,
+                              trace_store_dir=args.trace_store, service=args.service,
+                              checkpoint_dir=checkpoint_dir, resume=args.resume,
+                              deadline=args.deadline, max_attempts=args.max_attempts)
+    except ValueError as error:
+        parser.error(str(error))
     report = run_report(
         workloads=args.workloads,
         scale=args.scale,
@@ -119,12 +121,6 @@ def main() -> int:
             print(f"  deadline-expired: {stats.expired}")
         if stats.rejected:
             print(f"  service backoffs: {stats.rejected}")
-        if stats.failed_over:
-            print(f"  failed over:      {stats.failed_over} (endpoint attempts abandoned)")
-        if stats.peer_hits:
-            print(f"  peer hits:        {stats.peer_hits} (replicated from peer daemons)")
-        if stats.degraded_local:
-            print(f"  degraded local:   {stats.degraded_local} (ran locally; fleet down)")
         print(f"  traces:           {stats.trace_hits} warm, {stats.trace_built} emitted "
               f"({stats.trace_stored} stored)")
         print(f"  runner:           {stats.runner}")

@@ -5,10 +5,10 @@ on environments whose pip/setuptools cannot perform PEP 660 editable installs
 (e.g. offline machines without the ``wheel`` package, where pip falls back to
 the legacy ``setup.py develop`` path).
 
-The simulator itself is dependency-free pure Python.  The ``vector`` extra
-pulls in numpy for the vectorized replay backend (see
-``docs/performance.md``); without it every simulation transparently runs on
-the interpreter backend with identical results.
+The simulator is pure Python on top of numpy, which it requires: the
+simulated address space and every workload build their data structures as
+numpy arrays, and non-programmable modes replay through the numpy vector
+tier (see ``docs/performance.md``).
 
 The version is read from ``src/repro/__init__.py`` as text, not imported, so
 ``repro.__version__`` (what ``repro version`` prints) is its one source.
@@ -36,7 +36,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=[],
+    install_requires=["numpy>=1.22"],
     entry_points={
         "console_scripts": [
             # `repro serve` runs the simulation service daemon.
@@ -44,8 +44,6 @@ setup(
         ],
     },
     extras_require={
-        # Optional acceleration tier; results are bit-identical without it.
-        "vector": ["numpy>=1.22"],
-        "test": ["pytest", "hypothesis", "numpy>=1.22"],
+        "test": ["pytest", "hypothesis"],
     },
 )

@@ -104,36 +104,37 @@ def build_engine(
     ``max_attempts`` bounds how often the parallel runner requeues a chunk
     whose worker hung or crashed.
 
-    ``service`` routes execution to the service fabric: a
-    :class:`~repro.service.ServiceEngine` submitting plans to ``repro
-    serve`` daemons at an ordered endpoint list (``ADDR[,ADDR...]``, each
-    ``host:port`` or ``unix:/path``), failing over between them.  The
-    daemons own their own caches, trace stores and workers — but the local
-    knobs are *not* dead weight: ``deadline`` is forwarded as the
-    per-submission deadline, and all of them configure the local fallback
-    engine the service engine degrades to when every endpoint is
-    unreachable (so a degraded run still honors ``--cache``,
-    ``--checkpoint`` and ``--resume``).
+    ``service`` routes execution to a ``repro serve`` daemon at
+    ``host:port`` or ``unix:/path``: a :class:`~repro.service.ServiceEngine`
+    that forwards ``deadline`` as the per-submission deadline.  The daemon
+    owns its workers, cache and trace store, so every other knob is
+    local-only; setting one together with ``service`` raises
+    :class:`ValueError` naming it rather than silently ignoring it.
     """
 
     if service is not None:
+        local_only = {
+            "parallel": parallel,
+            "workers": workers,
+            "cache_dir": cache_dir,
+            "trace_store_dir": trace_store_dir,
+            "checkpoint_dir": checkpoint_dir,
+            "resume": resume,
+            "max_attempts": max_attempts,
+        }
+        ignored = [
+            name for name, value in local_only.items()
+            if value is not None and value is not False
+        ]
+        if ignored:
+            raise ValueError(
+                f"service={service!r} runs simulations on the daemon, which would "
+                f"ignore the local-only argument(s) {', '.join(ignored)}; "
+                "configure the daemon through 'repro serve' instead"
+            )
         from ..service import ServiceEngine
 
-        def local_engine_factory() -> SimEngine:
-            return build_engine(
-                parallel=parallel,
-                workers=workers,
-                cache_dir=cache_dir,
-                trace_store_dir=trace_store_dir,
-                checkpoint_dir=checkpoint_dir,
-                resume=resume,
-                deadline=deadline,
-                max_attempts=max_attempts,
-            )
-
-        return ServiceEngine(
-            service, deadline=deadline, local_engine_factory=local_engine_factory
-        )
+        return ServiceEngine(service, deadline=deadline)
     store = trace_store_from_spec(trace_store_dir)
     if parallel:
         runner_kwargs = {} if max_attempts is None else {"max_attempts": max_attempts}

@@ -17,31 +17,18 @@ and point any driver at it::
 
     python examples/reproduce_paper.py --service 127.0.0.1:7421
 
-Daemons form a high-availability fabric: clients accept an
-ordered endpoint list (``--service ADDR,ADDR,...``) and fail over between
-daemons behind per-endpoint circuit breakers, ``health`` probes gate
-endpoint selection, daemons replicate finished results from ``--peer``
-daemons before executing, and when the whole fleet is unreachable the
-client degrades to local execution.  ``repro status ADDR[,ADDR...]``
-prints the fleet's health table.
+:class:`ServiceEngine` is the client side: one connection to one daemon,
+behind the same ``run(plan)`` surface as the local engine.
 
 See ``docs/service.md`` for the protocol, lifecycle and failure semantics.
 """
 
-from .breaker import CircuitBreaker
-from .client import (
-    ServiceClient,
-    ServiceEngine,
-    parse_address,
-    parse_endpoints,
-    run_plan,
-    spawn_local_daemon,
-)
-from .health import EndpointHealth, format_health_table, probe_endpoint, probe_endpoints
+from .client import ServiceClient, ServiceEngine, parse_address, spawn_local_daemon
+from .health import EndpointHealth, probe_endpoint
 from .pool import ChunkPool
-from .protocol import PROTOCOL_VERSION, request_from_wire, request_to_wire, result_checksum
+from .protocol import PROTOCOL_VERSION, request_from_wire, request_to_wire
 from .scheduler import DEFAULT_CHUNK_SIZE, Chunk, FairScheduler, split_requests
-from .server import DEFAULT_MAX_ATTEMPTS, DEFAULT_PEER_TIMEOUT, ReproServer, ServiceStats
+from .server import DEFAULT_MAX_ATTEMPTS, ReproServer, ServiceStats
 from .singleflight import Flight, SingleflightTable
 
 __all__ = [
@@ -49,14 +36,9 @@ __all__ = [
     "ServiceStats",
     "ServiceClient",
     "ServiceEngine",
-    "CircuitBreaker",
     "EndpointHealth",
     "probe_endpoint",
-    "probe_endpoints",
-    "format_health_table",
-    "run_plan",
     "parse_address",
-    "parse_endpoints",
     "spawn_local_daemon",
     "SingleflightTable",
     "Flight",
@@ -67,8 +49,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_MAX_ATTEMPTS",
-    "DEFAULT_PEER_TIMEOUT",
     "request_to_wire",
     "request_from_wire",
-    "result_checksum",
 ]

@@ -1,13 +1,9 @@
-"""Endpoint health probing and the fleet status table.
+"""Daemon readiness probe.
 
-One probe — :func:`probe_endpoint` — serves three consumers:
-
-* the failover :class:`~repro.service.client.ServiceEngine`, which gates
-  endpoint selection and circuit-breaker half-open probing on it;
-* ``repro status ADDR[,ADDR...]`` (and ``tools/service_status.py``),
-  which renders one :func:`format_health_table` row per endpoint;
-* ``tools/service_smoke.py`` / ``tools/ha_smoke.py``, which assert the
-  probe round-trip against live daemons.
+:func:`probe_endpoint` answers "is the daemon at this address up and
+taking submissions?": perfbench's ``service`` workload waits on it
+after spawning a daemon, and ``tools/service_smoke.py`` asserts its
+round-trip against a live daemon.
 
 A probe is one short-lived connection: connect, ``hello``/``welcome``
 handshake, and one ``health`` request.  An unreachable endpoint, or one
@@ -18,11 +14,12 @@ text; probing never raises.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from ..errors import ServiceError
+from .client import ServiceClient
 
-__all__ = ["EndpointHealth", "probe_endpoint", "probe_endpoints", "format_health_table"]
+__all__ = ["EndpointHealth", "probe_endpoint"]
 
 
 @dataclass
@@ -45,7 +42,6 @@ class EndpointHealth:
     in_flight: Optional[int] = None
     pool_generation: Optional[int] = None
     memo_entries: Optional[int] = None
-    peer_hits: Optional[int] = None
     executed: Optional[int] = None
     #: The raw health payload, for consumers that want every field.
     raw: dict[str, Any] = field(default_factory=dict)
@@ -61,17 +57,15 @@ def probe_endpoint(address: str, *, timeout: float = 5.0) -> EndpointHealth:
     """Probe one endpoint; never raises.
 
     A *draining* daemon closes its listener, so from a fresh probe it is
-    indistinguishable from a dead one (``ok=False``) — which is exactly
-    what endpoint selection wants.  The ``"draining"`` status only appears
-    when an already-connected client asks
+    indistinguishable from a dead one (``ok=False``): neither takes new
+    submissions.  The ``"draining"`` status only appears when an
+    already-connected client asks
     :meth:`~repro.service.client.ServiceClient.health`.
 
     Args:
         address: ``host:port`` or ``unix:/path``.
         timeout: Socket timeout for the connect and each reply line.
     """
-
-    from .client import ServiceClient  # local import: client imports health
 
     try:
         client = ServiceClient(address, timeout=timeout, connect_retries=0)
@@ -95,53 +89,6 @@ def probe_endpoint(address: str, *, timeout: float = 5.0) -> EndpointHealth:
         in_flight=payload.get("in_flight"),
         pool_generation=payload.get("pool_generation"),
         memo_entries=payload.get("memo_entries"),
-        peer_hits=payload.get("peer_hits"),
         executed=payload.get("executed"),
         raw=payload,
     )
-
-
-def probe_endpoints(
-    addresses: Sequence[str], *, timeout: float = 5.0
-) -> list[EndpointHealth]:
-    """Probe every endpoint in order (sequentially; probes are cheap)."""
-
-    return [probe_endpoint(address, timeout=timeout) for address in addresses]
-
-
-def _cell(value: Any, fmt: str = "{}") -> str:
-    return fmt.format(value) if value is not None else "-"
-
-
-def format_health_table(reports: Sequence[EndpointHealth]) -> str:
-    """Render probe results as an aligned text table (one endpoint per row)."""
-
-    headers = (
-        "ENDPOINT", "STATUS", "PROTO", "UPTIME", "WORKERS",
-        "QUEUED", "RUNNING", "INFLIGHT", "POOLGEN", "MEMO", "PEERHITS",
-    )
-    rows = [headers]
-    for report in reports:
-        status = report.status if report.ok else "unreachable"
-        rows.append((
-            report.address,
-            status or "-",
-            _cell(report.protocol),
-            _cell(report.uptime, "{:.1f}s"),
-            _cell(report.workers),
-            _cell(report.queued_chunks),
-            _cell(report.running_chunks),
-            _cell(report.in_flight),
-            _cell(report.pool_generation),
-            _cell(report.memo_entries),
-            _cell(report.peer_hits),
-        ))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(headers))]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    ]
-    for report in reports:
-        if not report.ok and report.error:
-            lines.append(f"  {report.address}: {report.error}")
-    return "\n".join(lines)

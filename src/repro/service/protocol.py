@@ -11,21 +11,16 @@ Client → server
     ``submit``     ``{"id": <client id>, "requests": [<wire request>, ...]}``
                    plus an optional ``"deadline"`` (seconds): after that
                    budget the server fails the submission's unresolved
-                   requests instead of keeping it waiting forever.
+                   requests instead of keeping it waiting forever.  The
+                   ``id`` must be a string, an integer or null and the
+                   deadline a finite number greater than 0; otherwise the
+                   server answers ``error`` and schedules nothing.
     ``stats``      global server counters; answered with ``stats``.
-    ``ping``       liveness probe; answered with ``pong``.
     ``health``     readiness probe; answered with ``health``:
                    uptime, queue depth, in-flight digests, pool
-                   generation, cache/memo state, draining flag.  Clients
-                   use it for endpoint selection and circuit-breaker
-                   half-open probing.
-    ``fetch``      peer replication pull:
-                   ``{"digests": [...]}`` asks whether this daemon already
-                   holds results for the given content digests; answered
-                   with ``fetch-result`` carrying checksummed payloads for
-                   the hits and the list of misses.  Purely best-effort —
-                   a daemon that cannot answer is simply a miss.
-    ``shutdown``   ask the server to drain and exit (same as SIGTERM).
+                   generation, cache/memo state, draining flag.
+    ``shutdown``   ask the server to drain and exit (same as SIGTERM);
+                   answered with ``draining``.
 
 Server → client
     ``welcome``        protocol version, code fingerprint, worker count.
@@ -42,13 +37,6 @@ Server → client
                        can observe dispatch order).
     ``chunk-requeued`` the chunk's worker crashed and it was requeued.
     ``progress``       ``completed``/``total`` unique digests resolved.
-    ``outcome``        one resolved digest's outcome, streamed as it lands
-                       (only for submissions that set ``"stream": true``).
-                       Carries the ``positions`` of the resolved requests
-                       in the submitted list and a ``source``
-                       (``"executed"`` / ``"peer"``), so a failover client
-                       can bank partial results before a daemon dies and
-                       resubmit only what is missing.
     ``done``           positional ``outcomes`` (aligned with the submitted
                        request list) plus per-submission statistics.
     ``error``          submission-scoped or connection-scoped failure text.
@@ -64,7 +52,6 @@ bit-identical to direct engine runs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any
 
@@ -84,7 +71,7 @@ from ..sim.engine import SimRequest
 #: Protocol revision; bumped on any incompatible message change.  Client
 #: and daemon ship together, so there is no negotiation: a client refuses
 #: a ``welcome`` that advertises any other version.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: Upper bound on one encoded message line (and the server's readline
 #: limit).  Large sweep submissions with full nested configs stay well
@@ -110,23 +97,6 @@ def decode_message(line: bytes) -> dict[str, Any]:
             f"expected a JSON object per line, got {type(message).__name__}"
         )
     return message
-
-
-# ---------------------------------------------------------- result checksum
-
-
-def result_checksum(result_payload: dict[str, Any]) -> str:
-    """Content checksum of one result payload for peer replication.
-
-    Peers exchange results as ``SimulationResult.as_dict()`` payloads; the
-    checksum is a SHA-256 over the canonical (sorted-keys, compact) JSON
-    encoding, so a truncated or corrupted transfer — or a peer whose
-    result schema drifted — is detected and treated as a miss rather than
-    poisoning the puller's cache.
-    """
-
-    canonical = json.dumps(result_payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------- request codec

@@ -32,15 +32,11 @@ Robustness guarantees (exercised by the fault-injection tests):
   wait; on expiry its unresolved requests fail with a retryable label,
   its un-shared queued work is cancelled, and work shared with other
   clients (or already running) continues and warms the caches;
-* **HA fabric**: a ``health`` readiness probe (uptime,
-  queue depth, in-flight digests, pool generation, cache state) that
-  failover clients select endpoints by; streamed per-digest ``outcome``
-  events for submissions that opt in, so a client surviving this daemon's
-  death resubmits only the unresolved remainder elsewhere; and
-  coordinator-free **peer result replication** — with ``--peer ADDR``
-  configured, a chunk's digests are pulled from peers (digest-keyed,
-  checksummed, behind per-peer circuit breakers) before execution, so
-  warm results propagate across a fleet and a dead peer is just a miss.
+* a malformed submission (bad ``id``, ``deadline`` or request payload) is
+  answered with ``error`` before anything is scheduled, and the
+  connection stays usable;
+* a ``health`` readiness probe (uptime, queue depth, in-flight digests,
+  pool generation, cache state, draining flag).
 """
 
 from __future__ import annotations
@@ -49,19 +45,18 @@ import argparse
 import asyncio
 import itertools
 import json
+import math
 import os
 import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from ..errors import ServiceProtocolError, WorkerCrashedError
 from ..sim.engine import UNAVAILABLE, ResultCache, SimRequest
 from ..sim.engine.request import code_fingerprint
-from ..sim.results import SimulationResult
 from ..trace_store import trace_store_from_spec
-from .breaker import CircuitBreaker
 from .pool import ChunkPool
 from .protocol import (
     MAX_MESSAGE_BYTES,
@@ -69,7 +64,6 @@ from .protocol import (
     decode_message,
     encode_message,
     request_from_wire,
-    result_checksum,
 )
 from .scheduler import DEFAULT_CHUNK_SIZE, Chunk, FairScheduler, split_requests
 from .singleflight import SingleflightTable
@@ -80,10 +74,6 @@ DEFAULT_MAX_ATTEMPTS = 3
 
 #: Default ``retry_after`` hint (seconds) carried on ``rejected`` messages.
 DEFAULT_RETRY_AFTER = 0.5
-
-#: Default budget (seconds) for one peer replication pull.  Deliberately
-#: tight: a slow peer must cost less than simulating locally.
-DEFAULT_PEER_TIMEOUT = 2.0
 
 
 @dataclass
@@ -112,14 +102,6 @@ class ServiceStats:
     rejected_queue: int = 0
     #: Requests failed to their submission because its deadline expired.
     expired: int = 0
-    #: Requests resolved by pulling a finished result from a ``--peer``
-    #: daemon instead of executing locally (peer replication).
-    peer_hits: int = 0
-    #: Requests asked of every configured peer and answered by none.
-    peer_misses: int = 0
-    #: Peer fetch attempts that failed outright (dead peer, bad checksum,
-    #: protocol error).  Each is also a miss for its requests.
-    peer_errors: int = 0
     #: ``health`` probes answered.
     health_probes: int = 0
     chunks_dispatched: int = 0
@@ -177,27 +159,10 @@ class _Connection:
 class _Submission:
     """One ``submit`` message: positional requests and their outcomes."""
 
-    def __init__(
-        self,
-        conn: _Connection,
-        sid: Any,
-        requests: list[SimRequest],
-        *,
-        stream: bool = False,
-    ) -> None:
+    def __init__(self, conn: _Connection, sid: Any, requests: list[SimRequest]) -> None:
         self.conn = conn
         self.sid = sid
-        #: Stream per-digest ``outcome`` events as results land, so a
-        #: failover client can bank partial progress before this daemon
-        #: (or the connection) dies.
-        self.stream = stream
         self.digests = [request.digest for request in requests]
-        #: Positions of each digest in the submitted request list, for the
-        #: positional ``outcome`` events (clients map positions back to
-        #: their own requests without trusting digest equality).
-        self.positions: dict[str, list[int]] = {}
-        for index, digest in enumerate(self.digests):
-            self.positions.setdefault(digest, []).append(index)
         self.unique: list[SimRequest] = []
         seen: set[str] = set()
         for request in requests:
@@ -218,7 +183,6 @@ class _Submission:
             "joined": 0,
             "scheduled": 0,
             "executed": 0,
-            "peer_hits": 0,
             "unavailable": 0,
             "failed": 0,
             "failures": {},
@@ -248,6 +212,37 @@ class _Submission:
         return [self.outcomes[digest] for digest in self.digests]
 
 
+def _check_submit(message: dict[str, Any]) -> Optional[float]:
+    """Validate a submit's ``id`` and ``deadline``; return the deadline.
+
+    Both arrive from outside: an ``id`` keys the connection's submission
+    table and is echoed on every reply, and a ``deadline`` arms a timer.
+    Anything else raises :class:`ServiceProtocolError` before the daemon
+    schedules work.
+    """
+
+    sid = message.get("id")
+    if sid is not None and (isinstance(sid, bool) or not isinstance(sid, (str, int))):
+        raise ServiceProtocolError(
+            f"submission id must be a string, an integer or null, not {json.dumps(sid)}"
+        )
+    deadline = message.get("deadline")
+    if deadline is None:
+        return None
+    seconds = math.nan
+    if isinstance(deadline, (int, float)) and not isinstance(deadline, bool):
+        try:
+            seconds = float(deadline)
+        except OverflowError:  # an integer beyond any float
+            pass
+    if not 0 < seconds < math.inf:
+        raise ServiceProtocolError(
+            f"deadline must be a finite number of seconds greater than 0, "
+            f"not {json.dumps(deadline)}"
+        )
+    return seconds
+
+
 class ReproServer:
     """The daemon: warm caches, singleflight table, fair scheduler, pool."""
 
@@ -266,8 +261,6 @@ class ReproServer:
         max_queued_chunks: Optional[int] = None,
         request_deadline: Optional[float] = None,
         retry_after: float = DEFAULT_RETRY_AFTER,
-        peers: Sequence[str] = (),
-        peer_timeout: float = DEFAULT_PEER_TIMEOUT,
     ) -> None:
         self.host = host
         self.port = port
@@ -285,17 +278,6 @@ class ReproServer:
         #: Default per-submission deadline when the client names none.
         self.request_deadline = request_deadline
         self.retry_after = retry_after
-        #: Ordered replication peers (``--peer ADDR``).  On a local memo
-        #: and cache miss, finished results are pulled from peers before a
-        #: chunk executes; a dead or slow peer is just a miss.
-        self.peers = [peer for peer in peers if peer]
-        self.peer_timeout = peer_timeout
-        #: Per-peer circuit breakers so a dead peer costs one timeout per
-        #: cooldown, not one per chunk.
-        self._peer_breakers = {
-            peer: CircuitBreaker(failure_threshold=1, reset_timeout=5.0)
-            for peer in self.peers
-        }
         self._started_at: Optional[float] = None
         self.cache = ResultCache(cache_dir) if cache_dir else None
         store = trace_store_from_spec(trace_store)
@@ -426,8 +408,6 @@ class ReproServer:
         elif kind == "health":
             self.stats.health_probes += 1
             conn.send(self._health_payload())
-        elif kind == "fetch":
-            conn.send(self._handle_fetch(message))
         elif kind == "submit":
             self._handle_submit(conn, message)
         elif kind == "stats":
@@ -441,8 +421,6 @@ class ReproServer:
                 draining=self._draining,
             )
             conn.send(payload)
-        elif kind == "ping":
-            conn.send({"type": "pong"})
         elif kind == "shutdown":
             conn.send({"type": "draining"})
             self.request_shutdown()
@@ -450,7 +428,7 @@ class ReproServer:
             conn.send({"type": "error", "message": f"unknown message type {kind!r}"})
 
     def _health_payload(self) -> dict[str, Any]:
-        """The readiness snapshot clients select endpoints by."""
+        """The readiness snapshot answered to a ``health`` probe."""
 
         uptime = (
             time.monotonic() - self._started_at if self._started_at is not None else 0.0
@@ -469,53 +447,12 @@ class ReproServer:
             "in_flight": len(self._flights),
             "memo_entries": len(self._memo),
             "cache_dir": str(self.cache.directory) if self.cache is not None else None,
-            "peers": list(self.peers),
             "executed": self.stats.executed,
             "memo_hits": self.stats.memo_hits,
             "cache_hits": self.stats.cache_hits,
-            "peer_hits": self.stats.peer_hits,
             "failed": self.stats.failed,
             "crashes": self.stats.crashes,
         }
-
-    def _handle_fetch(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Answer a peer's pull: checksummed results for known digests.
-
-        Only *finished* knowledge is shared — memoised / cached ``ok``
-        results and ``unavailable`` markers.  In-flight or failed digests
-        are misses: the puller executes them itself, and failures stay
-        retryable everywhere.
-        """
-
-        digests = message.get("digests")
-        if not isinstance(digests, list):
-            return {"type": "error", "message": "'digests' must be a list"}
-        found: dict[str, dict[str, Any]] = {}
-        misses: list[str] = []
-        for digest in digests:
-            if not isinstance(digest, str):
-                misses.append(str(digest))
-                continue
-            outcome = self._memo.get(digest)
-            if outcome is None and self.cache is not None:
-                cached = self.cache.get(digest)
-                if cached is UNAVAILABLE:
-                    outcome = {"status": "unavailable"}
-                elif cached is not None:
-                    outcome = {"status": "ok", "result": cached.as_dict()}
-            if outcome is None:
-                misses.append(digest)
-            elif outcome["status"] == "ok":
-                found[digest] = {
-                    "status": "ok",
-                    "result": outcome["result"],
-                    "checksum": result_checksum(outcome["result"]),
-                }
-            elif outcome["status"] == "unavailable":
-                found[digest] = {"status": "unavailable"}
-            else:
-                misses.append(digest)
-        return {"type": "fetch-result", "results": found, "misses": misses}
 
     def _disconnect(self, conn: _Connection) -> None:
         """Cancel the client's pending unique work; shared flights survive."""
@@ -537,11 +474,10 @@ class ReproServer:
     def _handle_submit(self, conn: _Connection, message: dict[str, Any]) -> None:
         sid = message.get("id")
         if self._draining:
-            conn.send(
-                {"type": "error", "id": sid, "message": "server is draining; resubmit elsewhere"}
-            )
+            conn.send({"type": "error", "id": sid, "message": "server is draining"})
             return
         try:
+            deadline = _check_submit(message)
             wire_requests = message["requests"]
             if not isinstance(wire_requests, list):
                 raise ServiceProtocolError("'requests' must be a list")
@@ -564,8 +500,7 @@ class ReproServer:
             )
             return
 
-        stream = bool(message.get("stream"))
-        submission = _Submission(conn, sid, requests, stream=stream)
+        submission = _Submission(conn, sid, requests)
         conn.submissions[sid] = submission
         counts = submission.counts
         to_schedule: list[SimRequest] = []
@@ -623,8 +558,7 @@ class ReproServer:
         if not submission.remaining:
             self._finish_submission(submission)
         else:
-            deadline = message.get("deadline")
-            effective = float(deadline) if deadline is not None else self.request_deadline
+            effective = deadline if deadline is not None else self.request_deadline
             if effective is not None:
                 submission.deadline_seconds = effective
                 submission.deadline_handle = asyncio.get_running_loop().call_later(
@@ -756,27 +690,6 @@ class ReproServer:
 
     async def _execute_chunk(self, chunk: Chunk) -> None:
         try:
-            if self.peers and chunk.attempts == 1:
-                # Pull-through replication: before paying for execution,
-                # ask the peers whether any of them already finished these
-                # digests.  Only on the first attempt — a requeued chunk
-                # already missed once.
-                resolved = await self._fetch_from_peers(chunk.requests)
-                for digest, outcome in resolved.items():
-                    if outcome["status"] == "ok":
-                        result = SimulationResult.from_dict(outcome["result"])
-                        self._publish(digest, result, None, source="peer")
-                    else:
-                        self._publish(digest, None, None, source="peer")
-                if resolved:
-                    chunk.requests = [
-                        request
-                        for request in chunk.requests
-                        if request.digest not in resolved
-                    ]
-                if not chunk.requests:
-                    self._running.pop(chunk.id, None)
-                    return
             executed, trace_stats, batched = await self.pool.run(chunk.requests)
         except WorkerCrashedError as error:
             self._running.pop(chunk.id, None)
@@ -814,108 +727,7 @@ class ReproServer:
         finally:
             self._pump()
 
-    async def _fetch_from_peers(
-        self, requests: Sequence[SimRequest]
-    ) -> dict[str, dict[str, Any]]:
-        """Pull finished results for ``requests`` from the peer daemons.
-
-        Peers are consulted in order behind per-peer circuit breakers;
-        each answer is checksum-verified before it is trusted.  Every
-        failure mode — refused connection, timeout, undecodable reply,
-        checksum mismatch — degrades to a miss for the affected digests;
-        replication can make execution cheaper, never wronger.
-        """
-
-        unresolved = {request.digest for request in requests}
-        resolved: dict[str, dict[str, Any]] = {}
-        for peer in self.peers:
-            if not unresolved:
-                break
-            if peer == self.address:
-                continue  # self-referential peer config: nothing to learn
-            breaker = self._peer_breakers[peer]
-            if not breaker.allow():
-                continue
-            try:
-                reply = await asyncio.wait_for(
-                    self._peer_roundtrip(peer, sorted(unresolved)),
-                    timeout=self.peer_timeout,
-                )
-            except (OSError, asyncio.TimeoutError, ServiceProtocolError, ValueError):
-                breaker.record_failure()
-                self.stats.peer_errors += 1
-                continue
-            breaker.record_success()
-            for digest, payload in reply.items():
-                if digest not in unresolved or not isinstance(payload, dict):
-                    continue
-                status = payload.get("status")
-                if status == "ok":
-                    result_payload = payload.get("result")
-                    if (
-                        not isinstance(result_payload, dict)
-                        or payload.get("checksum") != result_checksum(result_payload)
-                    ):
-                        self.stats.peer_errors += 1
-                        continue
-                    try:
-                        SimulationResult.from_dict(result_payload)
-                    except Exception:
-                        self.stats.peer_errors += 1
-                        continue
-                elif status != "unavailable":
-                    continue
-                resolved[digest] = payload
-                unresolved.discard(digest)
-        self.stats.peer_misses += len(unresolved)
-        return resolved
-
-    async def _peer_roundtrip(
-        self, peer: str, digests: list[str]
-    ) -> dict[str, dict[str, Any]]:
-        """One ``fetch`` exchange with ``peer``; returns its results map."""
-
-        from .client import parse_address  # local import: avoids a cycle
-
-        target = parse_address(peer)
-        if isinstance(target, str):
-            reader, writer = await asyncio.open_unix_connection(
-                target, limit=MAX_MESSAGE_BYTES
-            )
-        else:
-            reader, writer = await asyncio.open_connection(
-                target[0], target[1], limit=MAX_MESSAGE_BYTES
-            )
-        try:
-            writer.write(encode_message({"type": "fetch", "digests": digests}))
-            await writer.drain()
-            while True:
-                line = await reader.readline()
-                if not line:
-                    raise ServiceProtocolError(f"peer {peer} closed mid-fetch")
-                message = decode_message(line)
-                kind = message.get("type")
-                if kind == "fetch-result":
-                    results = message.get("results")
-                    if not isinstance(results, dict):
-                        raise ServiceProtocolError(f"peer {peer}: malformed fetch-result")
-                    return results
-                if kind == "error":
-                    raise ServiceProtocolError(
-                        f"peer {peer} rejected fetch: {message.get('message')}"
-                    )
-                # Skip unrelated chatter; a refusal lands in the branch
-                # above.
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionError):  # pragma: no cover - teardown race
-                pass
-
-    def _publish(
-        self, digest: str, result, failure: Optional[str], *, source: str = "executed"
-    ) -> None:
+    def _publish(self, digest: str, result, failure: Optional[str]) -> None:
         """Fan one resolved digest out to every waiter; warm the caches."""
 
         waiters, request = self._flights.complete(digest)
@@ -926,8 +738,7 @@ class ReproServer:
                 self.cache.put(request, result)
         elif failure is None:
             outcome = {"status": "unavailable"}
-            if source != "peer":
-                self.stats.unavailable += 1
+            self.stats.unavailable += 1
             self._memo[digest] = outcome
             if self.cache is not None and request is not None:
                 self.cache.put_unavailable(request)
@@ -938,32 +749,15 @@ class ReproServer:
             outcome = {"status": "failed", "failure": failure}
             self.stats.failed += 1
             self.stats.failures[failure] = self.stats.failures.get(failure, 0) + 1
-        if source == "peer":
-            self.stats.peer_hits += 1
 
         for submission in waiters:
             counts = submission.counts
-            if source == "peer":
-                counts["peer_hits"] += 1
-            else:
-                counts["executed"] += 1
+            counts["executed"] += 1
             if outcome["status"] == "unavailable":
                 counts["unavailable"] += 1
             elif outcome["status"] == "failed":
                 counts["failed"] += 1
                 counts["failures"][failure] = counts["failures"].get(failure, 0) + 1
-            if submission.stream:
-                # Failover clients bank these as they land, so a daemon
-                # dying mid-plan costs only the unresolved remainder.
-                submission.conn.send(
-                    {
-                        "type": "outcome",
-                        "id": submission.sid,
-                        "positions": submission.positions.get(digest, []),
-                        "source": source,
-                        "outcome": outcome,
-                    }
-                )
             if submission.deliver(digest, outcome):
                 self._finish_submission(submission)
             else:
@@ -1014,15 +808,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--retry-after", type=float, default=DEFAULT_RETRY_AFTER,
                         help="backoff hint carried on rejected submissions "
                              f"(default {DEFAULT_RETRY_AFTER}s)")
-    parser.add_argument("--peer", metavar="ADDR", action="append", default=[],
-                        help="replication peer daemon (host:port or unix:/path); "
-                             "repeat or comma-separate for several — on a local "
-                             "cache miss, finished results are pulled from peers "
-                             "before executing (a dead peer is just a miss)")
-    parser.add_argument("--peer-timeout", type=float, default=DEFAULT_PEER_TIMEOUT,
-                        metavar="SECONDS",
-                        help="budget for one peer replication pull "
-                             f"(default {DEFAULT_PEER_TIMEOUT}s)")
     return parser
 
 
@@ -1040,13 +825,6 @@ async def _serve(args: argparse.Namespace) -> None:
         max_queued_chunks=args.max_queued_chunks,
         request_deadline=args.request_deadline,
         retry_after=args.retry_after,
-        peers=[
-            part.strip()
-            for value in args.peer
-            for part in value.split(",")
-            if part.strip()
-        ],
-        peer_timeout=args.peer_timeout,
     )
     await server.start()
     loop = asyncio.get_running_loop()

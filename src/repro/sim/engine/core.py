@@ -73,16 +73,6 @@ class EngineStats:
     #: Service submissions rejected by admission control and retried after
     #: the server-advertised backoff (set by the service engine).
     rejected: int = 0
-    #: Service endpoint attempts abandoned (connect failure, mid-plan
-    #: disconnect, drain refusal) with the work handed to the next endpoint
-    #: — or to local execution (set by the failover service engine).
-    failed_over: int = 0
-    #: Requests a daemon satisfied by pulling finished results from a peer
-    #: daemon's memo/cache instead of executing them.
-    peer_hits: int = 0
-    #: Requests executed by the local fallback engine because every service
-    #: endpoint was open-circuited or unreachable.
-    degraded_local: int = 0
     runner: str = "serial"
 
     @property
@@ -128,12 +118,6 @@ class EngineStats:
             resilience.append(f"{self.expired} deadline-expired")
         if self.rejected:
             resilience.append(f"{self.rejected} rejected+retried")
-        if self.failed_over:
-            resilience.append(f"{self.failed_over} failed-over")
-        if self.peer_hits:
-            resilience.append(f"{self.peer_hits} peer hits")
-        if self.degraded_local:
-            resilience.append(f"{self.degraded_local} degraded-to-local")
         if resilience:
             text += "; resilience: " + ", ".join(resilience)
         return text

@@ -28,8 +28,6 @@ that registry, so adding a workload is one file (see ``docs/workloads.md``).
 | unionfind  | union-find (halving)    | stride-indirect + pointer chasing      | no     |
 """
 
-import os
-
 from .base import Workload, WorkloadScale
 from . import registry
 
@@ -116,20 +114,3 @@ __all__ = [
     "SpMVWorkload",
     "UnionFindWorkload",
 ]
-
-# Out-of-tree workload plugins: ``REPRO_WORKLOAD_PLUGINS`` names modules
-# (comma-separated, importable from ``sys.path``) imported after the
-# built-ins so their ``@register_workload`` decorators run.  This is how a
-# spawned ``repro serve`` subprocess learns workloads that only exist in
-# the spawning process — the HA chaos tests register their hold-file-gated
-# test workloads in the daemon this way.  Imported last (after the
-# paper-order guard and the public names): plugins are extensions and must
-# never reorder the paper set.
-_plugin_modules = os.environ.get("REPRO_WORKLOAD_PLUGINS", "")
-if _plugin_modules:
-    import importlib
-
-    for _module_name in _plugin_modules.split(","):
-        _module_name = _module_name.strip()
-        if _module_name:
-            importlib.import_module(_module_name)

@@ -34,19 +34,9 @@ import threading
 import time
 from typing import Optional
 
-from typing import TYPE_CHECKING
-
+from repro.service import ReproServer
 from repro.workloads.intsort import IntSortWorkload
 from repro.workloads.registry import REGISTRY, register_workload
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.service import ReproServer
-
-# NOTE: ``repro.service`` is imported lazily (inside ServerThread) on
-# purpose: this module is also pulled in through the REPRO_WORKLOAD_PLUGINS
-# hook (``svc_plugin``) *while* ``repro.service`` itself is still
-# initialising inside a spawned daemon, and a top-level import would be
-# circular there.
 
 #: Environment variable naming the gate/marker directory for the
 #: instrumented workloads.  Read inside the (forked) pool workers.
@@ -137,8 +127,6 @@ class ServerThread:
         return self.server.address
 
     def _run(self) -> None:
-        from repro.service import ReproServer
-
         async def serve() -> None:
             try:
                 server = ReproServer(**self._kwargs)

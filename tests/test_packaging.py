@@ -1,4 +1,4 @@
-"""Packaging metadata: the distribution and the package share one version."""
+"""Packaging metadata: one version, and the dependencies the package imports."""
 
 import subprocess
 import sys
@@ -21,3 +21,21 @@ def test_setup_version_is_the_package_version():
         check=True,
     )
     assert completed.stdout.strip().splitlines()[-1] == repro.__version__
+
+
+def test_numpy_is_an_install_requirement(tmp_path):
+    """``import repro.sim`` needs numpy, so installing must pull it in."""
+
+    pytest.importorskip("setuptools")
+    subprocess.run(
+        [sys.executable, "setup.py", "egg_info", "--egg-base", str(tmp_path)],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        check=True,
+    )
+    (requires,) = tmp_path.glob("*.egg-info/requires.txt")
+    # Unconditional requirements come before the first ``[extra]`` section.
+    text = "\n" + requires.read_text(encoding="utf-8")
+    unconditional = text.split("\n[", 1)[0]
+    names = [line.split(">")[0].split("=")[0].strip() for line in unconditional.splitlines()]
+    assert "numpy" in names

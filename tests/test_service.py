@@ -10,15 +10,32 @@ established through protocol events (``accepted``, ``chunk-started``,
 from __future__ import annotations
 
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.config import SystemConfig
-from repro.service import ServiceClient, ServiceEngine, run_plan
+from repro.errors import ServiceError
+from repro.service import (
+    PROTOCOL_VERSION,
+    ServiceClient,
+    ServiceEngine,
+    probe_endpoint,
+    spawn_local_daemon,
+)
 from repro.sim.comparison import comparison_plan
 from repro.sim.engine import SerialRunner, SimEngine, SimPlan, SimRequest
 
 from service_utils import SVC_TEST_DIR_ENV, ServerThread, registered_test_workloads
+
+#: A loopback port nothing listens on in the test environment.
+DEAD = "127.0.0.1:1"
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -164,8 +181,9 @@ def test_duplicate_requests_within_one_submission_deduplicate():
     request = comparison_plan(["intsort"], scale="tiny")
     points = list(request)[:2]
     with ServerThread(workers=1) as daemon:
-        with ServiceClient(daemon.address, timeout=600.0) as client:
-            batch = run_plan(client, SimPlan(points + points + points))
+        engine = ServiceEngine(daemon.address, timeout=600.0)
+        batch = engine.run(SimPlan(points + points + points))
+        engine.close()
     assert batch.stats.submitted == 6
     assert batch.stats.unique == 2
     assert batch.stats.deduplicated == 4
@@ -230,3 +248,163 @@ def test_reproduce_paper_driver_accepts_service_flag():
         assert batch.stats.runner == "service"
         assert len(batch.results) > 0
         engine.close()
+
+
+def test_build_engine_refuses_local_only_arguments_with_service():
+    """`--service` runs on the daemon: local-only knobs are refused, not ignored."""
+
+    from repro.eval.report import build_engine
+
+    with pytest.raises(ValueError) as excinfo:
+        build_engine(service=DEAD, parallel=True, cache_dir="results", resume=True)
+    message = str(excinfo.value)
+    for name in ("parallel", "cache_dir", "resume"):
+        assert name in message
+    for name in ("workers", "trace_store_dir", "checkpoint_dir", "max_attempts"):
+        assert name not in message
+
+    engine = build_engine(service=DEAD, deadline=5.0)
+    assert isinstance(engine, ServiceEngine) and engine.deadline == 5.0
+
+    driver = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "examples" / "reproduce_paper.py"),
+         "--service", DEAD, "--cache", "results"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    assert driver.returncode == 2
+    assert "cache_dir" in driver.stderr
+
+
+# ---------------------------------------------------------- engine errors
+
+
+def test_service_engine_rejects_malformed_address():
+    with pytest.raises(ServiceError):
+        ServiceEngine("not-an-address")
+
+
+def test_service_engine_unreachable_daemon_raises_naming_it():
+    engine = ServiceEngine(DEAD, timeout=5.0)
+    with pytest.raises(ServiceError, match=DEAD):
+        engine.run(SimPlan([gated_request(seed=1, workload="intsort")]))
+
+
+# ------------------------------------------------------------ health probe
+
+
+def test_health_probe_reports_daemon_readiness():
+    with ServerThread(workers=1) as daemon:
+        report = probe_endpoint(daemon.address)
+        assert report.ok and report.ready
+        assert report.status == "ok"
+        assert report.protocol == PROTOCOL_VERSION
+        assert report.workers == 1
+        assert report.pool_generation == 0
+        assert report.uptime is not None and report.uptime >= 0.0
+
+
+def test_health_probe_unreachable_endpoint_never_raises():
+    report = probe_endpoint(DEAD, timeout=5.0)
+    assert not report.ok and not report.ready
+    assert report.error and "connect" in report.error
+
+
+def test_draining_daemon_reports_not_ready_on_live_connection(svc_dir):
+    """A draining daemon answers ``health`` with ``draining`` to connected
+    clients (new connections are refused outright — the listener closes)."""
+
+    hold = svc_dir / "hold-601"
+    hold.touch()
+    with registered_test_workloads():
+        daemon = ServerThread(workers=1)
+        with daemon:
+            with ServiceClient(daemon.address, timeout=120.0) as client:
+                client.submit_nowait([gated_request(seed=601)])
+                read_until(client, "chunk-started")
+                # Work is gated in flight: ask for a drain, which cannot
+                # complete until the hold lifts.  The drain flag flips on
+                # the daemon's loop; poll the reported state (bounded).
+                daemon.loop.call_soon_threadsafe(daemon.server.request_shutdown)
+                deadline = time.monotonic() + 30.0
+                while client.health()["status"] != "draining":
+                    assert time.monotonic() < deadline, "drain flag never reported"
+                    time.sleep(0.01)
+                # And a fresh probe sees the closed listener: not ready.
+                assert not probe_endpoint(daemon.address, timeout=5.0).ready
+                hold.unlink()
+                read_until(client, "done")
+
+
+def test_protocol_version_mismatch_is_rejected(monkeypatch):
+    """Client and daemon ship together: any other version is refused."""
+
+    import repro.service.server as server_module
+
+    monkeypatch.setattr(server_module, "PROTOCOL_VERSION", PROTOCOL_VERSION - 1)
+    with ServerThread(workers=1) as daemon:
+        with pytest.raises(ServiceError) as excinfo:
+            ServiceClient(daemon.address, timeout=120.0, connect_retries=0)
+        message = str(excinfo.value)
+        assert f"protocol {PROTOCOL_VERSION - 1}" in message
+        assert f"protocol {PROTOCOL_VERSION}" in message
+        # The probe reports the daemon as unusable.
+        report = probe_endpoint(daemon.address)
+        assert not report.ok and not report.ready
+        assert f"protocol {PROTOCOL_VERSION - 1}" in report.error
+
+
+# ----------------------------------------------------------- local daemon
+
+
+def _process_state(pid: int):
+    """``(state, parent pid)`` from ``/proc/<pid>/stat``, or ``None`` if gone."""
+
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc to find pool workers")
+def test_sigkilled_daemon_leaves_no_orphaned_worker():
+    """Regression: a pool worker blocked on its call queue used to outlive a
+    SIGKILLed daemon forever, re-parented and deaf to SIGTERM."""
+
+    plan = SimPlan([gated_request(seed, workload="intsort") for seed in (1, 2)])
+    with spawn_local_daemon(workers=1) as (process, address):
+        engine = ServiceEngine(address, timeout=120.0)
+        batch = engine.run(plan)
+        engine.close()
+        assert len(batch.results) == 2 and not batch.failures
+        workers = [
+            int(entry)
+            for entry in os.listdir("/proc")
+            if entry.isdigit() and (_process_state(int(entry)) or ("", 0))[1] == process.pid
+        ]
+        assert workers, "the plan must have run in a pool worker"
+        os.kill(process.pid, signal.SIGKILL)
+        process.wait()
+        deadline = time.monotonic() + 15.0
+        # An exited worker nobody has reaped yet is a zombie: gone all the same.
+        while any((_process_state(pid) or ("Z",))[0] != "Z" for pid in workers):
+            assert time.monotonic() < deadline, f"pool workers {workers} outlived the daemon"
+            time.sleep(0.05)
+
+
+def test_spawn_local_daemon_kills_child_on_exit():
+    with spawn_local_daemon(workers=1) as (process, address):
+        assert address
+        assert process.poll() is None, "daemon must be running inside the block"
+    assert process.poll() is not None, "daemon must be reaped on exit"
+
+
+def test_spawn_local_daemon_kills_child_when_body_raises():
+    leaked = {}
+    with pytest.raises(RuntimeError, match="boom"):
+        with spawn_local_daemon(workers=1) as (process, _address):
+            leaked["process"] = process
+            raise RuntimeError("boom")
+    assert leaked["process"].poll() is not None, "daemon must be reaped on error"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import signal
+import socket
 import subprocess
 import time
 
@@ -16,7 +17,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.service import ServiceClient, spawn_local_daemon
-from repro.service.protocol import request_to_wire
+from repro.service.protocol import decode_message, encode_message, request_to_wire
 from repro.sim.engine import SimRequest
 
 from service_utils import SVC_TEST_DIR_ENV, ServerThread, registered_test_workloads
@@ -160,6 +161,49 @@ def test_disconnect_cancels_unique_work_but_not_shared(svc_dir):
     # Only the shared digest executed; the orphaned unique one never ran.
     assert final["executed"] == 1
     assert final["cancelled"] == 1
+
+
+# ------------------------------------------------------ malformed submits
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"id": [1]},
+        {"id": {"nested": 1}},
+        {"id": 1.5},
+        {"deadline": "soon"},
+        {"deadline": 0},
+        {"deadline": -2.0},
+        {"deadline": float("nan")},
+        {"deadline": float("inf")},
+    ],
+    ids=lambda bad: repr(bad),
+)
+def test_malformed_submission_gets_error_and_connection_stays_usable(bad):
+    """A bad ``id`` or ``deadline`` is refused before anything is scheduled,
+    and a valid submission on the same connection then completes."""
+
+    wire = request_to_wire(request_for("intsort", seed=7))
+    with ServerThread(workers=1) as daemon:
+        host, port = daemon.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=120.0) as sock:
+            with sock.makefile("rb") as lines:
+                sock.sendall(encode_message(
+                    {"type": "submit", "id": 1, "requests": [wire], **bad}))
+                reply = decode_message(lines.readline())
+                assert reply["type"] == "error", reply
+                assert reply["id"] == bad.get("id", 1)
+
+                sock.sendall(encode_message({"type": "submit", "id": 2, "requests": [wire]}))
+                while True:
+                    event = decode_message(lines.readline())
+                    assert event["type"] != "error", event
+                    if event["type"] == "done":
+                        break
+        assert daemon.server.stats.submissions == 1
+    (outcome,) = event["outcomes"]
+    assert event["id"] == 2 and outcome["status"] == "ok"
 
 
 # ------------------------------------------------------------ SIGTERM drain

@@ -1,9 +1,9 @@
 """Property tests for the service's pure coordination structures.
 
-The singleflight table, the fair scheduler and the circuit breaker are
-deliberately synchronous, socket-free state machines, so they can be driven
-through randomised interleavings of their whole operation alphabet and
-checked against independent reference models:
+The singleflight table and the fair scheduler are deliberately
+synchronous, socket-free state machines, so they can be driven through
+randomised interleavings of their whole operation alphabet and checked
+against independent reference models:
 
 * **Singleflight**: random join/leave/start/requeue/complete sequences
   never lose a waiter, never report creation twice, never allow a digest
@@ -13,10 +13,6 @@ checked against independent reference models:
   implementation, plus conservation — every queued request is popped
   exactly once or discarded exactly once, never both, never neither —
   and round-robin fairness across keys.
-* **Circuit breaker**: random allow/success/failure/clock-advance
-  sequences against a reference three-state machine on an injected fake
-  clock (no sleeps) — states, failure counts, trip counts and cooldowns
-  must agree at every step.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ from repro.config import SystemConfig
 from repro.errors import ServiceError
 from repro.service import (
     Chunk,
-    CircuitBreaker,
     FairScheduler,
     SingleflightTable,
     split_requests,
@@ -318,137 +313,3 @@ def test_split_requests_respects_groups_and_size() -> None:
         assert chunk.key == "client"
     # 4 groups of 3 requests, sliced at 2 → 8 chunks.
     assert len(chunks) == 8
-
-
-# ---------------------------------------------------------- circuit breaker
-
-
-class FakeClock:
-    """A monotonic clock tests advance explicitly (never sleeps)."""
-
-    def __init__(self) -> None:
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
-
-
-breaker_ops = st.lists(
-    st.one_of(
-        st.just(("allow",)),
-        st.just(("success",)),
-        st.just(("failure",)),
-        st.tuples(
-            st.just("advance"),
-            st.floats(min_value=0.0, max_value=12.0,
-                      allow_nan=False, allow_infinity=False),
-        ),
-    ),
-    max_size=60,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    threshold=st.integers(min_value=1, max_value=4),
-    reset=st.floats(min_value=0.0, max_value=8.0,
-                    allow_nan=False, allow_infinity=False),
-    probes=st.integers(min_value=1, max_value=3),
-    ops=breaker_ops,
-)
-def test_circuit_breaker_matches_reference_model(threshold, reset, probes, ops):
-    """Differential test: the breaker vs an independent three-state model."""
-
-    clock = FakeClock()
-    real = CircuitBreaker(
-        failure_threshold=threshold,
-        reset_timeout=reset,
-        half_open_probes=probes,
-        clock=clock,
-    )
-    model = {
-        "state": "closed",
-        "failures": 0,
-        "opened_at": 0.0,
-        "probes": 0,
-        "opened": 0,
-    }
-
-    def model_allow() -> bool:
-        if model["state"] == "closed":
-            return True
-        if model["state"] == "open":
-            if clock.now - model["opened_at"] < reset:
-                return False
-            model["state"] = "half-open"
-            model["probes"] = 0
-        if model["probes"] >= probes:
-            return False
-        model["probes"] += 1
-        return True
-
-    def model_trip() -> None:
-        if model["state"] != "open":
-            model["opened"] += 1
-        model["state"] = "open"
-        model["opened_at"] = clock.now
-        model["probes"] = 0
-
-    def model_failure() -> None:
-        model["failures"] += 1
-        if model["state"] != "closed" or model["failures"] >= threshold:
-            model_trip()
-
-    for op in ops:
-        if op[0] == "allow":
-            assert real.allow() == model_allow()
-        elif op[0] == "success":
-            real.record_success()
-            model.update(state="closed", failures=0, probes=0)
-        elif op[0] == "failure":
-            real.record_failure()
-            model_failure()
-        else:
-            clock.advance(op[1])
-
-        # The observable surface agrees after every single operation.
-        assert real.state == model["state"]
-        assert real.failures == model["failures"]
-        assert real.opened_count == model["opened"]
-        if model["state"] == "open":
-            expected = max(0.0, model["opened_at"] + reset - clock.now)
-            assert real.cooldown_remaining() == pytest.approx(expected)
-        else:
-            assert real.cooldown_remaining() == 0.0
-
-
-def test_circuit_breaker_quarantine_lifecycle() -> None:
-    """The canonical arc: trip, refuse, cool down, probe, recover."""
-
-    clock = FakeClock()
-    breaker = CircuitBreaker(failure_threshold=2, reset_timeout=5.0, clock=clock)
-    assert breaker.allow() and breaker.state == "closed"
-
-    breaker.record_failure()
-    assert breaker.allow(), "one failure below threshold must not trip"
-    breaker.record_failure()
-    assert breaker.state == "open" and breaker.opened_count == 1
-    assert not breaker.allow(), "open breaker refuses without burning a timeout"
-
-    clock.advance(4.999)
-    assert not breaker.allow() and breaker.cooldown_remaining() > 0
-    clock.advance(0.001)
-    assert breaker.allow(), "cooldown elapsed: one probe goes through"
-    assert breaker.state == "half-open"
-    assert not breaker.allow(), "only one concurrent probe by default"
-
-    breaker.record_failure()
-    assert breaker.state == "open", "a failed probe re-opens immediately"
-    clock.advance(5.0)
-    assert breaker.allow()
-    breaker.record_success()
-    assert breaker.state == "closed" and breaker.failures == 0
-    assert breaker.opened_count == 2
