@@ -290,6 +290,29 @@ def test_service_engine_unreachable_daemon_raises_naming_it():
         engine.run(SimPlan([gated_request(seed=1, workload="intsort")]))
 
 
+def test_service_engine_reconnects_to_restarted_daemon(tmp_path):
+    """A daemon restarted at the same address between runs is reached again:
+    the engine's stale connection is replaced without failing the run."""
+
+    socket_path = str(tmp_path / "repro.sock")
+    request = gated_request(seed=1, workload="intsort")
+    with ServerThread(workers=1, unix_path=socket_path) as daemon:
+        engine = ServiceEngine(daemon.address, timeout=120.0)
+        first = engine.run(SimPlan([request]))
+        assert engine.client.connected
+    # The old daemon drained and closed the connection the engine still holds.
+    with ServerThread(workers=1, unix_path=socket_path) as daemon:
+        second = engine.run(SimPlan([request]))
+        served = daemon.server.stats.executed
+        engine.close()
+
+    assert first.stats.executed == 1 and served == 1
+    # A fresh daemon has an empty memo: the point ran again, over the new connection.
+    assert second.stats.executed == 1 and second.stats.memo_hits == 0
+    assert second.get(request).as_dict() == first.get(request).as_dict()
+    assert engine.stats.executed == 2
+
+
 # ------------------------------------------------------------ health probe
 
 
