@@ -230,7 +230,12 @@ class AddressSpace:
         """Return True when ``addr`` falls inside an allocated region."""
 
         index = bisect.bisect_right(self._region_bases, addr) - 1
-        return index >= 0 and self._regions[index].contains(addr)
+        if index < 0:
+            return False
+        # Region.contains, inlined (the prefetch path asks once per new
+        # target address); bisect already guarantees base <= addr.
+        region = self._regions[index]
+        return addr < region.base + region.size_bytes
 
     def read_word(self, addr: int) -> int:
         """Read the signed 64-bit word at ``addr`` (must be word aligned)."""

@@ -96,7 +96,6 @@ class CacheLine:
     prefetched: bool = False
     used: bool = False
     dirty: bool = False
-    lru_stamp: int = 0
 
 
 class Cache:
@@ -124,7 +123,6 @@ class Cache:
         self._set_shift = self._num_sets.bit_length() - 1
         self._sets: list[dict[int, CacheLine]] = [dict() for _ in range(self._num_sets)]
         self._associativity = config.associativity
-        self._lru_counter = 0
         self.stats = CacheStats()
 
     # ------------------------------------------------------------- addressing
@@ -168,8 +166,6 @@ class Cache:
     ) -> None:
         """LRU/dirty/prefetch-used update for a line already probed via :meth:`probe`."""
 
-        self._lru_counter += 1
-        line.lru_stamp = self._lru_counter
         # Intrusive LRU: each set's dict is kept in recency order (oldest
         # first), so eviction is O(1) instead of a per-miss stamp scan.
         del cache_set[tag]
@@ -212,13 +208,15 @@ class Cache:
         cache_set: dict[int, CacheLine],
         tag: int,
         fill_time: float,
-        *,
         prefetched: bool = False,
         write: bool = False,
     ) -> Optional[CacheLine]:
-        """:meth:`insert` for a set/tag already probed via :meth:`probe`."""
+        """:meth:`insert` for a set/tag already probed via :meth:`probe`.
 
-        self._lru_counter += 1
+        The flags are positional too: the hierarchy's access paths call
+        this once per fill, and a keyword call costs measurably more.
+        """
+
         existing = cache_set.get(tag)
         if existing is not None:
             # Merge: never drop dirty/used state or double-count fills.
@@ -226,7 +224,6 @@ class Cache:
                 existing.fill_time = fill_time
             if write:
                 existing.dirty = True
-            existing.lru_stamp = self._lru_counter
             del cache_set[tag]  # refresh intrusive LRU order (oldest first)
             cache_set[tag] = existing
             return None
@@ -241,7 +238,7 @@ class Cache:
             if victim.prefetched and not victim.used:
                 stats.prefetch_evicted_unused += 1
         # Positional construction (this runs once per fill).
-        cache_set[tag] = CacheLine(tag, fill_time, prefetched, False, write, self._lru_counter)
+        cache_set[tag] = CacheLine(tag, fill_time, prefetched, False, write)
         if prefetched:
             self.stats.prefetch_fills += 1
         return victim
@@ -258,7 +255,6 @@ class Cache:
 
     def reset(self) -> None:
         self._sets = [dict() for _ in range(self._num_sets)]
-        self._lru_counter = 0
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------ info

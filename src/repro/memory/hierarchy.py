@@ -11,21 +11,23 @@ the rest of the simulator:
 ``prefetch_access``
     called by a prefetcher (the programmable engine, the stride prefetcher,
     the GHB prefetcher, or a software-prefetch trace op); brings a line into
-    the L1/L2 and optionally invokes a fill callback, which is how the
-    event-triggered prefetcher reacts to its own prefetches.
+    the L1/L2 and returns the time its data is available, which is how the
+    event-triggered prefetcher learns when its own prefetches return.
 
 Two hooks let a prefetch engine observe the hierarchy the way the paper's
 address filter snoops the L1: ``demand_snoop`` is invoked for every demand
 *read* (Section 4.2: "the address filter snoops all loads coming from the
 main core"), and ``advance_hook`` is invoked with the current time before
 each demand access so an event-driven engine can catch up with simulated
-time before the core looks at the cache state.
+time before the core looks at the cache state.  An engine whose hooks
+would do nothing for most accesses narrows them with :meth:`gate_hooks`.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, NamedTuple, Optional
+from math import inf
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..config import CACHE_LINE_BYTES, SystemConfig
 from ..errors import SimulationError
@@ -46,8 +48,10 @@ SnoopHook = Callable[[int, float, str], None]
 #: Signature of the time-advance callback: ``(time)``.
 AdvanceHook = Callable[[float], None]
 
-#: Signature of a prefetch-fill callback: ``(address, fill_time)``.
-FillCallback = Callable[[int, float], None]
+# The advance hook is entered while ``due[0][0] <= time``: always for a
+# plain hook, never without one.
+_ALWAYS_DUE = ((-inf,),)
+_NEVER_DUE = ()
 
 
 class AccessResult(NamedTuple):
@@ -82,6 +86,11 @@ class MemoryHierarchy:
         self.dropped_prefetches = 0
         self._demand_snoop: Optional[SnoopHook] = None
         self._advance_hook: Optional[AdvanceHook] = None
+        # Hook gates (see gate_hooks): the snoop is entered for addresses in
+        # [_snoop_lo, _snoop_hi), the advance hook while _advance_due's head
+        # is due.
+        self._snoop_lo = self._snoop_hi = 0
+        self._advance_due: Sequence[tuple] = _NEVER_DUE
         # Level/translation of the most recent demand access, for the
         # AccessResult-building demand_access wrapper.
         self._last_level = "l1"
@@ -127,11 +136,27 @@ class MemoryHierarchy:
         """Register the address-filter snoop for demand reads."""
 
         self._demand_snoop = hook
+        self._snoop_lo, self._snoop_hi = (-inf, inf) if hook is not None else (0, 0)
 
     def set_advance_hook(self, hook: Optional[AdvanceHook]) -> None:
         """Register a callback run before each demand access with the access time."""
 
         self._advance_hook = hook
+        self._advance_due = _ALWAYS_DUE if hook is not None else _NEVER_DUE
+
+    def gate_hooks(self, due: Sequence[tuple], snoop_lo: int, snoop_hi: int) -> None:
+        """Enter the registered hooks only when they can act.
+
+        ``due`` is the caller's live event heap of ``(time, ...)`` entries:
+        the advance hook is entered only when its head is at or before the
+        access time.  The snoop is entered only for addresses in
+        ``[snoop_lo, snoop_hi)``; the caller accounts the reads it skips.
+        Registering a hook again removes its gate.
+        """
+
+        self._advance_due = due
+        self._snoop_lo = snoop_lo
+        self._snoop_hi = snoop_hi
 
     # ---------------------------------------------------------------- demand
 
@@ -153,9 +178,9 @@ class MemoryHierarchy:
 
         if time < 0:
             raise SimulationError("access time must be non-negative")
-        advance = self._advance_hook
-        if advance is not None:
-            advance(time)
+        due = self._advance_due
+        if due and due[0][0] <= time:
+            self._advance_hook(time)
 
         # The lookup body is inlined here (it used to be _demand_lookup):
         # this method runs once per dynamic memory op, and the extra call
@@ -209,8 +234,6 @@ class MemoryHierarchy:
                 completion = fill_time if fill_time > earliest else earliest
                 level = "l1_inflight"
             # Cache.touch_entry, inlined (runs once per L1 hit/merge).
-            l1._lru_counter = stamp = l1._lru_counter + 1
-            line.lru_stamp = stamp
             del cache_set[tag]
             cache_set[tag] = line
             if write:
@@ -222,29 +245,19 @@ class MemoryHierarchy:
             # L1 miss.
             l1_stats.misses += 1
             grant = self.l1_mshrs.allocate(t)
-            completion, level = self._access_l2(
-                addr, grant + hit_latency, is_prefetch=False
-            )
-            l1.fill_entry(cache_set, tag, completion, prefetched=False, write=write)
+            completion, level = self._access_l2(addr, grant + hit_latency, False)
+            l1.fill_entry(cache_set, tag, completion, False, write)
             self.l1_mshrs.register_fill(completion)
 
-        if not write:
-            snoop = self._demand_snoop
-            if snoop is not None:
-                snoop(addr, t, level)
+        if not write and self._snoop_lo <= addr < self._snoop_hi:
+            self._demand_snoop(addr, t, level)
         self._last_level = level
         self._last_translation = translation_latency
         return completion
 
     # -------------------------------------------------------------- prefetch
 
-    def prefetch_access(
-        self,
-        addr: int,
-        time: float,
-        *,
-        on_fill: Optional[FillCallback] = None,
-    ) -> Optional[float]:
+    def prefetch_access(self, addr: int, time: float) -> Optional[float]:
         """Bring the line containing ``addr`` into the L1 as a prefetch.
 
         Returns the time the data is available in the L1, or ``None`` when
@@ -293,13 +306,8 @@ class MemoryHierarchy:
             fill_time = line.fill_time
             if fill_time <= t:
                 l1_stats.prefetch_redundant += 1
-                available = t + self._l1_hit_latency
-                if on_fill is not None:
-                    on_fill(addr, available)
-                return available
+                return t + self._l1_hit_latency
             l1_stats.prefetch_merged += 1
-            if on_fill is not None:
-                on_fill(addr, fill_time)
             return fill_time
 
         # MSHRFile.allocate + register_fill, inlined (one L1 fill per issued
@@ -317,11 +325,9 @@ class MemoryHierarchy:
             while completions and completions[0] <= grant:
                 heappop(completions)
         mshrs.total_allocations += 1
-        data_time, _level = self._access_l2(addr, grant + self._l1_hit_latency, is_prefetch=True)
-        l1.fill_entry(cache_set, tag, data_time, prefetched=True)
+        data_time, _level = self._access_l2(addr, grant + self._l1_hit_latency, True)
+        l1.fill_entry(cache_set, tag, data_time, True)
         heapq.heappush(completions, data_time)
-        if on_fill is not None:
-            on_fill(addr, data_time)
         return data_time
 
     def l1_mshr_next_free(self, time: float) -> float:
@@ -331,7 +337,7 @@ class MemoryHierarchy:
 
     # ------------------------------------------------------------------- L2
 
-    def _access_l2(self, addr: int, time: float, *, is_prefetch: bool) -> tuple[float, str]:
+    def _access_l2(self, addr: int, time: float, is_prefetch: bool) -> tuple[float, str]:
         l2 = self.l2
         l2_stats = l2.stats
         if is_prefetch:
@@ -351,8 +357,6 @@ class MemoryHierarchy:
         hit_latency = self._l2_hit_latency
         if line is not None:
             # Cache.touch_entry, inlined (the L2 has no demand-write path).
-            l2._lru_counter = stamp = l2._lru_counter + 1
-            line.lru_stamp = stamp
             del cache_set[tag]
             cache_set[tag] = line
             if line.prefetched and not line.used:
@@ -370,7 +374,7 @@ class MemoryHierarchy:
         l2_stats.misses += 1
         grant = self.l2_mshrs.allocate(time)
         dram_completion = self.dram.access(grant + hit_latency, is_prefetch=is_prefetch)
-        victim = l2.fill_entry(cache_set, tag, dram_completion, prefetched=is_prefetch)
+        victim = l2.fill_entry(cache_set, tag, dram_completion, is_prefetch)
         if victim is not None and victim.dirty:
             self.dram.stats.writebacks += 1
         self.l2_mshrs.register_fill(dram_completion)

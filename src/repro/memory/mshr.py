@@ -36,25 +36,26 @@ class MSHRFile:
     def in_flight(self) -> int:
         return len(self._completions)
 
-    def _reclaim(self, now: float) -> None:
-        while self._completions and self._completions[0] <= now:
-            heapq.heappop(self._completions)
-
     def next_free_time(self, now: float) -> float:
-        """Earliest time at or after ``now`` when an MSHR can be allocated."""
+        """Earliest time at or after ``now`` when an MSHR can be allocated.
 
-        self._reclaim(now)
-        if len(self._completions) < self._capacity:
+        Reclaims the MSHRs whose fills completed by ``now`` (inline: the
+        prefetcher's drain asks once per queued prefetch).
+        """
+
+        completions = self._completions
+        while completions and completions[0] <= now:
+            heapq.heappop(completions)
+        if len(completions) < self._capacity:
             return now
-        return self._completions[0]
+        return completions[0]
 
     def allocate(self, now: float) -> float:
         """Allocate an MSHR, returning the time the allocation takes effect.
 
         If the file is full the allocation is delayed until the earliest
         outstanding fill completes; the delay is accounted as a stall.
-        (Inlined reclaim: this runs once per cache miss, so it avoids the
-        double ``next_free_time``/``_reclaim`` call chain.)
+        (Inlined reclaim: this runs once per cache miss.)
         """
 
         completions = self._completions

@@ -11,8 +11,6 @@ The subpackage models every structure in Figure 3 of the paper:
   to specialised Python closures (the engine's execution tier; digest-cached,
   bit-identical to the interpreter).
 * :mod:`~repro.programmable.filter` — the address filter and filter table.
-* :mod:`~repro.programmable.queues` — the observation queue and the prefetch
-  request queue (droppable FIFOs).
 * :mod:`~repro.programmable.ppu` / :mod:`~repro.programmable.scheduler` — the
   programmable prefetch units and the observation scheduler.
 * :mod:`~repro.programmable.ewma` — the EWMA calculators that derive dynamic
@@ -21,7 +19,8 @@ The subpackage models every structure in Figure 3 of the paper:
 * :mod:`~repro.programmable.config_api` — the configuration the main program
   installs before a loop (address bounds, kernels, tags, globals).
 * :mod:`~repro.programmable.prefetcher` — the engine that ties it together and
-  plugs into the memory hierarchy.
+  plugs into the memory hierarchy, including the observation queue and the
+  prefetch request queue (drop-oldest deques).
 """
 
 from .compiler import (
@@ -43,7 +42,6 @@ from .kernel import (
 )
 from .ppu import PPU
 from .prefetcher import EventTriggeredPrefetcher
-from .queues import ObservationQueue, PrefetchRequestQueue
 from .registers import GlobalRegisterFile
 from .scheduler import LowestFreeIdPolicy, RoundRobinPolicy
 
@@ -64,8 +62,6 @@ __all__ = [
     "EWMA",
     "LookaheadCalculator",
     "PPU",
-    "ObservationQueue",
-    "PrefetchRequestQueue",
     "GlobalRegisterFile",
     "EventTriggeredPrefetcher",
     "LowestFreeIdPolicy",

@@ -20,7 +20,10 @@ Python source:
   fault/abort semantics are preserved *exactly*: dynamic instruction counts
   feed PPU busy time, so they must stay bit-identical (pinned by the
   golden-stats suite and the differential harness in
-  ``tests/test_kernel_compiler.py``).
+  ``tests/test_kernel_compiler.py``).  A kernel with no backward branch
+  runs each instruction at most once, so when it has at most
+  ``MAX_DYNAMIC_INSTRUCTIONS`` of them its watchdog tests cannot fire and
+  are not emitted.
 
 The generated source is ``compile()``d once and cached by **program
 digest**, so repeated engine constructions — per-point sweeps, warm caches,
@@ -210,6 +213,10 @@ def generate_source(program: KernelProgram) -> str:
     multi = len(order) > 1 or any(
         instruction.opcode in BRANCH_OPCODES for instruction in instructions
     )
+    watchdog = count > MAX_DYNAMIC_INSTRUCTIONS or any(
+        instruction.opcode in BRANCH_OPCODES and instruction.target <= index
+        for index, instruction in enumerate(instructions)
+    )
 
     lines: list[str] = []
     fn_name = f"_kernel_{_sanitize(program.name)}"
@@ -254,8 +261,9 @@ def generate_source(program: KernelProgram) -> str:
 
         nonlocal pending
         emit(depth, f"executed += {pending + 1}")
-        emit(depth, f"if executed > {MAX_DYNAMIC_INSTRUCTIONS}:")
-        emit(depth + 1, f"return prefetches, {MAX_DYNAMIC_INSTRUCTIONS}, True")
+        if watchdog:
+            emit(depth, f"if executed > {MAX_DYNAMIC_INSTRUCTIONS}:")
+            emit(depth + 1, f"return prefetches, {MAX_DYNAMIC_INSTRUCTIONS}, True")
         pending = 0
 
     for index, (instruction, opcode) in enumerate(zip(instructions, opcode_ints)):

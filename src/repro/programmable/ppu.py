@@ -4,7 +4,9 @@ Each PPU is a tiny in-order core.  The model tracks when each unit is busy and
 how much work it has done; kernel execution itself (both its effects and its
 dynamic instruction count) is handled by the compiled kernel executors of
 :mod:`repro.programmable.compiler`, and the engine converts the instruction
-count into busy time using the PPU/core clock ratio.
+count into busy time using the PPU/core clock ratio: an event occupies a PPU
+for ``(instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES) * cycle_ratio``
+main-core cycles.  The engine's totals are sums of these per-PPU counters.
 """
 
 from __future__ import annotations
@@ -41,23 +43,6 @@ class PPU:
     ppu_id: int
     busy_until: float = 0.0
     stats: PPUStats = field(default_factory=PPUStats)
-
-    def is_free(self, time: float) -> bool:
-        return self.busy_until <= time
-
-    def assign(self, start_time: float, ppu_instructions: int, cycle_ratio: float) -> float:
-        """Occupy the PPU for one event; returns the completion time.
-
-        ``ppu_instructions`` is the dynamic instruction count of the kernel;
-        ``cycle_ratio`` is main-core cycles per PPU cycle.
-        """
-
-        duration = (ppu_instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES) * cycle_ratio
-        self.busy_until = start_time + duration
-        self.stats.events_executed += 1
-        self.stats.instructions_executed += ppu_instructions
-        self.stats.busy_cycles += duration
-        return self.busy_until
 
     def activity_factor(self, total_cycles: float) -> float:
         """Fraction of the run this PPU spent awake (Figure 10)."""

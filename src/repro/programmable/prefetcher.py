@@ -11,8 +11,9 @@ chain latencies into dynamic look-ahead distances that kernels can read.
 The engine is a discrete-event model sharing the simulation's global clock
 (main-core cycles).  It is driven lazily: the memory hierarchy calls
 :meth:`EventTriggeredPrefetcher.advance_to` with the current time before every
-demand access, so the prefetcher's state (including lines it has filled into
-the cache model) is up to date whenever the core looks.
+demand access at which an engine event is due, so the prefetcher's state
+(including lines it has filled into the cache model) is up to date whenever
+the core looks.
 
 One event loop runs every configuration.  The *blocking* variant
 (``ProgrammablePrefetcherConfig.blocking_mode``) models the Figure 11
@@ -22,11 +23,32 @@ continues the chain itself, exactly like a helper thread that must wait on
 intermediate loads.  Scheduling policies other than the paper's
 lowest-free-id scan are consulted through their ``select`` at the same
 point.
+
+The records flowing through the engine are plain tuples, built positionally
+on the per-event path:
+
+* an *observation* (an observation-queue entry) is
+  ``(executor, addr, line_base, line_words, stream, chain_start_time)``,
+  where ``executor`` is the compiled kernel to run, ``line_words`` the
+  forwarded cache line, ``stream`` the EWMA stream the kernel's look-ahead
+  reads and ``chain_start_time`` the timestamp of a timed prefetch chain
+  (Section 4.5), or ``None``;
+* a *prefetch request* (a request-queue entry) is
+  ``(addr, tag, stream, chain_start_time)``;
+* a heap *event* is ``(time, sequence, kind, a, b, c)``: an observation
+  carries the observation in ``a``; a finished PPU its prefetches, stream
+  and chain start; a fill its request in ``a``; a drain nothing.
+
+Both queues are ``deque(maxlen=N)``: a full queue drops its oldest entry, as
+the paper's queues do ("old observations can be safely dropped with no
+impact on correctness"), and the engine counts each drop.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,10 +58,8 @@ from ..memory.hierarchy import MemoryHierarchy
 from .compiler import kernel_executor
 from .config_api import PrefetcherConfiguration
 from .ewma import LookaheadCalculator
-from .events import Observation, ObservationKind, PrefetchRequest
 from .filter import AddressFilter
 from .ppu import EVENT_DISPATCH_OVERHEAD_PPU_CYCLES, PPU
-from .queues import ObservationQueue, PrefetchRequestQueue
 from .registers import GlobalRegisterFile
 from .scheduler import LowestFreeIdPolicy, SchedulingPolicy
 
@@ -49,46 +69,27 @@ _EV_PPU_DONE = 1
 _EV_DRAIN = 2
 _EV_FILL = 3
 
-# Enum members hoisted for the hot observation constructors.
-_OBS_LOAD = ObservationKind.LOAD
-_OBS_PREFETCH = ObservationKind.PREFETCH
-
-# The arrivals of a PPU-done event: nothing to push, one dispatch.
+# The arrivals of a PPU-done event with observations waiting: nothing to
+# push, one dispatch.
 _DISPATCH_ONLY = (None,)
 
 
 @dataclass(slots=True)
 class PrefetcherStats:
-    """Aggregate statistics of one run of the programmable prefetcher."""
+    """The facts only the engine counts.
 
-    loads_snooped: int = 0
+    :meth:`EventTriggeredPrefetcher.collect_stats` derives the rest: the
+    PPU totals from the per-PPU counters and ``loads_snooped`` from the
+    demand reads the L1 served while the engine was attached.
+    """
+
     observations_created: int = 0
     observations_dropped: int = 0
-    events_executed: int = 0
-    kernel_aborts: int = 0
-    ppu_instructions: int = 0
-    prefetches_generated: int = 0
     prefetches_dropped: int = 0
     prefetches_issued: int = 0
     prefetches_discarded: int = 0
     fills_observed: int = 0
     activity_factors: list[float] = field(default_factory=list)
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "loads_snooped": self.loads_snooped,
-            "observations_created": self.observations_created,
-            "observations_dropped": self.observations_dropped,
-            "events_executed": self.events_executed,
-            "kernel_aborts": self.kernel_aborts,
-            "ppu_instructions": self.ppu_instructions,
-            "prefetches_generated": self.prefetches_generated,
-            "prefetches_dropped": self.prefetches_dropped,
-            "prefetches_issued": self.prefetches_issued,
-            "prefetches_discarded": self.prefetches_discarded,
-            "fills_observed": self.fills_observed,
-            "activity_factors": list(self.activity_factors),
-        }
 
 
 class EventTriggeredPrefetcher:
@@ -106,15 +107,23 @@ class EventTriggeredPrefetcher:
         configuration.validate()
         self.system_config = system_config
         self.config = system_config.prefetcher
+        self.config.validate()
         self.configuration = configuration
         self.cycle_ratio = system_config.ppu_cycle_ratio
         self.blocking = self.config.blocking_mode
 
         self.filter = AddressFilter(configuration, self.config.filter_table_entries)
-        self.observation_queue = ObservationQueue(self.config.observation_queue_entries)
-        self.request_queue = PrefetchRequestQueue(self.config.prefetch_queue_entries)
+        self.observation_queue: deque[tuple] = deque(
+            maxlen=self.config.observation_queue_entries
+        )
+        self.request_queue: deque[tuple] = deque(maxlen=self.config.prefetch_queue_entries)
         self.ppus = [PPU(index) for index in range(self.config.num_ppus)]
-        self.policy = policy if policy is not None else LowestFreeIdPolicy()
+        # A private copy, so a policy with state (the round-robin cursor)
+        # starts every run where the caller's object stands.
+        self.policy = copy.deepcopy(policy) if policy is not None else LowestFreeIdPolicy()
+        self._select = (
+            None if type(self.policy) is LowestFreeIdPolicy else self.policy.select
+        )
 
         self.globals = GlobalRegisterFile(self.config.global_registers)
         for name, index in sorted(configuration.global_names.items(), key=lambda item: item[1]):
@@ -132,40 +141,54 @@ class EventTriggeredPrefetcher:
             for name, stream in self._streams.items()
         }
         # Kernels are resolved to executors once, here — compiled closures
-        # cached process-wide by program digest.  Event handling then pays a
-        # single dict lookup and one call per event instead of re-dispatching
-        # every kernel instruction.
-        self._executors = {
+        # cached process-wide by program digest — and every observation
+        # carries its executor, so an event pays one call, no lookup.
+        executors = {
             name: kernel_executor(program)
             for name, program in configuration.kernels.items()
         }
-        # The *live* register list (kernels cannot write globals) and the
-        # bound look-ahead resolver, hoisted so no per-event context object
-        # needs to be built.
-        self._globals_view = self.globals.values_view()
-        # Per-event hot-path state, resolved once: the tag table as a plain
-        # dict, look-ahead calculators by stream index and the default
-        # distance for unconfigured streams.
-        self._tag_configs = configuration.tags
-        # Package-private peek at the filter's pre-partitioned load entries:
-        # _on_snoop runs for every demand read, and inlining the match saves
-        # a call per load (the filter's counters are still kept exactly).
-        self._load_entries = self.filter._load_entries
-        self._prefetch_entries = self.filter._prefetch_entries
-        self._filter_stats = self.filter.stats
-        # Convex hull of the load-watched ranges: a snooped address outside
-        # [lo, hi) cannot match any entry, so the per-load match scan is
-        # skipped entirely (counters are still kept exactly).
+
+        def executor(kernel: Optional[str]):
+            return None if kernel is None else executors[kernel]
+
+        # The filter table, flattened per event source.  Load entries:
+        # (base, end, executor, stream, chain_start, iteration calculator).
+        self._load_entries = [
+            (
+                entry.base, entry.end, executor(entry.load_kernel), entry.stream,
+                entry.chain_start,
+                self._lookaheads[entry.stream]
+                if entry.time_iterations and entry.stream is not None
+                else None,
+            )
+            for _base, _end, entry in self.filter._load_entries
+        ]
+        # Convex hull of the load-watched ranges: the hierarchy enters the
+        # snoop only for addresses inside [lo, hi) (see attach).
         if self._load_entries:
-            self._load_lo = min(base for base, _end, _entry in self._load_entries)
-            self._load_hi = max(end for _base, end, _entry in self._load_entries)
+            self._load_lo = min(entry[0] for entry in self._load_entries)
+            self._load_hi = max(entry[1] for entry in self._load_entries)
         else:
             self._load_lo = self._load_hi = 0
-        # With exactly one watched range the hull test IS the match test, so
-        # the snoop path can reuse a pre-built single-entry match list.
-        self._single_load_match = (
-            [self._load_entries[0][2]] if len(self._load_entries) == 1 else None
-        )
+        # Prefetch entries: (base, end, executor, stream, chain_end, chain_start).
+        self._prefetch_entries = [
+            (
+                entry.base, entry.end, executor(entry.prefetch_kernel), entry.stream,
+                entry.chain_end, entry.chain_start,
+            )
+            for _base, _end, entry in self.filter._prefetch_entries
+        ]
+        # Tags: tag -> (executor, stream, chain_end).  Configured tags are
+        # non-negative, so an untagged request (-1) never matches.
+        self._tag_entries = {
+            tag: (executors[config.kernel], config.stream, config.chain_end)
+            for tag, config in configuration.tags.items()
+            if tag >= 0
+        }
+        self._filter_stats = self.filter.stats
+        # The *live* register list (kernels cannot write globals), hoisted so
+        # no per-event context object needs to be built.
+        self._globals_view = self.globals.values_view()
         self._calc_by_index = {
             stream.index: self._lookaheads[name]
             for name, stream in self._streams.items()
@@ -174,53 +197,68 @@ class EventTriggeredPrefetcher:
 
         self.stats = PrefetcherStats()
         self._hierarchy: Optional[MemoryHierarchy] = None
-        self._heap: list[tuple[float, int, int, object]] = []
+        # The attached hierarchy's prefetch path and line-word memo (attach).
+        self._prefetch_access = None
+        self._line_words: dict[int, tuple[int, ...]] = {}
+        # Demand reads the L1 had served when the engine attached, and the
+        # reads snooped by earlier attachments.
+        self._reads_at_attach = 0
+        self._reads_before = 0
+        self._heap: list[tuple] = []
         self._sequence = 0
+        self._all_busy_until = 0.0
 
     # ------------------------------------------------------------- attachment
 
     def attach(self, hierarchy: MemoryHierarchy) -> None:
-        """Attach to ``hierarchy``: snoop demand loads and advance with the clock."""
+        """Attach to ``hierarchy``: snoop demand loads and advance with the clock.
+
+        The hierarchy enters the advance hook only while an engine event is
+        due and the snoop only for addresses inside the load-watched hull;
+        either call would do nothing otherwise.  The filter sees every
+        demand read, so ``loads_snooped`` is the L1's read count.
+        """
 
         self._hierarchy = hierarchy
+        self._reads_at_attach = hierarchy.l1.stats.demand_read_accesses
+        self._prefetch_access = hierarchy.prefetch_access
+        self._line_words = hierarchy._line_words_cache
         hierarchy.set_demand_snoop(self._on_snoop)
         hierarchy.set_advance_hook(self.advance_to)
+        hierarchy.gate_hooks(self._heap, self._load_lo, self._load_hi)
 
     def detach(self) -> None:
         if self._hierarchy is not None:
+            self._reads_before = self._reads_snooped()
             self._hierarchy.set_demand_snoop(None)
             self._hierarchy.set_advance_hook(None)
             self._hierarchy = None
 
+    def _reads_snooped(self) -> int:
+        hierarchy = self._hierarchy
+        if hierarchy is None:
+            return self._reads_before
+        reads = hierarchy.l1.stats.demand_read_accesses
+        return self._reads_before + reads - self._reads_at_attach
+
     # ------------------------------------------------------------------ snoop
 
     def _on_snoop(self, addr: int, time: float, level: str) -> None:
+        """A demand read inside the load hull (the hierarchy skips the rest)."""
+
         del level  # The address filter watches every demand load.
-        self.stats.loads_snooped += 1
-        # AddressFilter.match_load, inlined (it runs per demand read).
-        filter_stats = self._filter_stats
-        filter_stats.load_snoops += 1
-        if not self._load_lo <= addr < self._load_hi:
-            return
-        matches = self._single_load_match
-        if matches is None:
-            matches = [
-                entry for base, end, entry in self._load_entries if base <= addr < end
-            ]
-            if not matches:
-                return
-        filter_stats.load_matches += 1
-        hierarchy = self._hierarchy
-        assert hierarchy is not None
-        line_words: Optional[tuple[int, ...]] = None
-        line_base = 0
-        for entry in matches:
-            if entry.time_iterations and entry.stream is not None:
-                # Streams referenced by ranges are checked by validate(), so
-                # the plain dict access cannot miss.  observe_iteration is
-                # inlined: it runs per matched load on timing ranges, and
-                # the common case only bumps the window counter.
-                calculator = self._lookaheads[entry.stream]
+        matched = False
+        line_words = None
+        for base, end, run, stream, chain_start, calculator in self._load_entries:
+            if not base <= addr < end:
+                continue
+            if not matched:
+                matched = True
+                self._filter_stats.load_matches += 1
+            if calculator is not None:
+                # LookaheadCalculator.observe_iteration, inlined: it runs per
+                # matched load on timing ranges, and the common case only
+                # bumps the window counter.
                 start = calculator._window_start_time
                 if start is None:
                     calculator._window_start_time = time
@@ -234,43 +272,36 @@ class EventTriggeredPrefetcher:
                             calculator._cached_distance = None
                         calculator._window_start_time = time
                         calculator._window_count = 0
-            if entry.load_kernel is None:
+            if run is None:
                 continue
             if line_words is None:  # read the snooped line once, not per match
                 line_base = addr - (addr % CACHE_LINE_BYTES)
-                line_words = hierarchy._line_words_cache.get(line_base)
+                line_words = self._line_words.get(line_base)
                 if line_words is None:
-                    line_words = hierarchy.read_line_words(addr)
-            # Positional construction: keyword NamedTuple construction costs
-            # measurably more, and this runs per matching demand load.
-            observation = Observation(
-                _OBS_LOAD,
-                addr,
-                time,
-                entry.load_kernel,
-                line_base,
-                line_words,
-                entry.stream,
-                time if entry.chain_start else None,
-            )
+                    line_words = self._hierarchy.read_line_words(addr)
             self.stats.observations_created += 1
             self._sequence = sequence = self._sequence + 1
-            heapq.heappush(self._heap, (time, sequence, _EV_OBSERVATION, observation))
+            heapq.heappush(
+                self._heap,
+                (
+                    time, sequence, _EV_OBSERVATION,
+                    (run, addr, line_base, line_words, stream,
+                     time if chain_start else None),
+                    None, None,
+                ),
+            )
 
     # ------------------------------------------------------------------ clock
 
     def advance_to(self, time: float) -> None:
         """Process every internal event scheduled at or before ``time``.
 
-        This is the engine's one event loop; the memory hierarchy calls it
-        before every demand access.  Each event first adds what it carries:
+        This is the engine's one event loop.  Each event first adds what it
+        carries:
 
         * an observation joins the observation queue (dropping the oldest
           entry when full);
-        * a finished PPU moves its prefetches into the request queue and
-          schedules a drain;
-        * a drain issues queued prefetches while an L1 MSHR is free and
-          re-arms itself for the next free one;
+        * a finished PPU moves its prefetches into the request queue;
         * an interesting fill builds its follow-on observations
           (:meth:`_fill_observations`), and each is pushed and dispatched
           in turn.
@@ -281,144 +312,166 @@ class EventTriggeredPrefetcher:
         one branch there: instead of returning the prefetches as a
         PPU-done event, the PPU issues them at once, waits for each
         interesting fill and runs the follow-on kernels itself.
+
+        A drain issues queued prefetches while an L1 MSHR is free and
+        re-arms itself as a heap event for the next free one.  A PPU-done
+        event drains in place, right after its dispatch, unless another
+        event shares its timestamp and so must run first: the dispatch only
+        schedules strictly later events and issuing touches neither the
+        EWMAs nor the PPUs, so the order is the one a same-time drain event
+        would have produced.  Otherwise it pushes a drain for its own time,
+        unless the event pushed last already is one: the second would run
+        right after the first with nothing in between, and find the queue
+        empty or the MSHRs still busy.
         """
 
         heap = self._heap
         if not heap or heap[0][0] > time:
             return
-        stats = self.stats
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        observations = self.observation_queue
+        queue_observation = observations.append
+        next_observation = observations.popleft
+        observation_capacity = observations.maxlen
+        requests = self.request_queue
+        queue_request = requests.append
+        next_request = requests.popleft
+        request_capacity = requests.maxlen
         next_free = self._hierarchy.l1_mshrs.next_free_time
-        push_observation = self.observation_queue.push
-        obs_entries = self.observation_queue.entries
-        push_request = self.request_queue.push
-        req_entries = self.request_queue.entries
+        issue = self._issue
+        fill_observations = self._fill_observations
         ppus = self.ppus
-        select = None if type(self.policy) is LowestFreeIdPolicy else self.policy.select
+        select = self._select
+        # No PPU is free before this time (valid while select is None: a
+        # dispatch only ever pushes a PPU's busy_until later).
+        all_busy_until = self._all_busy_until
         blocking = self.blocking
-        executors = self._executors
         globals_view = self._globals_view
         lookahead = self._lookahead_by_index
         cycle_ratio = self.cycle_ratio
-        issue = self._issue
-        fill_observations = self._fill_observations
+        overhead = EVENT_DISPATCH_OVERHEAD_PPU_CYCLES
+        stats = self.stats
+        # Counters of the loop, written back once at the end.
+        sequence = self._sequence
+        issued = fills = created = 0
+        # Key of the newest drain pushed for a PPU-done event's own time.
+        drain_time = drain_sequence = -1
         # Follow-on observations of one blocking chain, oldest first; always
         # empty between dispatches.
-        chain: list[Observation] = []
-        heappop = heapq.heappop
-        heappush = heapq.heappush
+        follow_ons: list[tuple] = []
 
         while heap and heap[0][0] <= time:
-            event_time, _seq, kind, payload = heappop(heap)
+            event_time, _seq, kind, a, b, c = heappop(heap)
 
-            if kind == _EV_DRAIN:
-                # Issue while an L1 MSHR is free; otherwise re-arm for the
-                # next free one.
-                while req_entries:
-                    free_at = next_free(event_time)
-                    if free_at > event_time:
-                        self._sequence = sequence = self._sequence + 1
-                        heappush(heap, (free_at, sequence, _EV_DRAIN, None))
-                        break
-                    request = req_entries.popleft()
-                    fill_time = issue(request, event_time)
-                    if fill_time is not None:
-                        self._sequence = sequence = self._sequence + 1
-                        heappush(heap, (fill_time, sequence, _EV_FILL, request))
-                continue
+            if kind != _EV_DRAIN:
+                if kind == _EV_PPU_DONE:
+                    for target, tag in a:
+                        if len(requests) == request_capacity:
+                            stats.prefetches_dropped += 1
+                        queue_request((target, tag, b, c))
+                    arrivals = _DISPATCH_ONLY if observations else ()
+                elif kind == _EV_FILL:
+                    arrivals = fill_observations(a, event_time)
+                    fills += 1
+                    created += len(arrivals)
+                else:  # _EV_OBSERVATION
+                    arrivals = (a,)
 
-            if kind == _EV_OBSERVATION:
-                arrivals = (payload,)
-            elif kind == _EV_PPU_DONE:
-                prefetches, observation = payload
-                for addr, tag in prefetches:
-                    if push_request(
-                        PrefetchRequest(
-                            addr, tag, event_time, observation.stream,
-                            observation.chain_start_time,
-                        )
-                    ):
-                        stats.prefetches_dropped += 1
-                if req_entries:
-                    # Every event already queued at this timestamp precedes
-                    # the drain, and everything the dispatch below schedules
-                    # lies in the future, so the drain runs next.
-                    self._sequence = sequence = self._sequence + 1
-                    heappush(heap, (event_time, sequence, _EV_DRAIN, None))
-                arrivals = _DISPATCH_ONLY
-            else:  # _EV_FILL
-                arrivals = fill_observations(payload, event_time)
-                stats.observations_created += len(arrivals)
-
-            for arrival in arrivals:
-                if arrival is not None and push_observation(arrival):
-                    stats.observations_dropped += 1
-                while obs_entries:
-                    if select is None:
-                        for ppu in ppus:
-                            if ppu.busy_until <= event_time:
+                for arrival in arrivals:
+                    if arrival is not None:
+                        if len(observations) == observation_capacity:
+                            stats.observations_dropped += 1
+                        queue_observation(arrival)
+                    while observations:
+                        if select is None:
+                            if event_time < all_busy_until:
+                                break
+                            for ppu in ppus:
+                                if ppu.busy_until <= event_time:
+                                    break
+                            else:
+                                all_busy_until = min([ppu.busy_until for ppu in ppus])
                                 break
                         else:
-                            break  # every PPU is busy
-                    else:
-                        ppu = select(ppus, event_time)
-                        if ppu is None:
-                            break
-                    observation = obs_entries.popleft()
-                    ppu_stats = ppu.stats
-                    finish = event_time
-                    while True:
-                        prefetches, instructions, aborted = executors[observation.kernel_name](
-                            observation.addr,
-                            observation.line_base,
-                            observation.line_words,
-                            globals_view,
-                            lookahead,
-                        )
-                        stats.events_executed += 1
-                        stats.ppu_instructions += instructions
-                        ppu_stats.events_executed += 1
-                        ppu_stats.instructions_executed += instructions
-                        if aborted:
-                            stats.kernel_aborts += 1
-                            ppu_stats.kernel_aborts += 1
-                        generated = len(prefetches)
-                        stats.prefetches_generated += generated
-                        ppu_stats.prefetches_generated += generated
-                        duration = (
-                            instructions + EVENT_DISPATCH_OVERHEAD_PPU_CYCLES
-                        ) * cycle_ratio
-                        finish += duration
-                        if not blocking:
-                            ppu_stats.busy_cycles += duration
-                            self._sequence = sequence = self._sequence + 1
-                            heappush(
-                                heap,
-                                (finish, sequence, _EV_PPU_DONE, (prefetches, observation)),
+                            ppu = select(ppus, event_time)
+                            if ppu is None:
+                                break
+                        run, addr, line_base, line_words, stream, chain = next_observation()
+                        ppu_stats = ppu.stats
+                        finish = event_time
+                        while True:
+                            prefetches, instructions, aborted = run(
+                                addr, line_base, line_words, globals_view, lookahead
                             )
-                            break
-                        for addr, tag in prefetches:
-                            request = PrefetchRequest(
-                                addr, tag, finish, observation.stream,
-                                observation.chain_start_time,
-                            )
-                            fill_time = issue(request, finish)
-                            if fill_time is not None:
-                                # Blocking: wait for the data before running
-                                # the next kernel of the chain.
-                                finish = max(finish, fill_time)
-                                chain.extend(fill_observations(request, fill_time))
-                        if not chain:
-                            ppu_stats.busy_cycles += finish - event_time
-                            break
-                        observation = chain.pop(0)
-                    ppu.busy_until = finish
+                            ppu_stats.events_executed += 1
+                            ppu_stats.instructions_executed += instructions
+                            if aborted:
+                                ppu_stats.kernel_aborts += 1
+                            ppu_stats.prefetches_generated += len(prefetches)
+                            duration = (instructions + overhead) * cycle_ratio
+                            finish += duration
+                            if not blocking:
+                                ppu_stats.busy_cycles += duration
+                                sequence += 1
+                                heappush(
+                                    heap,
+                                    (finish, sequence, _EV_PPU_DONE, prefetches, stream, chain),
+                                )
+                                break
+                            for target, tag in prefetches:
+                                request = (target, tag, stream, chain)
+                                issued += 1
+                                fill_time = issue(request, finish)
+                                if fill_time is not None:
+                                    # Blocking: wait for the data before
+                                    # running the next kernel of the chain.
+                                    if fill_time > finish:
+                                        finish = fill_time
+                                    follow_ons.extend(fill_observations(request, fill_time))
+                                    fills += 1
+                            if not follow_ons:
+                                ppu_stats.busy_cycles += finish - event_time
+                                break
+                            run, addr, line_base, line_words, stream, chain = follow_ons.pop(0)
+                        ppu.busy_until = finish
+
+                if kind != _EV_PPU_DONE or not requests:
+                    continue
+                if heap and heap[0][0] <= event_time:
+                    if sequence != drain_sequence or event_time != drain_time:
+                        sequence += 1
+                        heappush(heap, (event_time, sequence, _EV_DRAIN, None, None, None))
+                        drain_time, drain_sequence = event_time, sequence
+                    continue
+
+            # Drain: issue while an L1 MSHR is free; otherwise re-arm for
+            # the next free one.
+            while requests:
+                free_at = next_free(event_time)
+                if free_at > event_time:
+                    sequence += 1
+                    heappush(heap, (free_at, sequence, _EV_DRAIN, None, None, None))
+                    break
+                queued = next_request()
+                issued += 1
+                fill_time = issue(queued, event_time)
+                if fill_time is not None:
+                    sequence += 1
+                    heappush(heap, (fill_time, sequence, _EV_FILL, queued, None, None))
+
+        self._sequence = sequence
+        self._all_busy_until = all_busy_until
+        stats.prefetches_issued += issued
+        stats.fills_observed += fills
+        stats.observations_created += created
 
     def drain(self, until: float) -> None:
         """Run the engine past the end of the core trace (end-of-run cleanup)."""
 
         self.advance_to(until)
 
-    def _issue(self, request: PrefetchRequest, time: float) -> Optional[float]:
+    def _issue(self, request: tuple, time: float) -> Optional[float]:
         """Send ``request`` to the L1 at ``time``.
 
         Returns the fill time when the fill will wake the prefetcher, i.e.
@@ -427,71 +480,60 @@ class EventTriggeredPrefetcher:
         fill, and a prefetch the hierarchy discards, returns ``None``.
         """
 
-        stats = self.stats
-        stats.prefetches_issued += 1
-        addr = request.addr
-        fill_time = self._hierarchy.prefetch_access(addr, time)
+        addr = request[0]
+        fill_time = self._prefetch_access(addr, time)
         if fill_time is None:
-            stats.prefetches_discarded += 1
+            self.stats.prefetches_discarded += 1
             return None
-        if request.tag >= 0 and request.tag in self._tag_configs:
+        if request[1] in self._tag_entries:
             return fill_time
-        # AddressFilter.match_prefetch, inlined (runs per issued prefetch).
-        for base, end, _entry in self._prefetch_entries:
-            if base <= addr < end:
+        for entry in self._prefetch_entries:
+            if entry[0] <= addr < entry[1]:
                 self._filter_stats.prefetch_matches += 1
                 return fill_time
-        return fill_time if request.chain_start_time is not None else None
+        return fill_time if request[3] is not None else None
 
     # ------------------------------------------------------------------- fill
 
-    def _fill_observations(self, request: PrefetchRequest, time: float) -> list[Observation]:
-        """Count an interesting fill, apply its EWMA chain updates and build
-        its follow-on observations: one for its tag, then one per matching
+    def _fill_observations(self, request: tuple, time: float) -> list[tuple]:
+        """Apply an interesting fill's EWMA chain updates and build its
+        follow-on observations: one for its tag, then one per matching
         prefetch-watched range that names a kernel."""
 
-        self.stats.fills_observed += 1
-        addr = request.addr
+        addr, tag, request_stream, request_chain = request
         line_base = addr - (addr % CACHE_LINE_BYTES)
-        line_words = self._hierarchy.read_line_words(addr)
-        observations: list[Observation] = []
+        line_words = self._line_words.get(line_base)
+        if line_words is None:
+            line_words = self._hierarchy.read_line_words(addr)
+        observations: list[tuple] = []
 
-        tag_config = self._tag_configs.get(request.tag) if request.tag >= 0 else None
-        if tag_config is not None:
-            stream = tag_config.stream or request.stream
-            chain = request.chain_start_time
-            if tag_config.chain_end and chain is not None and stream is not None:
+        tag_entry = self._tag_entries.get(tag)
+        if tag_entry is not None:
+            run, stream, chain_end = tag_entry
+            stream = stream or request_stream
+            chain = request_chain
+            if chain_end and chain is not None and stream is not None:
                 self._lookaheads[stream].observe_chain(chain, time)
                 chain = None
-            observations.append(
-                Observation(
-                    _OBS_PREFETCH, addr, time, tag_config.kernel, line_base, line_words,
-                    stream, chain,
-                )
-            )
+            observations.append((run, addr, line_base, line_words, stream, chain))
 
         # AddressFilter.match_prefetch, inlined (runs per interesting fill).
         matched = False
-        for base, end, entry in self._prefetch_entries:
+        for base, end, run, stream, chain_end, chain_start in self._prefetch_entries:
             if not base <= addr < end:
                 continue
             if not matched:
                 matched = True
                 self._filter_stats.prefetch_matches += 1
-            stream = entry.stream or request.stream
-            chain = request.chain_start_time
-            if entry.chain_end and chain is not None and stream is not None:
+            stream = stream or request_stream
+            chain = request_chain
+            if chain_end and chain is not None and stream is not None:
                 self._lookaheads[stream].observe_chain(chain, time)
                 chain = None
-            if entry.chain_start:
+            if chain_start:
                 chain = time
-            if entry.prefetch_kernel is not None:
-                observations.append(
-                    Observation(
-                        _OBS_PREFETCH, addr, time, entry.prefetch_kernel, line_base,
-                        line_words, stream, chain,
-                    )
-                )
+            if run is not None:
+                observations.append((run, addr, line_base, line_words, stream, chain))
         return observations
 
     # ------------------------------------------------------------------ EWMAs
@@ -506,7 +548,8 @@ class EventTriggeredPrefetcher:
         calculator = self._calc_by_index.get(index)
         if calculator is None:
             return self._unconfigured_distance
-        return calculator.lookahead()
+        distance = calculator._cached_distance
+        return distance if distance is not None else calculator.lookahead()
 
     def lookahead_distance(self, stream: str) -> int:
         """Current look-ahead distance for ``stream`` (exposed for analysis/tests)."""
@@ -524,13 +567,29 @@ class EventTriggeredPrefetcher:
         ]
 
     def collect_stats(self) -> dict[str, object]:
-        stats = self.stats.as_dict()
-        stats["observation_queue_dropped"] = self.observation_queue.dropped
-        stats["request_queue_dropped"] = self.request_queue.dropped
-        stats["filter"] = self.filter.stats.as_dict()
-        stats["per_ppu"] = [ppu.stats.as_dict() for ppu in self.ppus]
-        stats["kernel_code_bytes"] = self.configuration.code_footprint_bytes()
-        stats["lookahead"] = {
-            name: calculator.lookahead() for name, calculator in self._lookaheads.items()
+        counted = self.stats
+        per_ppu = [ppu.stats for ppu in self.ppus]
+        filter_stats = self.filter.stats
+        filter_stats.load_snoops = self._reads_snooped()
+        return {
+            "loads_snooped": filter_stats.load_snoops,
+            "observations_created": counted.observations_created,
+            "observations_dropped": counted.observations_dropped,
+            "events_executed": sum(s.events_executed for s in per_ppu),
+            "kernel_aborts": sum(s.kernel_aborts for s in per_ppu),
+            "ppu_instructions": sum(s.instructions_executed for s in per_ppu),
+            "prefetches_generated": sum(s.prefetches_generated for s in per_ppu),
+            "prefetches_dropped": counted.prefetches_dropped,
+            "prefetches_issued": counted.prefetches_issued,
+            "prefetches_discarded": counted.prefetches_discarded,
+            "fills_observed": counted.fills_observed,
+            "activity_factors": list(counted.activity_factors),
+            "observation_queue_dropped": counted.observations_dropped,
+            "request_queue_dropped": counted.prefetches_dropped,
+            "filter": filter_stats.as_dict(),
+            "per_ppu": [s.as_dict() for s in per_ppu],
+            "kernel_code_bytes": self.configuration.code_footprint_bytes(),
+            "lookahead": {
+                name: calculator.lookahead() for name, calculator in self._lookaheads.items()
+            },
         }
-        return stats

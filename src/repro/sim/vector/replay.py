@@ -36,11 +36,6 @@ rather than a fork of the timing model:
   the *pure* variant — no snoop, no software prefetches — where this loop
   is provably the sole writer, and is updated through the shared objects in
   the general variant.
-* **Write-only bookkeeping is elided.**  ``CacheLine.lru_stamp`` and
-  ``Cache._lru_counter`` are written by the interpreter but never read —
-  replacement order lives in each set dict's insertion order — so the
-  generated loop skips them; no statistic (and therefore no golden
-  fingerprint) observes the difference.
 * **Dead code is dropped only under a checked invariant.**  The
   interpreter's ``previous_issue`` term never exceeds ``fetch_clock`` when
   per-op instruction counts are non-negative (the column plan verifies
@@ -372,7 +367,7 @@ def _chunk_source(
                                 dram_writebacks += 1
                             if l2_victim.prefetched and not l2_victim.used:
                                 l2_prefetch_evicted_unused += 1
-                        l2_set[l2_tag] = CacheLine(l2_tag, complete, False, False, False, 0)
+                        l2_set[l2_tag] = CacheLine(l2_tag, complete, False, False, False)
                     heappush(l2_completions, complete){lvl_dram}"""
 
     def l1_fill_block(write: bool) -> str:
@@ -394,7 +389,7 @@ def _chunk_source(
                             l1_dirty_evictions += 1
                         if l1_victim.prefetched and not l1_victim.used:
                             l1_prefetch_evicted_unused += 1
-                    cache_set[tag] = CacheLine(tag, complete, False, False, {write!r}, 0)
+                    cache_set[tag] = CacheLine(tag, complete, False, False, {write!r})
                 heappush(l1_completions, complete)"""
 
     # ----- LOAD -----------------------------------------------------------

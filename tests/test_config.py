@@ -91,6 +91,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             ProgrammablePrefetcherConfig(ewma_alpha=0.0).validate()
 
+    def test_prefetcher_rejects_zero_entry_queues(self):
+        for queue in ("observation_queue_entries", "prefetch_queue_entries"):
+            with pytest.raises(ConfigurationError):
+                ProgrammablePrefetcherConfig(**{queue: 0}).validate()
+
     def test_l1_larger_than_l2_rejected(self):
         config = SystemConfig(
             l1=CacheConfig(name="L1D", size_bytes=2 * 1024 * 1024, associativity=2, hit_latency=2, mshrs=4)

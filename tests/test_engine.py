@@ -168,4 +168,4 @@ class TestEngineEndToEnd:
         engine.attach(hier)
         engine.detach()
         hier.demand_access(space.regions[0].base, 0.0)
-        assert engine.stats.loads_snooped == 0
+        assert engine.collect_stats()["loads_snooped"] == 0

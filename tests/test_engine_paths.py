@@ -8,6 +8,11 @@ event-triggered engine and the Figure 11 blocking ablation, on two small
 workloads.  The fingerprints
 in ``tests/data/engine_paths.json`` come from ``tools/update_golden_stats.py``
 and must be reproduced bit for bit.
+
+Beyond the pinned matrix, every tiny programmable point is checked for the
+engine's conservation laws under three more configurations, and a
+scheduling policy object reused across runs must not carry state between
+them.
 """
 
 import importlib.util
@@ -18,8 +23,11 @@ from pathlib import Path
 import pytest
 
 from repro.config import SystemConfig
-from repro.sim import simulate
+from repro.programmable.scheduler import RoundRobinPolicy
+from repro.sim import simulate, simulate_batch
 from repro.sim.engine.request import resolve_policy
+from repro.sim.modes import PrefetchMode, mode_available
+from repro.workloads import registry
 
 _ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -71,3 +79,58 @@ def test_engine_path_is_bit_identical(
     )
     key = golden_tool.engine_path_key(workload_name, mode.value, policy, queue_entries)
     assert json.loads(json.dumps(result.as_dict())) == pinned[key], key
+
+
+#: Engine configurations the pinned matrix does not cover: (system config
+#: overrides, scheduling policy name).
+CONSERVATION_CONFIGS = {
+    "1-ppu": ({"num_ppus": 1}, None),
+    "2-entry-queues": ({"observation_queue_entries": 2, "prefetch_queue_entries": 2}, None),
+    "blocking-round-robin": ({"blocking_mode": True}, "round-robin"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSERVATION_CONFIGS))
+def test_engine_counters_are_conserved(name, tiny_workloads):
+    overrides, policy = CONSERVATION_CONFIGS[name]
+    config = SystemConfig.scaled().with_prefetcher(**overrides)
+    checked = 0
+    for workload_name in registry.names():
+        workload = tiny_workloads.get(workload_name)
+        for mode in PrefetchMode:
+            if not (mode.uses_programmable_prefetcher and mode_available(workload, mode)):
+                continue
+            result = simulate(workload, mode, config, policy=resolve_policy(policy))
+            engine, l1 = result.prefetcher, result.hierarchy.l1
+            dropped = result.hierarchy.dropped_prefetches
+            point = f"{workload_name}/{mode.value}"
+            assert engine["loads_snooped"] == engine["filter"]["load_snoops"], point
+            assert engine["loads_snooped"] == l1["demand_read_accesses"], point
+            assert engine["observations_dropped"] == engine["observation_queue_dropped"], point
+            assert engine["prefetches_dropped"] == engine["request_queue_dropped"], point
+            for total, per_ppu in (
+                ("events_executed", "events_executed"),
+                ("ppu_instructions", "instructions_executed"),
+                ("prefetches_generated", "prefetches_generated"),
+                ("kernel_aborts", "kernel_aborts"),
+            ):
+                assert engine[total] == sum(ppu[per_ppu] for ppu in engine["per_ppu"]), point
+            assert engine["prefetches_issued"] == l1["prefetch_requests"] + dropped, point
+            assert engine["prefetches_discarded"] == dropped, point
+            assert engine["prefetches_generated"] >= (
+                engine["prefetches_issued"] + engine["prefetches_dropped"]
+            ), point
+            checked += 1
+    assert checked > 0
+
+
+def test_policy_state_does_not_leak_between_runs(tiny_workloads):
+    # One round-robin object serving several runs: each run must start
+    # from the cursor the caller passed, as a fresh object would.
+    workload = tiny_workloads.get("pagerank")
+    config = SystemConfig.scaled()
+    fresh = simulate(workload, PrefetchMode.MANUAL, config, policy=RoundRobinPolicy())
+    batch = simulate_batch(
+        workload, PrefetchMode.MANUAL, [config, config], policy=RoundRobinPolicy()
+    )
+    assert [result.as_dict() for result in batch] == [fresh.as_dict()] * 2

@@ -70,6 +70,24 @@ class TestDemandPath:
         hier.demand_access(space.regions[0].base, 123.0)
         assert times == [123.0]
 
+    def test_gated_hooks_are_entered_only_when_they_can_act(self, hierarchy):
+        hier, space, _ = hierarchy
+        base = space.regions[0].base
+        times, snooped = [], []
+        hier.set_advance_hook(times.append)
+        hier.set_demand_snoop(lambda addr, time, level: snooped.append(addr))
+        due = [(200.0,)]
+        hier.gate_hooks(due, base + 64, base + 128)
+        hier.demand_access(base, 100.0)  # nothing due, outside the range
+        hier.demand_access(base + 64, 300.0)  # due, inside the range
+        assert times == [300.0] and snooped == [base + 64]
+        due.clear()  # the gate reads the caller's live heap
+        hier.demand_access(base + 64, 400.0)
+        assert times == [300.0] and snooped == [base + 64, base + 64]
+        hier.set_advance_hook(times.append)  # registering again ungates
+        hier.demand_access(base, 500.0)
+        assert times == [300.0, 500.0]
+
     def test_negative_time_rejected(self, hierarchy):
         hier, space, _ = hierarchy
         from repro.errors import SimulationError
@@ -100,11 +118,12 @@ class TestPrefetchPath:
         hier.prefetch_access(addr, fill + 1)
         assert hier.l1.stats.prefetch_redundant == 1
 
-    def test_fill_callback_invoked_with_fill_time(self, hierarchy):
+    def test_prefetch_returns_fill_time(self, hierarchy):
         hier, space, _ = hierarchy
-        calls = []
-        fill = hier.prefetch_access(space.regions[0].base, 0.0, on_fill=lambda a, t: calls.append((a, t)))
-        assert calls and calls[0][1] == fill
+        addr = space.regions[0].base
+        fill = hier.prefetch_access(addr, 0.0)
+        assert fill is not None and fill > 0.0
+        assert hier.l1.lookup(addr).fill_time == fill
 
     def test_prefetch_counts_as_prefetch_dram_traffic(self, hierarchy):
         hier, space, _ = hierarchy

@@ -181,6 +181,36 @@ class TestDifferential:
             == MAX_DYNAMIC_INSTRUCTIONS
         )
 
+    def test_watchdog_is_emitted_only_where_it_can_fire(self):
+        straight = KernelBuilder("straight")
+        straight.prefetch(straight.get_vaddr())
+        spin = KernelProgram("spin", (Instruction(Opcode.JUMP, target=0),))
+        limit = f"> {MAX_DYNAMIC_INSTRUCTIONS}"
+        assert limit not in generate_source(straight.build())
+        assert limit in generate_source(spin)
+
+    def test_loop_free_kernel_past_the_limit_keeps_the_watchdog(self):
+        # One more straight-line instruction than the watchdog allows.
+        program = KernelProgram(
+            "long",
+            tuple(
+                Instruction(Opcode.LI, dst=0, a=Operand.imm(1))
+                for _ in range(MAX_DYNAMIC_INSTRUCTIONS)
+            )
+            + (Instruction(Opcode.HALT),),
+        )
+        program.validate()
+        context = KernelContext(
+            vaddr=0, line_base=0, line_words=None, global_registers=[]
+        )
+        interpreted = execute_kernel(program, context)
+        compiled = run_compiled(program, context)
+        assert (compiled.aborted, compiled.instructions_executed) == (
+            interpreted.aborted,
+            interpreted.instructions_executed,
+        )
+        assert compiled.aborted
+
     def test_fault_count_includes_faulting_instruction(self):
         k = KernelBuilder("faulty")
         k.imm(1)

@@ -1,7 +1,7 @@
 """Tests for the programmable prefetcher's building blocks.
 
-Covers the EWMA calculators, droppable queues, global registers, address
-filter, PPU bookkeeping, scheduling policies and the configuration API.
+Covers the EWMA calculators, global registers, address filter, PPU
+bookkeeping, scheduling policies and the configuration API.
 """
 
 import pytest
@@ -9,11 +9,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.programmable.config_api import PrefetcherConfiguration
 from repro.programmable.ewma import EWMA, MAX_LOOKAHEAD, MIN_LOOKAHEAD, LookaheadCalculator
-from repro.programmable.events import Observation, ObservationKind, PrefetchRequest
 from repro.programmable.filter import AddressFilter
 from repro.programmable.kernel import KernelBuilder
 from repro.programmable.ppu import PPU
-from repro.programmable.queues import ObservationQueue, PrefetchRequestQueue
 from repro.programmable.registers import GlobalRegisterFile
 from repro.programmable.scheduler import LowestFreeIdPolicy, RoundRobinPolicy
 
@@ -86,46 +84,6 @@ class TestLookaheadCalculator:
         calc.observe_chain(0.0, 100.0)
         calc.reset()
         assert calc.lookahead() == calc.default_distance
-
-
-class TestQueues:
-    def _observation(self, addr=0):
-        return Observation(
-            kind=ObservationKind.LOAD,
-            addr=addr,
-            time=0.0,
-            kernel_name="k",
-            line_base=0,
-        )
-
-    def test_fifo_order(self):
-        queue = ObservationQueue(4)
-        for i in range(3):
-            queue.push(self._observation(i))
-        assert queue.pop().addr == 0
-        assert queue.pop().addr == 1
-
-    def test_oldest_dropped_on_overflow(self):
-        queue = ObservationQueue(2)
-        for i in range(3):
-            queue.push(self._observation(i))
-        assert queue.dropped == 1
-        assert queue.pop().addr == 1
-
-    def test_pop_empty_returns_none(self):
-        assert ObservationQueue(2).pop() is None
-
-    def test_request_queue_capacity(self):
-        queue = PrefetchRequestQueue(3)
-        for i in range(5):
-            queue.push(PrefetchRequest(addr=i, tag=-1, issue_time=0.0))
-        assert len(queue) == 3
-        assert queue.dropped == 2
-        assert queue.pushed == 5
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ObservationQueue(0)
 
 
 class TestGlobalRegisters:
@@ -245,14 +203,6 @@ class TestAddressFilter:
 
 
 class TestPPUAndScheduling:
-    def test_ppu_busy_accounting(self):
-        ppu = PPU(0)
-        finish = ppu.assign(100.0, ppu_instructions=10, cycle_ratio=3.2)
-        assert finish == pytest.approx(100.0 + 12 * 3.2)
-        assert not ppu.is_free(finish - 1)
-        assert ppu.is_free(finish)
-        assert ppu.activity_factor(finish) > 0
-
     def test_activity_factor_clamped(self):
         ppu = PPU(0)
         ppu.stats.busy_cycles = 500.0

@@ -10,10 +10,8 @@ from repro.memory.cache import Cache
 from repro.memory.layout import align_up, line_address, lines_covering
 from repro.memory.mshr import MSHRFile
 from repro.programmable.ewma import EWMA, MAX_LOOKAHEAD, MIN_LOOKAHEAD, LookaheadCalculator
-from repro.programmable.events import PrefetchRequest
 from repro.programmable.interpreter import KernelContext, execute_kernel
 from repro.programmable.kernel import KernelBuilder
-from repro.programmable.queues import PrefetchRequestQueue
 
 word_values = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 addresses = st.integers(min_value=0, max_value=2**48)
@@ -117,22 +115,6 @@ class TestEWMAProperties:
             time += gap
         calc.observe_chain(0.0, chain_latency)
         assert MIN_LOOKAHEAD <= calc.lookahead() <= MAX_LOOKAHEAD
-
-
-class TestQueueProperties:
-    @given(st.lists(addresses, min_size=1, max_size=100), st.integers(min_value=1, max_value=16))
-    @settings(max_examples=50)
-    def test_bounded_and_fifo(self, addrs, capacity):
-        queue = PrefetchRequestQueue(capacity)
-        for addr in addrs:
-            queue.push(PrefetchRequest(addr=addr, tag=-1, issue_time=0.0))
-            assert len(queue) <= capacity
-        drained = []
-        while len(queue):
-            drained.append(queue.pop().addr)
-        # The surviving entries are the newest ones, in arrival order.
-        assert drained == addrs[-len(drained):]
-        assert queue.dropped == max(0, len(addrs) - capacity)
 
 
 class TestTraceProperties:
