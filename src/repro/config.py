@@ -308,10 +308,7 @@ class SystemConfig:
     ) -> "SystemConfig":
         """Return a copy with L1 and/or L2 cache fields replaced.
 
-        The mutator behind cache-geometry sweeps: configurations that differ
-        only through ``with_caches`` share everything the vector backend
-        needs to batch them into one trace pass
-        (:func:`repro.sim.simulate_batch`).
+        The mutator behind cache-geometry sweeps, e.g. a smaller L1:
 
         >>> half = SystemConfig.scaled().with_caches(l1={"size_bytes": 8 * 1024})
         """

@@ -102,7 +102,9 @@ def build_engine(
     replays the previous manifest against the cache and executes only the
     missing requests; ``deadline`` bounds each run in seconds; and
     ``max_attempts`` bounds how often the parallel runner requeues a chunk
-    whose worker hung or crashed.
+    whose worker hung or crashed.  ``workers`` and ``max_attempts`` configure
+    the parallel runner only; passing either without ``parallel=True``
+    raises :class:`ValueError` naming it.
 
     ``service`` routes execution to a ``repro serve`` daemon at
     ``host:port`` or ``unix:/path``: a :class:`~repro.service.ServiceEngine`
@@ -135,6 +137,16 @@ def build_engine(
         from ..service import ServiceEngine
 
         return ServiceEngine(service, deadline=deadline)
+    if not parallel:
+        unused = [
+            name for name, value in (("workers", workers), ("max_attempts", max_attempts))
+            if value is not None
+        ]
+        if unused:
+            raise ValueError(
+                "a serial run would ignore the parallel-only argument(s) "
+                f"{', '.join(unused)}; pass parallel=True (--parallel) to use them"
+            )
     store = trace_store_from_spec(trace_store_dir)
     if parallel:
         runner_kwargs = {} if max_attempts is None else {"max_attempts": max_attempts}

@@ -138,19 +138,24 @@ class ServiceClient:
                 continue
             self._sock = sock
             self._file = sock.makefile("rb")
-            self._send({"type": "hello", "client": self.name})
-            self.welcome = self.read_event()
-            if self.welcome.get("type") != "welcome":
-                raise ServiceProtocolError(
-                    f"expected welcome, got {self.welcome.get('type')!r}"
-                )
-            protocol = self.welcome.get("protocol")
-            if protocol != PROTOCOL_VERSION:
+            try:
+                self._send({"type": "hello", "client": self.name})
+                self.welcome = self.read_event()
+                if self.welcome.get("type") != "welcome":
+                    raise ServiceProtocolError(
+                        f"expected welcome, got {self.welcome.get('type')!r}"
+                    )
+                protocol = self.welcome.get("protocol")
+                if protocol != PROTOCOL_VERSION:
+                    raise ServiceProtocolError(
+                        f"service at {self.address!r} speaks protocol {protocol!r}; "
+                        f"this client speaks protocol {PROTOCOL_VERSION}"
+                    )
+            except BaseException:
+                # A failed handshake must not leak the socket: when the
+                # constructor raises, its caller has no object to close.
                 self.close()
-                raise ServiceProtocolError(
-                    f"service at {self.address!r} speaks protocol {protocol!r}; "
-                    f"this client speaks protocol {PROTOCOL_VERSION}"
-                )
+                raise
             return
         raise ServiceError(
             f"could not connect to service at {self.address!r} "

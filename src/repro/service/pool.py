@@ -37,9 +37,8 @@ from ..errors import WorkerCrashedError
 from ..sim.engine import ExecutedRequest, TraceStoreStats, execute_group
 from ..trace_store import TraceStore
 
-#: One executed chunk: the per-request outcomes, the trace-tier counters,
-#: and how many requests were satisfied by multi-config vector batches.
-ChunkOutcome = tuple[list[ExecutedRequest], TraceStoreStats, int]
+#: One executed chunk: the per-request outcomes and the trace-tier counters.
+ChunkOutcome = tuple[list[ExecutedRequest], TraceStoreStats]
 
 #: How often a worker checks that the daemon that started it is alive.
 PARENT_POLL_SECONDS = 0.5

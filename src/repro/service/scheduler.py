@@ -3,10 +3,8 @@
 Submitted plans are divided into *chunks* — the unit the daemon hands to a
 pool worker.  Splitting reuses :meth:`~repro.sim.engine.SimPlan.workload_groups`
 so requests that replay the same traces stay together: a chunk resolves its
-workload's trace artifacts once, and configuration sweeps within a chunk
-remain eligible for the multi-configuration vector batch path
-(:func:`~repro.sim.system.try_simulate_batch_vector`).  Groups larger than
-``chunk_size`` are sliced — the work-splitting heuristic from the
+workload's trace artifacts once.  Groups larger than ``chunk_size`` are
+sliced — the work-splitting heuristic from the
 parallel-instantiation literature (Perri et al., arXiv:1110.1015): bound
 each unit of work so one giant submission cannot monopolise a worker for
 its whole duration.

@@ -108,7 +108,6 @@ class ServiceStats:
     trace_hits: int = 0
     trace_built: int = 0
     trace_stored: int = 0
-    batched: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         data = self.__dict__.copy()
@@ -690,7 +689,7 @@ class ReproServer:
 
     async def _execute_chunk(self, chunk: Chunk) -> None:
         try:
-            executed, trace_stats, batched = await self.pool.run(chunk.requests)
+            executed, trace_stats = await self.pool.run(chunk.requests)
         except WorkerCrashedError as error:
             self._running.pop(chunk.id, None)
             self.stats.crashes += 1
@@ -721,7 +720,6 @@ class ReproServer:
             self.stats.trace_hits += trace_stats.hits
             self.stats.trace_built += trace_stats.built
             self.stats.trace_stored += trace_stats.stored
-            self.stats.batched += batched
             for digest, result, failure in executed:
                 self._publish(digest, result, failure)
         finally:

@@ -20,24 +20,25 @@ from .engine import (
 )
 from .modes import PrefetchMode, mode_available
 from .results import SimulationResult
-from .system import simulate, simulate_batch
-from .sweeps import (
-    cache_geometry_sweep,
-    ppu_count_frequency_sweep,
-    ppu_frequency_sweep,
-)
+from .system import simulate
+from .sweeps import ppu_count_frequency_sweep, ppu_frequency_sweep
 
-# Vector replay runs exactly when numpy imports; perfbench/run.py still
-# reads that fact under this older name for its provenance line.
-from .vector import numpy_available as vector_backend_enabled
+
+def vector_backend_enabled() -> bool:
+    """Always ``True``: numpy is a dependency, so vector replay is always on.
+
+    Kept only because ``perfbench/run.py`` reads it for its provenance
+    line; it goes with the next change to the benchmark harness.
+    """
+
+    return True
+
 
 __all__ = [
     "PrefetchMode",
     "mode_available",
     "SimulationResult",
     "simulate",
-    "simulate_batch",
-    "cache_geometry_sweep",
     "run_comparison",
     "comparison_plan",
     "ComparisonResult",

@@ -49,20 +49,16 @@ class EngineStats:
     #: Failure label → occurrence count (``workload/mode: message``).
     failures: dict[str, int] = field(default_factory=dict)
     #: Trace-artifact tier counters: traces warmed from the store, traces
-    #: that had to be emitted, and freshly-persisted artifacts.
+    #: that had to be emitted, and freshly-persisted artifacts.  Hits count
+    #: once per executed chunk and trace variant, so a workload group the
+    #: parallel runner splits into K chunks reads each warm trace K times.
     trace_hits: int = 0
     trace_built: int = 0
     trace_stored: int = 0
-    #: Requests satisfied by multi-configuration vector batches — several
-    #: cache geometries replayed over one pass of a shared trace — rather
-    #: than by individual simulations.
-    batched: int = 0
     #: Requests a ``resume`` run satisfied from a prior run's checkpoint
     #: manifest (via the cache, or the manifest's unavailable marker)
     #: instead of re-executing them.
     resumed: int = 0
-    #: Individual failed requests retried in place under a retry policy.
-    retried: int = 0
     #: Parallel chunks requeued after their worker hung or crashed.
     requeues: int = 0
     #: Workers killed by the hung-worker watchdog.
@@ -103,13 +99,9 @@ class EngineStats:
         )
         if self.trace_hits or self.trace_built:
             text += f"; traces: {self.trace_hits} warm, {self.trace_built} emitted"
-        if self.batched:
-            text += f"; {self.batched} vector-batched"
         resilience = []
         if self.resumed:
             resilience.append(f"{self.resumed} resumed")
-        if self.retried:
-            resilience.append(f"{self.retried} retried")
         if self.requeues:
             resilience.append(f"{self.requeues} requeued")
         if self.hung_killed:
@@ -303,10 +295,8 @@ class SimEngine:
             run_stats.trace_hits = trace_stats.hits
             run_stats.trace_built = trace_stats.built
             run_stats.trace_stored = trace_stats.stored
-        run_stats.batched = getattr(self.runner, "batched", 0)
         resilience = getattr(self.runner, "resilience", None)
         if resilience is not None:
-            run_stats.retried = resilience.retried
             run_stats.requeues = resilience.requeues
             run_stats.hung_killed = resilience.hung_killed
         self.stats.merge(run_stats)

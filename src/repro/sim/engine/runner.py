@@ -11,8 +11,7 @@ built once, emitted, and persisted so the next run — or the next worker —
 starts warm.  The serial and parallel runners execute the same per-request
 code path, so for a given request set they produce bit-identical results;
 the parallel runner merely farms chunks of those groups out to worker
-processes, shipping each chunk the compact encoded trace columns it found
-warm instead of a rebuild recipe.
+processes, each of which resolves its chunk through the same on-disk store.
 
 A request whose mode cannot be built for its workload (the missing Figure 7
 bars, e.g. software prefetching on PageRank) executes to ``None`` with no
@@ -32,12 +31,11 @@ Both runners are resilience-aware (see ``docs/resilience.md``):
 * ``run`` accepts a :class:`~repro.resilience.Deadline`; once it expires,
   remaining requests complete as labelled failures (never cached, so a
   resumed run retries exactly the expired work).
-* a :class:`~repro.resilience.RetryPolicy` retries individual failed
-  requests in place, and :class:`MultiprocessRunner` runs a heartbeat
-  watchdog over its workers: a worker that stops making progress for
-  ``hang_timeout`` seconds is killed, its chunk is requeued with bounded
-  attempts, and when the pool is exhausted the remaining chunks degrade to
-  in-parent serial execution instead of hanging the plan forever.
+* :class:`MultiprocessRunner` runs a heartbeat watchdog over its workers:
+  a worker that stops making progress for ``hang_timeout`` seconds is
+  killed, its chunk is requeued with bounded attempts, and when the pool
+  is exhausted the remaining chunks degrade to in-parent serial execution
+  instead of hanging the plan forever.
 """
 
 from __future__ import annotations
@@ -50,29 +48,21 @@ from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import connection as _mp_connection
-from typing import Callable, Mapping, Optional, Sequence, Union
-
-try:  # POSIX shared memory; absent on some minimal platforms.
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exercised via monkeypatched tests
-    _shared_memory = None
+from typing import Callable, Mapping, Optional, Sequence
 
 from ...errors import RegistryError, WorkloadError
-from ...resilience import Deadline, DeadlineLike, RetryPolicy
+from ...resilience import Deadline, DeadlineLike
 from ...trace_store import (
     GroupResolver,
     TraceStore,
     TraceStoreStats,
     default_trace_store,
-    trace_digest,
-    validate_artifact_bytes,
     variants_needed,
 )
 from ...workloads.base import Workload
 from ..modes import mode_available
 from ..results import SimulationResult
-from ..system import simulate, try_simulate_batch_vector
-from ..vector import numpy_available
+from ..system import simulate
 from .request import SimRequest, resolve_policy
 
 #: One executed request: ``(digest, result, failure)``.  ``result`` is
@@ -82,12 +72,6 @@ ExecutedRequest = tuple[str, Optional[SimulationResult], Optional[str]]
 
 #: Callback receiving each batch of completed requests as it finishes.
 ExecutedCallback = Callable[[Sequence[ExecutedRequest]], None]
-
-#: One encoded trace column set as shipped to a worker: either the raw
-#: bytes pickled inline (``("bytes", data)``) or the name and size of a
-#: shared-memory segment holding them (``("shm", name, size)``), which every
-#: worker attaches zero-copy instead of receiving its own pickled copy.
-EncodedRef = Union[tuple[str, bytes], tuple[str, str, int]]
 
 #: Sentinel distinguishing "no store passed" (resolve from the environment)
 #: from an explicit ``trace_store=None`` (tier disabled).
@@ -107,8 +91,6 @@ class ResilienceStats:
     """What a runner's resilience machinery did during one ``run``.
 
     Attributes:
-        retried: Individual failed requests retried in place under a
-            :class:`~repro.resilience.RetryPolicy` (one count per retry).
         expired: Requests completed as failures because a deadline expired
             before they ran.
         hung_killed: Workers killed by the heartbeat watchdog.
@@ -118,7 +100,6 @@ class ResilienceStats:
             was exhausted.
     """
 
-    retried: int = 0
     expired: int = 0
     hung_killed: int = 0
     requeues: int = 0
@@ -126,7 +107,6 @@ class ResilienceStats:
     degraded_serial: int = 0
 
     def merge(self, other: "ResilienceStats") -> None:
-        self.retried += other.retried
         self.expired += other.expired
         self.hung_killed += other.hung_killed
         self.requeues += other.requeues
@@ -180,87 +160,37 @@ def _deadline_failure(request: SimRequest, deadline: Deadline) -> ExecutedReques
     )
 
 
-def _execute_vector_batches(
-    requests: Sequence[SimRequest], resolver: GroupResolver
-) -> dict[int, ExecutedRequest]:
-    """Pre-execute the multi-configuration vector batches of one group.
-
-    Requests of one workload group that differ only in system configuration
-    (same mode, same policy, non-programmable) are exactly what
-    :func:`~repro.sim.system.try_simulate_batch_vector` consumes: a Figure
-    9-style geometry sweep submitted as N engine requests becomes one trace
-    pass with N replay lanes.  Returns completed results keyed by position
-    in ``requests``; anything not covered — single-request modes, batches
-    the backend declined, resolution failures — falls through untouched to
-    the per-request path, which also owns failure labelling.
-    """
-
-    prebatched: dict[int, ExecutedRequest] = {}
-    if not numpy_available():
-        return prebatched
-    batches: dict[tuple[str, Optional[str]], list[int]] = {}
-    for index, request in enumerate(requests):
-        if not request.prefetch_mode.uses_programmable_prefetcher:
-            batches.setdefault((request.mode, request.policy), []).append(index)
-    for (_mode_value, policy_name), indices in batches.items():
-        if len(indices) < 2:
-            continue
-        mode = requests[indices[0]].prefetch_mode
-        try:
-            workload = resolver.workload_for_mode(mode)
-            results = try_simulate_batch_vector(
-                workload,
-                mode,
-                [requests[index].config for index in indices],
-                policy=resolve_policy(policy_name),
-            )
-        except (WorkloadError, RegistryError):
-            continue  # per-request execution reports the proper label
-        if results is None:
-            continue
-        for index, result in zip(indices, results):
-            prebatched[index] = (requests[index].digest, result, None)
-    return prebatched
-
-
 def execute_group(
     requests: Sequence[SimRequest],
     workloads: Optional[Mapping[str, Workload]] = None,
     *,
     store: Optional[TraceStore] = None,
-    encoded: Optional[Mapping[str, bytes]] = None,
     deadline: Optional[Deadline] = None,
-    retry_policy: Optional[RetryPolicy] = None,
     heartbeat: Optional[Callable[[], None]] = None,
     on_executed: Optional[Callable[[ExecutedRequest], None]] = None,
     resilience: Optional[ResilienceStats] = None,
-    sleep: Callable[[float], None] = time.sleep,
-) -> tuple[list[ExecutedRequest], TraceStoreStats, int]:
+) -> tuple[list[ExecutedRequest], TraceStoreStats]:
     """Execute one workload group, resolving its trace artifacts up front.
 
     ``workloads`` may supply pre-built objects keyed by workload name; one
     is used only when its scale and seed match the request, otherwise the
     group resolves independently so results stay independent of what was
-    passed in.  ``encoded`` carries store-encoded trace columns a parent
-    process shipped (keyed by variant); ``store`` is consulted for anything
-    else and receives freshly-emitted traces.
+    passed in.  ``store`` warms the group's traces and receives
+    freshly-emitted ones.
 
     The resilience hooks are all optional: once ``deadline`` expires the
     remaining requests complete as labelled failures instead of running;
-    ``retry_policy`` retries each *failed* request in place (unavailable
-    modes are never retried — they are answers, not errors); ``heartbeat``
-    is called after every completed request (the parallel runner's liveness
-    signal); ``on_executed`` is called with each request as it completes;
-    ``resilience`` accumulates retry/expiry counters for the caller.
+    ``heartbeat`` is called after every completed request (the parallel
+    runner's liveness signal); ``on_executed`` is called with each request
+    as it completes; ``resilience`` accumulates expiry counters for the
+    caller.
 
-    Returns the executed requests in submission order, the trace-tier
-    counters, and how many requests were satisfied by multi-configuration
-    vector batches rather than individual simulations.
+    Returns the executed requests in submission order and the trace-tier
+    counters.
     """
 
     executed: list[ExecutedRequest] = []
     stats = TraceStoreStats()
-    batched = 0
 
     def finish(done: ExecutedRequest) -> None:
         executed.append(done)
@@ -268,20 +198,6 @@ def execute_group(
             heartbeat()
         if on_executed is not None:
             on_executed(done)
-
-    def run_with_retries(request: SimRequest, workload: Workload) -> ExecutedRequest:
-        result, failure = execute_request(request, workload)
-        if failure is not None and retry_policy is not None:
-            for attempt in range(retry_policy.retries):
-                if deadline is not None and deadline.expired:
-                    break
-                sleep(retry_policy.delay(attempt))
-                if resilience is not None:
-                    resilience.retried += 1
-                result, failure = execute_request(request, workload)
-                if failure is None:
-                    break
-        return (request.digest, result, failure)
 
     for group in group_requests(requests):
         first = group[0]
@@ -299,35 +215,31 @@ def execute_group(
             first.seed,
             store=store,
             prebuilt=(workloads or {}).get(first.workload),
-            encoded=encoded if first.workload_key == requests[0].workload_key else None,
         )
-        prebatched = _execute_vector_batches(group, resolver)
-        batched += len(prebatched)
         # Set when the group's workload cannot be resolved (unknown name,
         # unsupported scale): its remaining requests fail with that label
         # and the rest of the plan still runs.
         unresolvable: Optional[Exception] = None
-        for index, request in enumerate(group):
-            done = prebatched.get(index)
-            if done is None:
-                if deadline is not None and deadline.expired:
-                    if resilience is not None:
-                        resilience.expired += 1
-                    done = _deadline_failure(request, deadline)
-                elif unresolvable is None:
-                    try:
-                        workload = resolver.workload_for_mode(request.prefetch_mode)
-                    except (WorkloadError, RegistryError) as error:
-                        unresolvable = error
-                    else:
-                        done = run_with_retries(request, workload)
-                if done is None:
-                    done = (request.digest, None, f"{request.workload}/{request.mode}: {unresolvable}")
-            finish(done)
+        for request in group:
+            if deadline is not None and deadline.expired:
+                if resilience is not None:
+                    resilience.expired += 1
+                finish(_deadline_failure(request, deadline))
+                continue
+            if unresolvable is None:
+                try:
+                    workload = resolver.workload_for_mode(request.prefetch_mode)
+                except (WorkloadError, RegistryError) as error:
+                    unresolvable = error
+                else:
+                    result, failure = execute_request(request, workload)
+                    finish((request.digest, result, failure))
+                    continue
+            finish((request.digest, None, f"{request.workload}/{request.mode}: {unresolvable}"))
         if unresolvable is None:
             resolver.persist(variants_needed([r.prefetch_mode for r in group]))
         stats.merge(resolver.stats)
-    return executed, stats, batched
+    return executed, stats
 
 
 class Runner(ABC):
@@ -339,16 +251,11 @@ class Runner(ABC):
     #: Trace-artifact resolution counters of the most recent :meth:`run`.
     trace_stats: TraceStoreStats
 
-    #: Requests of the most recent :meth:`run` satisfied by multi-config
-    #: vector batches (see :func:`execute_group`).
-    batched: int
-
-    #: Retry/watchdog/deadline counters of the most recent :meth:`run`.
+    #: Watchdog/deadline counters of the most recent :meth:`run`.
     resilience: ResilienceStats
 
     def __init__(self) -> None:
         self.trace_stats = TraceStoreStats()
-        self.batched = 0
         self.resilience = ResilienceStats()
 
     @abstractmethod
@@ -372,12 +279,10 @@ class SerialRunner(Runner):
         workloads: Optional[Mapping[str, Workload]] = None,
         *,
         trace_store=_DEFAULT_STORE,
-        retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
         super().__init__()
         self.workloads = workloads
         self.trace_store = _resolve_store(trace_store)
-        self.retry_policy = retry_policy
 
     def run(
         self,
@@ -387,7 +292,6 @@ class SerialRunner(Runner):
         deadline: DeadlineLike = None,
     ) -> list[ExecutedRequest]:
         self.trace_stats = TraceStoreStats()
-        self.batched = 0
         self.resilience = ResilienceStats()
         budget = Deadline.after(deadline)
         per_request = None
@@ -395,98 +299,27 @@ class SerialRunner(Runner):
             per_request = lambda done: on_executed([done])  # noqa: E731
         executed: list[ExecutedRequest] = []
         for group in group_requests(requests):
-            chunk, stats, batched = execute_group(
+            chunk, stats = execute_group(
                 group,
                 self.workloads,
                 store=self.trace_store,
                 deadline=budget,
-                retry_policy=self.retry_policy,
                 on_executed=per_request,
                 resilience=self.resilience,
             )
             executed.extend(chunk)
             self.trace_stats.merge(stats)
-            self.batched += batched
         return executed
-
-
-def _share_artifacts(
-    group_artifacts: Mapping[tuple[str, str, int], Mapping[str, bytes]]
-) -> tuple[dict[tuple[str, str, int], dict[str, EncodedRef]], list]:
-    """Stage warm artifact bytes for shipping to worker processes.
-
-    Each artifact's bytes are copied once into a shared-memory segment and
-    every chunk payload carries only its ``("shm", name, size)`` reference —
-    a group split across K workers costs one resident copy, not K pickled
-    ones.  When shared memory is unavailable (platform without it, creation
-    failure) the bytes ship pickled inline as before.  Returns the
-    per-group reference mappings and the created segments, which the caller
-    must close and unlink once the pool has drained.
-    """
-
-    refs_by_key: dict[tuple[str, str, int], dict[str, EncodedRef]] = {}
-    segments: list = []
-    for key, encoded in group_artifacts.items():
-        refs: dict[str, EncodedRef] = {}
-        for variant, data in encoded.items():
-            ref: EncodedRef = ("bytes", data)
-            if _shared_memory is not None and data:
-                try:
-                    segment = _shared_memory.SharedMemory(create=True, size=len(data))
-                except (OSError, ValueError):
-                    pass  # no room / no support: pickle the bytes instead
-                else:
-                    segment.buf[: len(data)] = data
-                    segments.append(segment)
-                    ref = ("shm", segment.name, len(data))
-            refs[variant] = ref
-        refs_by_key[key] = refs
-    return refs_by_key, segments
-
-
-def _attach_encoded(
-    refs: Mapping[str, EncodedRef]
-) -> tuple[dict[str, object], list]:
-    """Materialise shipped encoded-column references in a worker.
-
-    ``("bytes", ...)`` entries pass through; ``("shm", name, size)`` entries
-    attach the named shared-memory segment and expose it as a zero-copy
-    ``memoryview`` (the buffer-friendly ``decode_artifact`` consumes it
-    directly).  A segment that cannot be attached is simply dropped — the
-    worker then resolves that variant through the store or a rebuild, the
-    same degradation as a corrupt shipped blob.  Returns the encoded mapping
-    plus the resources to release once the group has executed.
-    """
-
-    encoded: dict[str, object] = {}
-    attached: list = []
-    for variant, ref in refs.items():
-        if ref[0] == "shm":
-            try:
-                segment = _shared_memory.SharedMemory(name=ref[1])
-            except (OSError, ValueError):
-                continue
-            # NOTE: attaching re-registers the name with the resource
-            # tracker, but pool workers share the parent's tracker process,
-            # so the duplicate registration is a set no-op — the single
-            # entry is retired by the parent's unlink.  Do NOT unregister
-            # here: that would remove the parent's entry instead.
-            view = memoryview(segment.buf)[: ref[2]]
-            attached.append((view, segment))
-            encoded[variant] = view
-        else:
-            encoded[variant] = ref[1]
-    return encoded, attached
 
 
 def _watchdog_worker(conn) -> None:
     """Worker-process loop of the watchdogged :class:`MultiprocessRunner`.
 
-    Receives ``(index, requests, refs, store_dir, retry_policy)`` task
-    tuples over its pipe and answers with ``("hb", index)`` after every
-    completed request, then ``("done", index, outcome, resilience)`` —
-    or ``("err", index, message)`` if the chunk raised something the
-    per-request machinery does not absorb.  A ``None`` task means exit.
+    Receives ``(index, requests, store_dir)`` task tuples over its pipe and
+    answers with ``("hb", index)`` after every completed request, then
+    ``("done", index, outcome)`` — or ``("err", index, message)`` if the
+    chunk raised something the per-request machinery does not absorb.  A
+    ``None`` task means exit.
     """
 
     try:
@@ -494,30 +327,17 @@ def _watchdog_worker(conn) -> None:
             task = conn.recv()
             if task is None:
                 return
-            index, requests, refs, store_dir, retry_policy = task
+            index, requests, store_dir = task
             store = TraceStore(store_dir) if store_dir else None
-            encoded, attached = _attach_encoded(refs)
-            resilience = ResilienceStats()
             try:
                 outcome = execute_group(
                     requests,
                     store=store,
-                    encoded=encoded,
-                    retry_policy=retry_policy,
                     heartbeat=lambda: conn.send(("hb", index)),
-                    resilience=resilience,
                 )
-                conn.send(("done", index, outcome, resilience))
+                conn.send(("done", index, outcome))
             except Exception as error:  # noqa: BLE001 - forwarded to parent
                 conn.send(("err", index, f"{type(error).__name__}: {error}"))
-            finally:
-                encoded.clear()
-                for view, segment in attached:
-                    try:
-                        view.release()
-                        segment.close()
-                    except BufferError:  # pragma: no cover
-                        pass
     except (EOFError, OSError, KeyboardInterrupt):  # parent went away
         return
 
@@ -537,20 +357,17 @@ class _WorkerSlot:
 class MultiprocessRunner(Runner):
     """Farm independent request chunks across watchdogged worker processes.
 
-    Each chunk ships with the compact encoded trace columns the parent
-    found warm in the store — workers decode a few flat arrays instead of
-    regenerating graphs and re-running emission loops.  The bytes travel
-    through ``multiprocessing.shared_memory`` when available: one resident
-    copy per artifact, attached zero-copy by every worker, instead of one
-    pickled copy per chunk (see :func:`_share_artifacts`).  On a store miss the
-    *worker* builds the workload locally, emits, and persists the artifact
-    (the store directory is shared on disk), so cold-store builds still
-    happen in parallel and every later run is warm.  Only compact values
-    cross the process boundary: requests, encoded columns, results.
-    Workload groups that dominate the plan — a Figure 9(b) sweep is dozens
-    of points on one workload — are split into several chunks in proportion
-    to their share of the plan, trading a few redundant artifact decodes
-    for keeping every core busy.  Falls back to serial execution when there
+    Each worker resolves its chunk through the on-disk trace store the
+    parent names: warm artifacts decode from a few flat arrays instead of
+    regenerating graphs and re-running emission loops, and on a store miss
+    the *worker* builds the workload locally, emits, and persists the
+    artifact, so cold-store builds still happen in parallel and every later
+    run is warm.  Only compact values cross the process boundary: requests,
+    the store directory, results.  Workload groups that dominate the plan —
+    a Figure 9(b) sweep is dozens of points on one workload — are split
+    into several chunks in proportion to their share of the plan, trading a
+    few redundant artifact decodes for keeping every core busy; each chunk
+    counts its own store hits.  Falls back to serial execution when there
     is nothing to parallelise.
 
     The parent supervises its workers directly (pipes, not a ``Pool``):
@@ -574,7 +391,6 @@ class MultiprocessRunner(Runner):
         trace_store=_DEFAULT_STORE,
         hang_timeout: float = 300.0,
         max_attempts: int = 3,
-        retry_policy: Optional[RetryPolicy] = None,
         respawn_limit: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -592,7 +408,6 @@ class MultiprocessRunner(Runner):
         self.trace_store = _resolve_store(trace_store)
         self.hang_timeout = hang_timeout
         self.max_attempts = max_attempts
-        self.retry_policy = retry_policy
         self.respawn_limit = respawn_limit
         self._clock = clock
 
@@ -604,35 +419,6 @@ class MultiprocessRunner(Runner):
             size = math.ceil(len(group) / parts)
             chunks.extend(group[start : start + size] for start in range(0, len(group), size))
         return chunks
-
-    def _group_artifacts(
-        self, requests: Sequence[SimRequest]
-    ) -> dict[tuple[str, str, int], dict[str, bytes]]:
-        """Read each group's warm artifacts from the store exactly once.
-
-        Every chunk of a split group shares the same bytes objects, and the
-        parent counts one store hit per (group, variant) here — workers
-        decoding their shipped copy do not count again, so engine stats
-        report warm traces, not warm decodes.
-        """
-
-        by_key: dict[tuple[str, str, int], dict[str, bytes]] = {}
-        if self.trace_store is None:
-            return by_key
-        for group in group_requests(requests):
-            first = group[0]
-            encoded: dict[str, bytes] = {}
-            for variant in variants_needed([r.prefetch_mode for r in group]):
-                data = self.trace_store.get_bytes(
-                    trace_digest(first.workload, variant, first.scale, first.seed)
-                )
-                # A corrupt entry is a miss here too — shipping it would
-                # count a warm trace that every worker then re-emits.
-                if data is not None and validate_artifact_bytes(data):
-                    encoded[variant] = data
-                    self.trace_stats.hits += 1
-            by_key[first.workload_key] = encoded
-        return by_key
 
     def run(
         self,
@@ -651,18 +437,12 @@ class MultiprocessRunner(Runner):
             # Nothing to parallelise: hand the whole request set to the
             # serial path, forwarding any pre-built workloads so the
             # fallback does not pay a redundant workload rebuild.
-            fallback = SerialRunner(
-                workloads=self.workloads,
-                trace_store=self.trace_store,
-                retry_policy=self.retry_policy,
-            )
+            fallback = SerialRunner(workloads=self.workloads, trace_store=self.trace_store)
             executed = fallback.run(requests, on_executed=on_executed, deadline=budget)
             self.trace_stats = fallback.trace_stats
-            self.batched = fallback.batched
             self.resilience = fallback.resilience
             return executed
         self.trace_stats = TraceStoreStats()
-        self.batched = 0
         self.resilience = ResilienceStats()
         # NOTE: ``is not None`` — TraceStore defines __len__, so an empty
         # (cold) store is falsy and a bare truthiness test would silently
@@ -670,21 +450,12 @@ class MultiprocessRunner(Runner):
         store_dir = (
             str(self.trace_store.directory) if self.trace_store is not None else None
         )
-        group_refs, segments = _share_artifacts(self._group_artifacts(requests))
-        try:
-            outcomes = self._run_watchdogged(
-                chunks, group_refs, store_dir, budget, on_executed
-            )
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
+        outcomes = self._run_watchdogged(chunks, store_dir, budget, on_executed)
         executed: list[ExecutedRequest] = []
-        for chunk_executed, chunk_stats, chunk_batched in outcomes:
+        for chunk_executed, chunk_stats in outcomes:
             executed.extend(chunk_executed)
             if chunk_stats is not None:
                 self.trace_stats.merge(chunk_stats)
-            self.batched += chunk_batched
         return executed
 
     # ----------------------------------------------------------- watchdog
@@ -692,11 +463,10 @@ class MultiprocessRunner(Runner):
     def _run_watchdogged(
         self,
         chunks: list[list[SimRequest]],
-        group_refs: Mapping[tuple[str, str, int], Mapping[str, EncodedRef]],
         store_dir: Optional[str],
         budget: Optional[Deadline],
         on_executed: Optional[ExecutedCallback],
-    ) -> list[tuple[list[ExecutedRequest], Optional[TraceStoreStats], int]]:
+    ) -> list[tuple[list[ExecutedRequest], Optional[TraceStoreStats]]]:
         """Supervise the worker fleet until every chunk has an outcome."""
 
         methods = multiprocessing.get_all_start_methods()
@@ -705,17 +475,12 @@ class MultiprocessRunner(Runner):
         total = len(chunks)
         pending: deque[int] = deque(range(total))
         attempts = [0] * total
-        # Chunk outcome: (executed, trace_stats_or_None, batched).
-        outcomes: dict[int, tuple[list[ExecutedRequest], Optional[TraceStoreStats], int]] = {}
+        # Chunk outcome: (executed, trace_stats_or_None).
+        outcomes: dict[int, tuple[list[ExecutedRequest], Optional[TraceStoreStats]]] = {}
         fleet_size = min(self.workers, total)
         respawns_left = (
             self.respawn_limit if self.respawn_limit is not None else 2 * fleet_size
         )
-
-        def payload_for(index: int):
-            chunk = chunks[index]
-            refs = group_refs.get(chunk[0].workload_key, {})
-            return (index, chunk, refs, store_dir, self.retry_policy)
 
         def spawn() -> Optional[_WorkerSlot]:
             parent_conn, child_conn = context.Pipe(duplex=True)
@@ -733,7 +498,7 @@ class MultiprocessRunner(Runner):
 
         def finish_chunk(
             index: int,
-            outcome: tuple[list[ExecutedRequest], Optional[TraceStoreStats], int],
+            outcome: tuple[list[ExecutedRequest], Optional[TraceStoreStats]],
         ) -> None:
             outcomes[index] = outcome
             if on_executed is not None and outcome[0]:
@@ -749,7 +514,7 @@ class MultiprocessRunner(Runner):
                 )
                 for request in chunks[index]
             ]
-            finish_chunk(index, (executed, None, 0))
+            finish_chunk(index, (executed, None))
 
         def requeue_or_fail(index: int, reason: str) -> None:
             if attempts[index] >= self.max_attempts:
@@ -784,7 +549,7 @@ class MultiprocessRunner(Runner):
             slot.task = index
             slot.last_beat = clock()
             try:
-                slot.conn.send(payload_for(index))
+                slot.conn.send((index, chunks[index], store_dir))
             except (OSError, ValueError):
                 # The worker died between liveness check and send; the
                 # retire path undoes the assignment bookkeeping via requeue.
@@ -829,10 +594,8 @@ class MultiprocessRunner(Runner):
                         if kind == "hb":
                             slot.last_beat = now
                         elif kind == "done":
-                            _kind, index, outcome, worker_res = message
-                            executed, stats, batched = outcome
-                            self.resilience.merge(worker_res)
-                            finish_chunk(index, (executed, stats, batched))
+                            _kind, index, outcome = message
+                            finish_chunk(index, outcome)
                             slot.task = None
                         elif kind == "err":
                             _kind, index, text = message
@@ -868,7 +631,7 @@ class MultiprocessRunner(Runner):
                 self.resilience.expired += len(chunk)
                 finish_chunk(
                     index,
-                    ([_deadline_failure(r, budget) for r in chunk], None, 0),
+                    ([_deadline_failure(r, budget) for r in chunk], None),
                 )
                 continue
             if attempts[index] >= self.max_attempts:
@@ -881,7 +644,6 @@ class MultiprocessRunner(Runner):
                 self.workloads,
                 store=store,
                 deadline=budget,
-                retry_policy=self.retry_policy,
                 resilience=self.resilience,
             )
             finish_chunk(index, outcome)

@@ -141,49 +141,6 @@ def ppu_frequency_sweep(
     return _run_sweep(requests, baseline, reference_req, engine, prebuilt)
 
 
-#: L1 sizes (bytes) swept by the default cache-geometry sweep: the scaled
-#: preset's 16 KB plus one step down and one step up, the Figure 9-style
-#: "how much hardware does the result need" axis applied to the cache.
-GEOMETRY_SWEEP_L1_SIZES = [8 * 1024, 16 * 1024, 32 * 1024]
-
-
-def cache_geometry_sweep(
-    workload: Union[Workload, str],
-    *,
-    l1_sizes: Optional[Iterable[int]] = None,
-    mode: PrefetchMode = PrefetchMode.NONE,
-    config: Optional[SystemConfig] = None,
-    scale: str = "default",
-    seed: int = 42,
-) -> dict[int, SimulationResult]:
-    """Simulate one workload across N L1 capacities in a single trace pass.
-
-    Unlike the PPU sweeps above — programmable-mode plans that go through
-    the batch engine — this sweep varies only cache geometry under a
-    non-programmable mode, which is exactly the shape the vector backend's
-    multi-config batching consumes: all N configurations are built with
-    :meth:`~repro.config.SystemConfig.with_caches` and handed to
-    :func:`~repro.sim.system.simulate_batch`, so the trace columns are
-    decoded once and every geometry becomes a replay lane.  Without numpy
-    the call transparently degrades to N serial runs with identical
-    results.
-    """
-
-    from .system import simulate_batch  # local: system imports modes/results too
-
-    if isinstance(workload, Workload):
-        built = workload
-    else:
-        from ..workloads import registry
-
-        built = registry.build(workload, scale=scale, seed=seed)
-    system_config = config if config is not None else SystemConfig.scaled()
-    sizes = list(l1_sizes) if l1_sizes is not None else list(GEOMETRY_SWEEP_L1_SIZES)
-    configs = [system_config.with_caches(l1={"size_bytes": size}) for size in sizes]
-    results = simulate_batch(built, mode, configs)
-    return dict(zip(sizes, results))
-
-
 def ppu_count_frequency_sweep(
     workload: Union[Workload, str],
     *,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..config import GHBPrefetcherConfig, SystemConfig
 from ..cpu.core import OutOfOrderCore
@@ -15,7 +15,7 @@ from ..programmable.scheduler import SchedulingPolicy
 from ..workloads.base import Workload
 from .modes import PrefetchMode, mode_available
 from .results import SimulationResult
-from .vector import numpy_available, replay_trace, replay_trace_batch
+from .vector import replay_trace
 
 
 def _programmable_configuration(workload: Workload, mode: PrefetchMode):
@@ -72,7 +72,7 @@ def simulate(
 
     trace = workload.trace(mode.trace_variant)
     core_stats = None
-    if engine is None and numpy_available():
+    if engine is None:
         # Non-programmable modes replay through the vectorized backend when
         # it supports the configuration; results are bit-identical either
         # way (the golden suite pins this), only wall-clock time differs.
@@ -128,87 +128,3 @@ def _assemble_hierarchy(
         engine = EventTriggeredPrefetcher(system_config, configuration, policy=policy)
         engine.attach(hierarchy)
     return hierarchy, engine, system_config
-
-
-def simulate_batch(
-    workload: Workload,
-    mode: PrefetchMode,
-    configs: Sequence[SystemConfig],
-    *,
-    policy: Optional[SchedulingPolicy] = None,
-) -> list[SimulationResult]:
-    """Simulate N system configurations over one pass of the same trace.
-
-    The multi-config analogue of :func:`simulate`, built for geometry sweeps:
-    when the vector backend can drive the request, every configuration
-    becomes one replay lane and the trace columns are decoded and chunked
-    exactly once (see :func:`repro.sim.vector.replay_trace_batch`), so a
-    Figure 9-style cache sweep costs one column pass instead of N replays.
-    Each lane gets its own hierarchy and its own hardware-prefetcher
-    instance, so results are identical to N independent :func:`simulate`
-    calls — which is also the automatic fallback whenever batching is not
-    applicable (programmable modes, numpy missing, differing core
-    configurations, unsupported geometry).
-    """
-
-    configs = list(configs)
-    if not configs:
-        return []
-    if not mode_available(workload, mode):
-        raise WorkloadError(f"{workload.name}: mode {mode.value!r} is not available")
-
-    results = try_simulate_batch_vector(workload, mode, configs, policy=policy)
-    if results is not None:
-        return results
-    return [simulate(workload, mode, cfg, policy=policy) for cfg in configs]
-
-
-def try_simulate_batch_vector(
-    workload: Workload,
-    mode: PrefetchMode,
-    configs: Sequence[SystemConfig],
-    *,
-    policy: Optional[SchedulingPolicy] = None,
-) -> Optional[list[SimulationResult]]:
-    """The vector-batched path of :func:`simulate_batch`, or ``None``.
-
-    Returns ``None`` whenever batching does not apply — fewer than two
-    configurations, a programmable mode, numpy missing, differing core
-    configurations, an unavailable mode, or a trace/geometry
-    the replay backend rejects — so callers (``simulate_batch``, the engine
-    runners) can fall back to per-configuration simulation and, unlike with
-    an internal fallback, *know* whether the batch happened.
-    """
-
-    configs = list(configs)
-    if (
-        len(configs) < 2
-        or mode.uses_programmable_prefetcher
-        or not numpy_available()
-        or not all(cfg.core == configs[0].core for cfg in configs)
-        or not mode_available(workload, mode)
-    ):
-        return None
-    workload.build()
-    assembled = [_assemble_hierarchy(workload, mode, cfg, policy) for cfg in configs]
-    hierarchies = [hierarchy for hierarchy, _engine, _cfg in assembled]
-    trace = workload.trace(mode.trace_variant)
-    try:
-        stats_list = replay_trace_batch(trace, hierarchies, configs[0].core)
-    except VectorBackendUnsupported:
-        return None  # pre-state-mutation check failed; caller runs serially
-    results = []
-    for cfg, hierarchy, core_stats in zip(configs, hierarchies, stats_list):
-        hierarchy.finalize()
-        results.append(
-            SimulationResult(
-                workload=workload.name,
-                mode=mode.value,
-                cycles=core_stats.cycles,
-                instructions=core_stats.instructions,
-                core=core_stats.as_dict(),
-                hierarchy=hierarchy.collect_stats(),
-                prefetcher=None,
-            )
-        )
-    return results

@@ -3,11 +3,11 @@
 The vectorized replay backend consumes a :class:`~repro.cpu.trace.Trace`
 through this module: the five flat ``array`` columns are adopted zero-copy as
 numpy views (``np.frombuffer`` over the backing buffers), and every per-op
-quantity that is a *pure function of the op* — the cache-line index, the
-L1 set index and tag, the TLB page number, the front-end fetch increment,
-the per-op dependence span — is computed for a whole chunk at once with
-vectorized integer arithmetic (``(addrs >> shift) & mask`` over the chunk)
-instead of once per op in interpreted Python.
+quantity that is a *pure function of the op* — the L1 set index and tag, the
+TLB page number, the front-end fetch increment, the per-op dependence span —
+is computed for a whole chunk at once with vectorized integer arithmetic
+(``(addrs >> shift) & mask`` over the chunk) instead of once per op in
+interpreted Python.
 
 Chunks are materialised as plain Python lists (one ``ndarray.tolist()`` per
 derived column, a single C-level conversion) because the replay state
@@ -30,13 +30,10 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
+import numpy as np
+
 from ...cpu.trace import OpKind, Trace
 from ...errors import VectorBackendUnsupported
-
-try:  # numpy is an optional extra; the interpreter path never needs it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via numpy-absent tests
-    _np = None
 
 #: Ops per precomputed chunk.  Large enough to amortise the numpy kernel
 #: launches and ``tolist()`` calls, small enough that a chunk's derived
@@ -44,14 +41,8 @@ except ImportError:  # pragma: no cover - exercised via numpy-absent tests
 CHUNK_OPS = 1 << 16
 
 
-def numpy_available() -> bool:
-    """Whether the optional numpy dependency imported successfully."""
-
-    return _np is not None
-
-
 class ChunkColumns(NamedTuple):
-    """One chunk's geometry-independent derived columns (plain lists)."""
+    """One chunk's derived columns (plain lists)."""
 
     start: int
     end: int
@@ -67,19 +58,20 @@ class ChunkColumns(NamedTuple):
     dep_values: list
     #: TLB page number of every op's address.
     pages: list
-    #: Cache-line index (``addr >> line_shift``) as an ndarray for per-lane
-    #: set/tag derivation.  Never materialised as a list: the replay loop
-    #: reassembles a line index from set/tag on the rare cache miss.
-    lines_np: "object"
+    #: L1 set index of every op's cache line.  The line index itself is not
+    #: a column: the replay loop reassembles it from set and tag on the
+    #: rare cache miss.
+    sets: list
+    #: L1 tag of every op's cache line.
+    tags: list
 
 
 class TraceColumnPlan:
     """Zero-copy numpy views over a trace plus chunked derived columns.
 
-    One plan serves any number of replay lanes: the chunk columns above are
-    lane-independent, and per-lane L1 set/tag columns are derived from the
-    shared ``lines_np`` view with two vectorized ops per (chunk, lane) via
-    :meth:`lane_set_tag`.
+    The L1 geometry (``line_shift``, ``set_mask``, ``set_shift``) is fixed
+    per plan, so every chunk carries its set and tag columns ready for the
+    replay loop.
     """
 
     def __init__(
@@ -88,16 +80,15 @@ class TraceColumnPlan:
         *,
         page_bytes: int,
         line_shift: int,
+        set_mask: int,
+        set_shift: int,
         issue_width: int,
         chunk_ops: int = CHUNK_OPS,
     ) -> None:
-        if _np is None:
-            raise VectorBackendUnsupported("numpy is not installed")
         if chunk_ops < 1:
             raise VectorBackendUnsupported(f"invalid chunk size {chunk_ops}")
         kinds, addrs, counts, dep_offsets, dep_values = trace.columns()
         self.n = len(kinds)
-        np = _np
         # array('b'/'q') expose the buffer protocol, so these views share
         # the trace's storage — adopting a trace costs no copies at all.
         self._kinds = np.frombuffer(kinds, dtype=np.int8)
@@ -115,6 +106,8 @@ class TraceColumnPlan:
             raise VectorBackendUnsupported("trace contains negative instruction counts")
         self._issue_width = issue_width
         self._line_shift = line_shift
+        self._set_mask = set_mask
+        self._set_shift = set_shift
         self._page_shift = (
             page_bytes.bit_length() - 1 if page_bytes & (page_bytes - 1) == 0 else None
         )
@@ -126,14 +119,13 @@ class TraceColumnPlan:
     def kind_counts(self) -> dict[int, int]:
         """Vectorized per-kind op counts (exact, folded into CoreStats once)."""
 
-        np = _np
         return {
             int(kind): int(np.count_nonzero(self._kinds == int(kind)))
             for kind in OpKind
         }
 
     def total_instructions(self) -> int:
-        return int(self._counts.sum(dtype=_np.int64))
+        return int(self._counts.sum(dtype=np.int64))
 
     # --------------------------------------------------------------- chunks
 
@@ -145,9 +137,10 @@ class TraceColumnPlan:
         against the fused loop's own cost.
         """
 
-        np = _np
         issue_width = self._issue_width
         line_shift = self._line_shift
+        set_mask = self._set_mask
+        set_shift = self._set_shift
         page_shift = self._page_shift
         dep_offsets = self._dep_offsets
         for start in range(0, self.n, self._chunk_ops):
@@ -173,19 +166,6 @@ class TraceColumnPlan:
                 dep_ends=(dep_offsets[start + 1 : end + 1] - dep_lo).tolist(),
                 dep_values=self._dep_values[dep_lo:dep_hi].tolist(),
                 pages=pages_np.tolist(),
-                lines_np=lines_np,
+                sets=(lines_np & set_mask).tolist(),
+                tags=(lines_np >> set_shift).tolist(),
             )
-
-    @staticmethod
-    def lane_set_tag(chunk: ChunkColumns, set_mask: int, set_shift: int) -> tuple[list, list]:
-        """Per-lane L1 ``(set index, tag)`` columns for one chunk.
-
-        This is the batched tag/set extraction: one ``&`` and one ``>>``
-        over the whole chunk per lane, shared-input, no per-op Python
-        arithmetic.  Lanes with different cache geometries differ only in
-        ``set_mask``/``set_shift``, so N geometry lanes cost N×2 vector ops
-        per chunk over a single pass of the trace columns.
-        """
-
-        lines_np = chunk.lines_np
-        return (lines_np & set_mask).tolist(), (lines_np >> set_shift).tolist()

@@ -1,7 +1,6 @@
 """Fused, bit-identical replay over precomputed trace columns.
 
-:func:`replay_trace` (one hierarchy) and :func:`replay_trace_batch` (N
-hierarchies, one pass) are drop-in replacements for
+:func:`replay_trace` is a drop-in replacement for
 :meth:`repro.cpu.core.OutOfOrderCore.run` on the non-programmable prefetch
 modes.  All per-op *pure* arithmetic — set/tag extraction, page numbers,
 front-end fetch increments, dependence spans — comes precomputed per chunk
@@ -44,16 +43,17 @@ rather than a fork of the timing model:
   software prefetch).
 
 Anything this module cannot replay bit-identically — programmable-prefetcher
-hooks, non-power-of-two line sizes, lanes that disagree on line or page
-geometry — raises :class:`~repro.errors.VectorBackendUnsupported` *before*
-touching any hierarchy state, so callers can fall back to the interpreter.
+hooks, non-power-of-two line sizes, L1 and L2 lines of different sizes,
+negative addresses or instruction counts — raises
+:class:`~repro.errors.VectorBackendUnsupported` *before* touching any
+hierarchy state, so callers can fall back to the interpreter.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Callable, Sequence
+from typing import Callable
 
 from ...config import CoreConfig
 from ...cpu.core import CoreStats
@@ -84,8 +84,11 @@ _INT_COUNTERS = (
 )
 
 
-def _check_lane_supported(hierarchy: MemoryHierarchy, line_shift: int, page_bytes: int) -> None:
-    """Reject configurations the specialized loop cannot replay bit-identically."""
+def _check_supported(hierarchy: MemoryHierarchy) -> int:
+    """Reject configurations the specialized loop cannot replay bit-identically.
+
+    Returns the line shift shared by L1 and L2.
+    """
 
     if hierarchy._advance_hook is not None:
         raise VectorBackendUnsupported(
@@ -95,10 +98,9 @@ def _check_lane_supported(hierarchy: MemoryHierarchy, line_shift: int, page_byte
     l2_shift = hierarchy.l2._line_shift
     if l1_shift is None or l2_shift is None:
         raise VectorBackendUnsupported("non-power-of-two cache line size")
-    if l1_shift != line_shift or l2_shift != line_shift:
-        raise VectorBackendUnsupported("lanes disagree on cache line size")
-    if hierarchy.tlb._page_bytes != page_bytes:
-        raise VectorBackendUnsupported("lanes disagree on TLB page size")
+    if l1_shift != l2_shift:
+        raise VectorBackendUnsupported("L1 and L2 line sizes differ")
+    return l1_shift
 
 
 def _mispredict_every(core_config: CoreConfig) -> int:
@@ -196,44 +198,44 @@ def _chunk_source(
     lvl_dram = '\n                    level = "dram"' if has_snoop else ""
 
     # ----- prologue -------------------------------------------------------
-    lines = ["def _replay_chunk_compiled(lane, chunk, set_col, tag_col):"]
+    lines = ["def _replay_chunk_compiled(state, chunk):"]
     lines.append("""\
-    l1_sets = lane.l1_sets
-    l2_sets = lane.l2_sets
-    l1_completions = lane.l1_completions
-    l2_completions = lane.l2_completions
-    channel_free = lane.channel_free
-    tlb_l1 = lane.tlb_l1
-    tlb_miss = lane.tlb_miss
-    completion = lane.completion
+    l1_sets = state.l1_sets
+    l2_sets = state.l2_sets
+    l1_completions = state.l1_completions
+    l2_completions = state.l2_completions
+    channel_free = state.channel_free
+    tlb_l1 = state.tlb_l1
+    tlb_miss = state.tlb_miss
+    completion = state.completion
     completion_append = completion.append
-    retires = lane.retires
+    retires = state.retires
     retires_append = retires.append
     rob_idx = len(retires) - %d
-    outstanding_loads = lane.outstanding_loads
+    outstanding_loads = state.outstanding_loads
     loads_append = outstanding_loads.append
     loads_popleft = outstanding_loads.popleft
-    loads_len = lane.loads_len
-    fetch_clock = lane.fetch_clock
-    last_retire = lane.last_retire
-    branch_counter = lane.branch_counter
-    last_page = lane.last_page
-    load_latency_total = lane.load_latency_total
-    load_stall_total = lane.load_stall_total
-    dram_busy = lane.dram_busy""" % rob)
+    loads_len = state.loads_len
+    fetch_clock = state.fetch_clock
+    last_retire = state.last_retire
+    branch_counter = state.branch_counter
+    last_page = state.last_page
+    load_latency_total = state.load_latency_total
+    load_stall_total = state.load_stall_total
+    dram_busy = state.dram_busy""" % rob)
     if pure:
         lines.append("""\
-    l1_stall = lane.l1_stall
-    l2_stall = lane.l2_stall""")
+    l1_stall = state.l1_stall
+    l2_stall = state.l2_stall""")
     else:
         lines.append("""\
-    l1_mshrs = lane.l1_mshrs
-    l2_mshrs = lane.l2_mshrs
-    prefetch_access = lane.prefetch_access""")
+    l1_mshrs = state.l1_mshrs
+    l2_mshrs = state.l2_mshrs
+    prefetch_access = state.prefetch_access""")
     if has_snoop:
-        lines.append("    snoop = lane.snoop")
+        lines.append("    snoop = state.snoop")
     for name in _INT_COUNTERS:
-        lines.append(f"    {name} = lane.{name}")
+        lines.append(f"    {name} = state.{name}")
     lines.append("""\
     dep_values = chunk.dep_values
     dep_pos = 0""")
@@ -249,13 +251,13 @@ def _chunk_source(
         lines.append("""\
     for kind, addr, fetch_incr, dep_end, page, set_index, tag in zip(
         chunk.kinds, chunk.addrs, chunk.fetch_incr, chunk.dep_ends,
-        chunk.pages, set_col, tag_col,
+        chunk.pages, chunk.sets, chunk.tags,
     ):""")
     else:
         lines.append("""\
     for kind, fetch_incr, dep_end, page, set_index, tag in zip(
         chunk.kinds, chunk.fetch_incr, chunk.dep_ends,
-        chunk.pages, set_col, tag_col,
+        chunk.pages, chunk.sets, chunk.tags,
     ):""")
 
     # ----- front end ------------------------------------------------------
@@ -508,20 +510,20 @@ def _chunk_source(
 
     # ----- epilogue -------------------------------------------------------
     lines.append("""\
-    lane.loads_len = loads_len
-    lane.fetch_clock = fetch_clock
-    lane.last_retire = last_retire
-    lane.branch_counter = branch_counter
-    lane.last_page = last_page
-    lane.load_latency_total = load_latency_total
-    lane.load_stall_total = load_stall_total
-    lane.dram_busy = dram_busy""")
+    state.loads_len = loads_len
+    state.fetch_clock = fetch_clock
+    state.last_retire = last_retire
+    state.branch_counter = branch_counter
+    state.last_page = last_page
+    state.load_latency_total = load_latency_total
+    state.load_stall_total = load_stall_total
+    state.dram_busy = dram_busy""")
     if pure:
         lines.append("""\
-    lane.l1_stall = l1_stall
-    lane.l2_stall = l2_stall""")
+    state.l1_stall = l1_stall
+    state.l2_stall = l2_stall""")
     for name in _INT_COUNTERS:
-        lines.append(f"    lane.{name} = {name}")
+        lines.append(f"    state.{name} = {name}")
 
     return "\n".join(lines) + "\n"
 
@@ -529,7 +531,7 @@ def _chunk_source(
 def _chunk_fn(
     hierarchy: MemoryHierarchy, core_config: CoreConfig, *, has_snoop: bool, shared: bool
 ) -> Callable:
-    """The compiled chunk-replay function for one lane's signature."""
+    """The compiled chunk-replay function for one hierarchy's signature."""
 
     l1 = hierarchy.l1
     l2 = hierarchy.l2
@@ -566,11 +568,11 @@ def _chunk_fn(
 
 
 # --------------------------------------------------------------------------
-# Lane state
+# Replay state
 # --------------------------------------------------------------------------
 
 
-class _Lane:
+class _ReplayState:
     """One hierarchy's replay state, persisted between chunks.
 
     The compiled chunk function unpacks these fields into locals, runs, and
@@ -579,11 +581,11 @@ class _Lane:
     """
 
     __slots__ = (
-        # static per-lane references
+        # static references into the hierarchy
         "hierarchy", "l1", "l2", "l1_sets", "l2_sets",
         "l1_mshrs", "l2_mshrs", "l1_completions", "l2_completions",
         "channel_free", "tlb_l1", "tlb_miss", "prefetch_access", "snoop",
-        "l1_set_mask", "l1_set_shift", "chunk_fn", "pure",
+        "chunk_fn", "pure",
         # core timing state
         "completion", "retires", "outstanding_loads", "loads_len",
         "fetch_clock", "last_retire", "branch_counter", "last_page",
@@ -609,8 +611,6 @@ class _Lane:
         self.tlb_miss = hierarchy.tlb.miss
         self.prefetch_access = hierarchy.prefetch_access
         self.snoop = hierarchy._demand_snoop
-        self.l1_set_mask = hierarchy._l1_set_mask
-        self.l1_set_shift = hierarchy._l1_set_shift
         self.pure = not shared
         self.chunk_fn = _chunk_fn(
             hierarchy, core_config, has_snoop=self.snoop is not None, shared=shared
@@ -628,7 +628,7 @@ class _Lane:
         self.load_stall_total = 0.0
 
         # Pure variant: this loop is the sole writer of the MSHR stall
-        # accumulators, so the lane carries them (seeded with the current
+        # accumulators, so the state carries them (seeded with the current
         # values) and *assigns* them back — bit-identical to the
         # interpreter's in-place adds because the add order is preserved.
         self.l1_stall = hierarchy.l1_mshrs.total_stall_cycles
@@ -692,96 +692,6 @@ class _Lane:
 # --------------------------------------------------------------------------
 
 
-def replay_trace_batch(
-    trace: Trace,
-    hierarchies: Sequence[MemoryHierarchy],
-    core_config: CoreConfig,
-    *,
-    chunk_ops: int = CHUNK_OPS,
-) -> list[CoreStats]:
-    """Replay ``trace`` over N hierarchies in one pass; return N CoreStats.
-
-    All lanes must share the core configuration, line size and page size;
-    they may differ freely in cache geometry (sets, associativity, latency,
-    MSHRs) and attached hardware prefetchers.  The trace columns are decoded
-    once per chunk; each lane then consumes the shared chunk with its own
-    vectorized set/tag columns, so simulating N geometries costs one column
-    pass plus N state machines instead of N full replays.
-
-    Raises :class:`VectorBackendUnsupported` — before mutating any lane —
-    when numpy is missing or any lane falls outside the supported envelope.
-    """
-
-    if not hierarchies:
-        return []
-    first = hierarchies[0]
-    line_shift = first.l1._line_shift
-    if line_shift is None:
-        raise VectorBackendUnsupported("non-power-of-two cache line size")
-    page_bytes = first.tlb._page_bytes
-    for hierarchy in hierarchies:
-        _check_lane_supported(hierarchy, line_shift, page_bytes)
-    plan = TraceColumnPlan(
-        trace,
-        page_bytes=page_bytes,
-        line_shift=line_shift,
-        issue_width=core_config.issue_width,
-        chunk_ops=chunk_ops,
-    )
-
-    counts = plan.kind_counts()
-    software_prefetches = counts[_KIND_SWPF]
-    lanes = [
-        _Lane(
-            hierarchy,
-            core_config,
-            shared=hierarchy._demand_snoop is not None or software_prefetches > 0,
-        )
-        for hierarchy in hierarchies
-    ]
-
-    lane_set_tag = plan.lane_set_tag
-    want_addrs = any(not lane.pure for lane in lanes)
-    for chunk in plan.chunks(want_addrs=want_addrs):
-        # Lanes sharing a geometry share the chunk's set/tag columns.
-        geometry_cache: dict[tuple[int, int], tuple[list, list]] = {}
-        for lane in lanes:
-            key = (lane.l1_set_mask, lane.l1_set_shift)
-            columns = geometry_cache.get(key)
-            if columns is None:
-                columns = lane_set_tag(chunk, key[0], key[1])
-                geometry_cache[key] = columns
-            lane.chunk_fn(lane, chunk, columns[0], columns[1])
-
-    instructions = plan.total_instructions()
-    loads = counts[_KIND_LOAD]
-    stores = counts[_KIND_STORE]
-    branches = counts[_KIND_BRANCH]
-    mispredict_every = _mispredict_every(core_config)
-    # branch_counter runs 1..branches with a mispredict at every multiple of
-    # mispredict_every, so the count closes to a division.
-    branch_mispredicts = branches // mispredict_every if mispredict_every else 0
-
-    results = []
-    for lane in lanes:
-        lane.fold_stats()
-        results.append(
-            CoreStats(
-                cycles=lane.last_retire,
-                instructions=instructions,
-                ops=plan.n,
-                loads=loads,
-                stores=stores,
-                software_prefetches=software_prefetches,
-                branches=branches,
-                branch_mispredicts=branch_mispredicts,
-                load_latency_total=lane.load_latency_total,
-                load_stall_total=lane.load_stall_total,
-            )
-        )
-    return results
-
-
 def replay_trace(
     trace: Trace,
     hierarchy: MemoryHierarchy,
@@ -789,6 +699,50 @@ def replay_trace(
     *,
     chunk_ops: int = CHUNK_OPS,
 ) -> CoreStats:
-    """Single-lane :func:`replay_trace_batch` — the per-request entry point."""
+    """Replay ``trace`` through ``hierarchy``; return the core statistics.
 
-    return replay_trace_batch(trace, [hierarchy], core_config, chunk_ops=chunk_ops)[0]
+    Raises :class:`VectorBackendUnsupported` — before mutating the
+    hierarchy — when the configuration or the trace falls outside the
+    supported envelope.
+    """
+
+    line_shift = _check_supported(hierarchy)
+    plan = TraceColumnPlan(
+        trace,
+        page_bytes=hierarchy.tlb._page_bytes,
+        line_shift=line_shift,
+        set_mask=hierarchy._l1_set_mask,
+        set_shift=hierarchy._l1_set_shift,
+        issue_width=core_config.issue_width,
+        chunk_ops=chunk_ops,
+    )
+
+    counts = plan.kind_counts()
+    software_prefetches = counts[_KIND_SWPF]
+    state = _ReplayState(
+        hierarchy,
+        core_config,
+        shared=hierarchy._demand_snoop is not None or software_prefetches > 0,
+    )
+    chunk_fn = state.chunk_fn
+    for chunk in plan.chunks(want_addrs=not state.pure):
+        chunk_fn(state, chunk)
+    state.fold_stats()
+
+    branches = counts[_KIND_BRANCH]
+    mispredict_every = _mispredict_every(core_config)
+    # branch_counter runs 1..branches with a mispredict at every multiple of
+    # mispredict_every, so the count closes to a division.
+    branch_mispredicts = branches // mispredict_every if mispredict_every else 0
+    return CoreStats(
+        cycles=state.last_retire,
+        instructions=plan.total_instructions(),
+        ops=plan.n,
+        loads=counts[_KIND_LOAD],
+        stores=counts[_KIND_STORE],
+        software_prefetches=software_prefetches,
+        branches=branches,
+        branch_mispredicts=branch_mispredicts,
+        load_latency_total=state.load_latency_total,
+        load_stall_total=state.load_stall_total,
+    )

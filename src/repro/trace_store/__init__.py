@@ -26,7 +26,6 @@ from .format import (
     decode_header,
     encode_artifact,
     read_header_from_file,
-    validate_artifact_bytes,
 )
 from .replay import (
     GroupResolver,
@@ -56,7 +55,6 @@ __all__ = [
     "decode_artifact",
     "decode_header",
     "read_header_from_file",
-    "validate_artifact_bytes",
     "TraceStore",
     "TraceStoreStats",
     "StoreEntry",

@@ -128,32 +128,12 @@ def read_header_from_file(path) -> dict:
         return decode_header(preamble + handle.read(header_len))
 
 
-def validate_artifact_bytes(data: bytes) -> bool:
-    """Cheap structural check: preamble + checksum, no column decode.
-
-    Used by the multiprocess parent before counting a store hit and
-    shipping bytes to workers — a corrupt entry must read as a miss there
-    too, or one trace would be reported both warm (parent) and emitted
-    (every worker whose decode fell back to a rebuild).
-    """
-
-    if len(data) < _PREAMBLE.size + _CHECKSUM_BYTES:
-        return False
-    magic, version, _reserved, _header_len = _PREAMBLE.unpack_from(data)
-    if magic != MAGIC or version != FORMAT_VERSION:
-        return False
-    payload, checksum = data[:-_CHECKSUM_BYTES], data[-_CHECKSUM_BYTES:]
-    return hashlib.sha256(payload).digest() == checksum
-
-
 def decode_artifact(data) -> TraceArtifact:
     """Deserialise artifact bytes, verifying structure and checksum.
 
-    ``data`` may be any bytes-like buffer: a ``memoryview`` over a shared
-    memory segment decodes without an intermediate copy (only the column
-    payloads are copied, once, into the ``array`` objects that own them),
-    which is what lets the multiprocess runner ship one set of trace bytes
-    to every worker instead of pickling a copy per chunk.
+    ``data`` may be any bytes-like buffer (``bytes``, ``memoryview``, ...);
+    only the column payloads are copied, once, into the ``array`` objects
+    that own them.
 
     Raises:
         TraceStoreError: On any corruption — truncation, bad magic/version,

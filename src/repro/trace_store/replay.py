@@ -12,22 +12,20 @@ store already holds the trace).
 
 :class:`GroupResolver` is the shared resolution policy used by the plan
 runners: for one request group — one
-``(workload, scale, seed)`` — it warms artifacts from the store (or from
-encoded columns shipped by a parent process), falls back to building the
-workload when it must, and persists freshly-emitted traces so the next run,
-worker or machine boot starts warm.
+``(workload, scale, seed)`` — it warms artifacts from the store, falls back
+to building the workload when it must, and persists freshly-emitted traces
+so the next run, worker or machine boot starts warm.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..cpu.trace import TraceBuilder
-from ..errors import TraceStoreError, WorkloadError
+from ..errors import WorkloadError
 from ..workloads import build_workload
 from ..workloads.base import Workload
 from .artifact import TraceArtifact
-from .format import decode_artifact
 from .store import TraceStore, TraceStoreStats, trace_digest
 
 #: Trace variants, in resolution order (``plain`` also carries the
@@ -122,8 +120,8 @@ class ReplayWorkload(Workload):
 class GroupResolver:
     """Resolve one request group's trace artifacts and workload objects.
 
-    Resolution order per variant: encoded columns shipped by the caller →
-    the on-disk store → build the workload and emit.  Whatever path wins,
+    Resolution order per variant: the on-disk store → build the workload
+    and emit.  Whatever path wins,
     the artifacts of every *needed* variant end up persisted (when a store
     is attached), so each ``(workload, variant, scale, seed)`` trace is
     emitted once per machine, ever.
@@ -137,14 +135,12 @@ class GroupResolver:
         *,
         store: Optional[TraceStore] = None,
         prebuilt: Optional[Workload] = None,
-        encoded: Optional[Mapping[str, bytes]] = None,
     ) -> None:
         self.workload = workload
         self.scale = scale
         self.seed = seed
         self.store = store
         self.stats = TraceStoreStats()
-        self._encoded = dict(encoded or {})
         self._artifacts: dict[str, TraceArtifact] = {}
         self._missing: set[str] = set()
         self._replay: Optional[ReplayWorkload] = None
@@ -166,18 +162,6 @@ class GroupResolver:
             return cached
         if variant in self._missing:
             return None
-        data = self._encoded.pop(variant, None)
-        if data is not None:
-            try:
-                artifact = decode_artifact(data)
-            except TraceStoreError:
-                artifact = None
-            if artifact is not None and self._identity_matches(artifact, variant):
-                # Shipped by the parent process, which already counted the
-                # store hit once for the whole group — workers decoding
-                # their chunk's copy must not inflate the count.
-                self._adopt(variant, artifact, count_hit=False)
-                return artifact
         if self.store is not None:
             artifact = self.store.get(self.digest(variant))
             if artifact is not None and self._identity_matches(artifact, variant):
@@ -197,12 +181,9 @@ class GroupResolver:
             and artifact.seed == self.seed
         )
 
-    def _adopt(
-        self, variant: str, artifact: TraceArtifact, *, count_hit: bool = True
-    ) -> None:
+    def _adopt(self, variant: str, artifact: TraceArtifact) -> None:
         self._artifacts[variant] = artifact
-        if count_hit:
-            self.stats.hits += 1
+        self.stats.hits += 1
         if self._replay is not None:
             self._replay.attach(artifact)
 

@@ -54,10 +54,9 @@ DISABLED_VALUES = frozenset({"off", "0", "none", "disabled"})
 class TraceStoreStats:
     """What trace-artifact resolution did for one engine run.
 
-    ``hits`` are traces warmed from the store (or from encoded columns a
-    parent process shipped); ``built`` are traces that had to be emitted by
-    running the workload; ``stored`` are freshly-emitted traces persisted
-    for the next run.
+    ``hits`` are traces warmed from the store; ``built`` are traces that had
+    to be emitted by running the workload; ``stored`` are freshly-emitted
+    traces persisted for the next run.
     """
 
     hits: int = 0
@@ -169,8 +168,8 @@ class TraceStore:
             return None
 
     def get_bytes(self, digest: str) -> Optional[bytes]:
-        """Raw encoded bytes for ``digest`` (shipped to workers unverified;
-        the receiving decode treats corruption as a miss)."""
+        """Raw encoded bytes for ``digest``, unverified (:meth:`get` decodes
+        them and treats corruption as a miss)."""
 
         try:
             return self._path(digest).read_bytes()

@@ -198,7 +198,7 @@ class TestExecution:
     def test_unresolvable_workload_fails_alone(self, make_runner, bad):
         # A group whose workload cannot be resolved is labelled like a
         # simulate-time WorkloadError; it neither aborts the plan nor is
-        # retried as if it were a crashed worker.
+        # requeued as if it were a crashed worker.
         good = SimRequest("intsort", "none", scale="tiny")
         runner = make_runner()
         engine = SimEngine(runner=runner)
@@ -208,7 +208,7 @@ class TestExecution:
         assert list(batch.failures) == [bad.digest]
         assert batch.failures[bad.digest].startswith(f"{bad.workload}/none: ")
         assert engine.stats.failed == 1
-        assert runner.resilience.requeues == 0 and runner.resilience.retried == 0
+        assert runner.resilience.requeues == 0
 
     def test_memo_shares_results_across_runs(self, config):
         engine = SimEngine()
@@ -221,51 +221,6 @@ class TestExecution:
         for request in plan:
             assert second[request].as_dict() == first[request].as_dict()
 
-
-class TestSharedMemoryShipping:
-    """Warm trace columns travel to workers via shared memory, not pickles."""
-
-    def test_share_and_attach_roundtrip(self):
-        from repro.sim.engine import runner as runner_module
-
-        key = ("intsort", "tiny", 42)
-        data = b"RTRC" + bytes(range(64))
-        refs_by_key, segments = runner_module._share_artifacts({key: {"plain": data}})
-        try:
-            ref = refs_by_key[key]["plain"]
-            assert ref[0] == "shm" and ref[2] == len(data)
-            encoded, attached = runner_module._attach_encoded(refs_by_key[key])
-            assert bytes(encoded["plain"]) == data
-            encoded.clear()
-            for view, segment in attached:
-                view.release()
-                segment.close()
-        finally:
-            for segment in segments:
-                segment.close()
-                segment.unlink()
-
-    def test_without_shared_memory_bytes_ship_inline(self, monkeypatch):
-        from repro.sim.engine import runner as runner_module
-
-        monkeypatch.setattr(runner_module, "_shared_memory", None)
-        key = ("intsort", "tiny", 42)
-        data = b"RTRC-payload"
-        refs_by_key, segments = runner_module._share_artifacts({key: {"plain": data}})
-        assert segments == []
-        assert refs_by_key[key]["plain"] == ("bytes", data)
-        encoded, attached = runner_module._attach_encoded(refs_by_key[key])
-        assert encoded == {"plain": data}
-        assert attached == []
-
-    def test_missing_segment_is_dropped_not_fatal(self):
-        from repro.sim.engine import runner as runner_module
-
-        encoded, attached = runner_module._attach_encoded(
-            {"plain": ("shm", "psm_does_not_exist_anymore", 16)}
-        )
-        assert encoded == {} and attached == []
-
     def test_workers_never_reencode_warm_traces(self, config, tmp_path, monkeypatch):
         from repro.trace_store import TraceStore
 
@@ -274,9 +229,8 @@ class TestSharedMemoryShipping:
         # Warm the store once, serially.
         warm = SimEngine(runner=SerialRunner(trace_store=TraceStore(tmp_path))).run(plan)
         assert warm.stats.trace_built > 0
-        # A parallel run over the warm store must ship every trace to the
-        # workers (shared memory when available, pickled bytes otherwise)
-        # and re-emit none of them.
+        # Workers of a parallel run over the warm store read every trace
+        # from it and re-emit none of them.
         runner = MultiprocessRunner(workers=2, trace_store=TraceStore(tmp_path))
         parallel = SimEngine(runner=runner).run(plan)
         assert parallel.stats.trace_built == 0

@@ -24,7 +24,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.programmable.scheduler import RoundRobinPolicy
-from repro.sim import simulate, simulate_batch
+from repro.sim import simulate
 from repro.sim.engine.request import resolve_policy
 from repro.sim.modes import PrefetchMode, mode_available
 from repro.workloads import registry
@@ -130,7 +130,6 @@ def test_policy_state_does_not_leak_between_runs(tiny_workloads):
     workload = tiny_workloads.get("pagerank")
     config = SystemConfig.scaled()
     fresh = simulate(workload, PrefetchMode.MANUAL, config, policy=RoundRobinPolicy())
-    batch = simulate_batch(
-        workload, PrefetchMode.MANUAL, [config, config], policy=RoundRobinPolicy()
-    )
-    assert [result.as_dict() for result in batch] == [fresh.as_dict()] * 2
+    shared = RoundRobinPolicy()
+    runs = [simulate(workload, PrefetchMode.MANUAL, config, policy=shared) for _ in range(2)]
+    assert [result.as_dict() for result in runs] == [fresh.as_dict()] * 2

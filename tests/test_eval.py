@@ -1,5 +1,10 @@
 """Tests for the evaluation harness (figures, tables, report rendering)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.config import SystemConfig
@@ -12,7 +17,7 @@ from repro.eval.memtraffic import format_memtraffic, run_memtraffic
 from repro.eval.report import build_engine, render_markdown, run_report
 from repro.eval.table1 import format_table1, run_table1
 from repro.eval.table2 import format_table2, run_table2
-from repro.sim import PrefetchMode, SimRequest, run_comparison
+from repro.sim import MultiprocessRunner, PrefetchMode, SimRequest, run_comparison
 from repro.sim.modes import FIGURE7_MODES
 from repro.workloads import registry
 
@@ -117,6 +122,24 @@ class TestReport:
         console = report.format_console()
         assert "Table 1" in console
         assert report.figure7.geomean(PrefetchMode.MANUAL) > 0
+
+    def test_build_engine_refuses_parallel_only_arguments_without_parallel(self):
+        for name, value in (("workers", 4), ("max_attempts", 2)):
+            with pytest.raises(ValueError, match=name):
+                build_engine(trace_store_dir="off", **{name: value})
+        engine = build_engine(parallel=True, workers=2, max_attempts=2, trace_store_dir="off")
+        assert isinstance(engine.runner, MultiprocessRunner)
+        assert (engine.runner.workers, engine.runner.max_attempts) == (2, 2)
+
+        root = Path(__file__).resolve().parents[1]
+        driver = subprocess.run(
+            [sys.executable, str(root / "examples" / "reproduce_paper.py"),
+             "--scale", "tiny", "--max-attempts", "5"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert driver.returncode == 2
+        assert "max_attempts" in driver.stderr
 
 
 @pytest.fixture(scope="module")

@@ -13,8 +13,7 @@ import pytest
 
 from repro.errors import DeadlineExceededError, ServiceError
 from repro.resilience import Deadline, RetryPolicy
-from repro.sim.engine import ResilienceStats, SerialRunner, SimEngine, SimPlan
-from repro.sim.engine import runner as runner_module
+from repro.sim.engine import ResilienceStats
 
 
 class TestRetryPolicy:
@@ -100,61 +99,11 @@ class TestDeadline:
             Deadline(-1.0)
 
 
-class TestRetryExecution:
-    """The serial runner retries *failed* requests under a policy."""
-
-    def _flaky_execute(self, fail_times: int):
-        calls = {"n": 0}
-        real = runner_module.execute_request
-
-        def flaky(request, workload):
-            calls["n"] += 1
-            if calls["n"] <= fail_times:
-                return None, f"{request.workload}/{request.mode}: injected fault"
-            return real(request, workload)
-
-        return flaky, calls
-
-    def _tiny_plan(self):
-        from repro.config import SystemConfig
-        from repro.sim.engine import SimRequest
-
-        return SimPlan([
-            SimRequest(workload="intsort", mode="none", scale="tiny", seed=5,
-                       config=SystemConfig.scaled())
-        ])
-
-    def test_transient_failure_is_retried_to_success(self, monkeypatch):
-        flaky, calls = self._flaky_execute(fail_times=2)
-        monkeypatch.setattr(runner_module, "execute_request", flaky)
-        runner = SerialRunner(
-            trace_store=None,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
-        )
-        engine = SimEngine(runner=runner)
-        batch = engine.run(self._tiny_plan())
-        assert len(batch) == 1 and not batch.failures
-        assert calls["n"] == 3
-        assert runner.resilience.retried == 2
-        assert batch.stats.retried == 2
-
-    def test_attempts_are_bounded_and_failure_surfaces(self, monkeypatch):
-        flaky, calls = self._flaky_execute(fail_times=99)
-        monkeypatch.setattr(runner_module, "execute_request", flaky)
-        runner = SerialRunner(
-            trace_store=None,
-            retry_policy=RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0),
-        )
-        engine = SimEngine(runner=runner)
-        batch = engine.run(self._tiny_plan())
-        assert calls["n"] == 3  # initial + 2 retries, then give up
-        assert batch.stats.failed == 1
-        assert any("injected fault" in label for label in batch.stats.failures)
-
+class TestResilienceStats:
     def test_resilience_stats_merge(self):
-        left = ResilienceStats(retried=1, requeues=2)
-        left.merge(ResilienceStats(retried=3, hung_killed=1, degraded_serial=4))
-        assert (left.retried, left.requeues, left.hung_killed, left.degraded_serial) == (
+        left = ResilienceStats(expired=1, requeues=2)
+        left.merge(ResilienceStats(expired=3, hung_killed=1, degraded_serial=4))
+        assert (left.expired, left.requeues, left.hung_killed, left.degraded_serial) == (
             4, 2, 1, 4,
         )
 

@@ -9,11 +9,15 @@ established through protocol events (``accepted``, ``chunk-started``,
 
 from __future__ import annotations
 
+import gc
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -27,6 +31,7 @@ from repro.service import (
     probe_endpoint,
     spawn_local_daemon,
 )
+from repro.service.protocol import encode_message
 from repro.sim.comparison import comparison_plan
 from repro.sim.engine import SerialRunner, SimEngine, SimPlan, SimRequest
 
@@ -357,6 +362,48 @@ def test_draining_daemon_reports_not_ready_on_live_connection(svc_dir):
                 assert not probe_endpoint(daemon.address, timeout=5.0).ready
                 hold.unlink()
                 read_until(client, "done")
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        None,
+        {"type": "error", "error": "not a daemon"},
+        {"type": "welcome", "protocol": PROTOCOL_VERSION - 1},
+    ],
+    ids=["hang-up", "not-welcome", "other-protocol"],
+)
+def test_failed_handshake_closes_the_client_socket(reply):
+    """Whichever handshake step fails, the client closes its socket instead
+    of leaving it for the garbage collector to warn about."""
+
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve_once() -> None:
+        conn, _peer = listener.accept()
+        conn.settimeout(30.0)
+        with conn, conn.makefile("rb") as stream:
+            if reply is not None:
+                stream.readline()  # the client's hello
+                conn.sendall(encode_message(reply))
+                conn.recv(1)  # returns once the client hangs up
+
+    server = threading.Thread(target=serve_once)
+    server.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ServiceError):
+                ServiceClient(
+                    f"127.0.0.1:{listener.getsockname()[1]}", timeout=5.0, connect_retries=0
+                )
+            gc.collect()
+    finally:
+        server.join()
+        listener.close()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_protocol_version_mismatch_is_rejected(monkeypatch):

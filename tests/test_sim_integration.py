@@ -7,12 +7,12 @@ import pytest
 
 import repro.programmable.prefetcher as prefetcher_module
 from repro.config import SystemConfig
-from repro.errors import WorkloadError
+from repro.errors import VectorBackendUnsupported, WorkloadError
 from repro.sim import PrefetchMode, mode_available, run_comparison, simulate
+from repro.sim import system as system_module
 from repro.sim.modes import FIGURE7_MODES
 from repro.sim.results import geometric_mean
 from repro.sim.sweeps import ppu_count_frequency_sweep, ppu_frequency_sweep
-from repro.sim.vector import columns as vector_columns
 from repro.workloads import registry
 
 from kernel_oracle import interpreter_executor
@@ -61,6 +61,15 @@ class TestSimulateBasics:
         manual = simulate(workload, PrefetchMode.MANUAL, config)
         assert manual.speedup_over(baseline) == pytest.approx(baseline.cycles / manual.cycles)
         assert manual.extra_memory_accesses(baseline) > -0.5
+
+    def test_larger_l1_is_never_slower(self, tiny_workloads, config, each_workload_name):
+        workload = tiny_workloads.get(each_workload_name)
+        sizes = [8 * 1024, 16 * 1024, 32 * 1024]
+        cycles = [
+            simulate(workload, PrefetchMode.NONE, config.with_caches(l1={"size_bytes": size})).cycles
+            for size in sizes
+        ]
+        assert cycles[0] >= cycles[1] >= cycles[2], dict(zip(sizes, cycles))
 
 
 class TestBehaviouralShape:
@@ -128,11 +137,11 @@ class TestGoldenStats:
     optimisation must reproduce these numbers *exactly*; a mismatch means
     the timing model changed, not just its speed.
 
-    Every fingerprint is checked on the production path — vector replay
-    when numpy imports, compiled kernels — and once more on the other
-    implementation of its layer: the non-programmable modes with numpy
-    hidden (interpreter-core replay), the programmable modes with every
-    kernel run by the interpreter oracle.
+    Every fingerprint is checked on the production path — vector replay,
+    compiled kernels — and once more on the other implementation of its
+    layer: the non-programmable modes through the interpreter core (vector
+    replay refused), the programmable modes with every kernel run by the
+    interpreter oracle.
     """
 
     def test_golden_file_covers_every_registered_workload(self, golden_stats):
@@ -163,10 +172,13 @@ class TestGoldenStats:
         self._check(tiny_workloads.get(name), PrefetchMode, config, golden_stats)
 
     @pytest.mark.parametrize("name", registry.names())
-    def test_non_programmable_modes_without_numpy(
+    def test_non_programmable_modes_through_the_core(
         self, name, tiny_workloads, config, golden_stats, monkeypatch
     ):
-        monkeypatch.setattr(vector_columns, "_np", None)
+        def refuse(*args, **kwargs):
+            raise VectorBackendUnsupported("forced onto the interpreter core")
+
+        monkeypatch.setattr(system_module, "replay_trace", refuse)
         modes = [mode for mode in PrefetchMode if not mode.uses_programmable_prefetcher]
         self._check(tiny_workloads.get(name), modes, config, golden_stats)
 

@@ -416,7 +416,7 @@ class TestEngineIntegration:
         assert len(TraceStore(store_dir)) > 0
         assert engine.stats.trace_stored > 0
 
-    def test_multiprocess_ships_encoded_columns(self, tmp_path, scaled_config):
+    def test_multiprocess_workers_read_the_warm_store(self, tmp_path, scaled_config):
         store_dir = tmp_path / "store"
         serial = SimEngine(runner=SerialRunner(trace_store=TraceStore(store_dir)))
         baseline = serial.run(self._plan(scaled_config))
@@ -425,6 +425,44 @@ class TestEngineIntegration:
         )
         parallel = parallel_engine.run(self._plan(scaled_config))
         assert parallel_engine.stats.trace_hits > 0
+        for request in self._plan(scaled_config):
+            left, right = baseline.get(request), parallel.get(request)
+            assert (left is None) == (right is None)
+            if left is not None:
+                assert left.as_dict() == right.as_dict()
+
+    def test_split_group_counts_a_store_hit_per_chunk(self, tmp_path, scaled_config):
+        # Four points on one workload split into two chunks on two workers;
+        # each chunk reads the warm plain trace from the store itself.
+        store_dir = tmp_path / "store"
+        plan = SimPlan(
+            _request(config=scaled_config.with_caches(l1={"size_bytes": size}))
+            for size in (8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024)
+        )
+        SimEngine(runner=SerialRunner(trace_store=TraceStore(store_dir))).run(plan)
+        runner = MultiprocessRunner(workers=2, trace_store=TraceStore(store_dir))
+        assert len(runner._chunk(list(plan))) == 2
+        engine = SimEngine(runner=runner)
+        engine.run(plan)
+        assert (engine.stats.trace_hits, engine.stats.trace_built) == (2, 0)
+
+    def test_multiprocess_workers_treat_a_corrupt_entry_as_a_miss(self, tmp_path, scaled_config):
+        store_dir = tmp_path / "store"
+        baseline = SimEngine(runner=SerialRunner(trace_store=TraceStore(store_dir))).run(
+            self._plan(scaled_config)
+        )
+        digest = trace_digest("intsort", "plain", "tiny", 42)
+        spoiled = store_dir / f"{digest}.trace"
+        data = bytearray(spoiled.read_bytes())
+        data[len(data) // 3] ^= 0x40
+        spoiled.write_bytes(bytes(data))
+        engine = SimEngine(
+            runner=MultiprocessRunner(workers=2, trace_store=TraceStore(store_dir))
+        )
+        parallel = engine.run(self._plan(scaled_config))
+        # The worker re-emits the spoiled trace and rewrites the entry.
+        assert (engine.stats.trace_built, engine.stats.trace_stored) == (1, 1)
+        assert TraceStore(store_dir).get(digest) is not None
         for request in self._plan(scaled_config):
             left, right = baseline.get(request), parallel.get(request)
             assert (left is None) == (right is None)

@@ -1,16 +1,13 @@
-"""Tests for the vectorized replay backend and multi-config batching.
+"""Tests for the vectorized replay backend.
 
-Three layers of evidence that the backend is a pure wall-clock change:
+Two layers of evidence that the backend is a pure wall-clock change:
 
 1. a *differential harness* — hypothesis-generated op sequences replayed
    through both backends over identical hierarchies must produce identical
    core and hierarchy statistics, floats included;
 2. the *golden fingerprints* — ``tests/test_sim_integration.py`` checks every
-   non-programmable golden entry with numpy (vector replay) and without it
-   (interpreter core);
-3. *batch parity* — N cache geometries replayed over one trace pass must
-   equal N independent simulations, through every entry point (``simulate_batch``,
-   ``cache_geometry_sweep``, engine requests).
+   non-programmable golden entry through vector replay and through the
+   interpreter core.
 """
 
 import pytest
@@ -24,22 +21,10 @@ from repro.errors import VectorBackendUnsupported
 from repro.memory.address_space import AddressSpace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.prefetch.stride import StridePrefetcher
-from repro.sim import (
-    PrefetchMode,
-    SerialRunner,
-    SimEngine,
-    SimPlan,
-    SimRequest,
-    cache_geometry_sweep,
-    simulate,
-    simulate_batch,
-)
+from repro.sim import PrefetchMode, simulate
 from repro.sim import system as system_module
-from repro.sim.system import try_simulate_batch_vector
 from repro.sim.vector import TraceColumnPlan
-from repro.sim.vector import columns as vector_columns
-from repro.sim.vector.replay import replay_trace, replay_trace_batch
-from repro.workloads import registry
+from repro.sim.vector.replay import replay_trace
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +32,17 @@ def config():
     return SystemConfig.scaled()
 
 
+def _odd_lines(config: SystemConfig) -> SystemConfig:
+    """``config`` with 48-byte lines in both caches (no line shift exists)."""
+
+    return config.with_caches(
+        l1={"line_bytes": 48, "size_bytes": 48 * config.l1.associativity * 32},
+        l2={"line_bytes": 48, "size_bytes": 48 * config.l2.associativity * 256},
+    )
+
+
 class TestBackendSelection:
-    def _count_vector_replays(self, monkeypatch) -> dict:
+    def test_vector_replay_whenever_numpy_imports(self, tiny_workloads, config, monkeypatch):
         calls = {"replays": 0}
         original = system_module.replay_trace
 
@@ -57,35 +51,36 @@ class TestBackendSelection:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(system_module, "replay_trace", counting)
-        return calls
-
-    def test_vector_replay_whenever_numpy_imports(self, tiny_workloads, config, monkeypatch):
-        calls = self._count_vector_replays(monkeypatch)
         workload = tiny_workloads.get("randacc")
         simulate(workload, PrefetchMode.NONE, config)
         assert calls["replays"] == 1
         simulate(workload, PrefetchMode.MANUAL, config)  # programmable: interpreter core
         assert calls["replays"] == 1
 
-    def test_numpy_absent_disables_the_backend(self, tiny_workloads, config, monkeypatch):
-        calls = self._count_vector_replays(monkeypatch)
-        monkeypatch.setattr(vector_columns, "_np", None)
-        assert not vector_columns.numpy_available()
-        simulate(tiny_workloads.get("randacc"), PrefetchMode.NONE, config)
-        assert calls["replays"] == 0
-
-    def test_numpy_absent_still_simulates(self, tiny_workloads, config, monkeypatch):
+    def test_refused_replay_falls_back_to_the_core(self, tiny_workloads, config, monkeypatch):
+        # Vector replay refuses 48-byte lines before touching the hierarchy,
+        # so simulate's core fallback matches a run that never tried it.
+        odd = _odd_lines(config)
         workload = tiny_workloads.get("randacc")
-        with_numpy = simulate(workload, PrefetchMode.NONE, config)
-        monkeypatch.setattr(vector_columns, "_np", None)
-        without = simulate(workload, PrefetchMode.NONE, config)
-        assert without.as_dict() == with_numpy.as_dict()
+        calls = {"refused": 0}
+        original = system_module.replay_trace
 
-    def test_plan_requires_numpy(self, monkeypatch):
-        monkeypatch.setattr(vector_columns, "_np", None)
-        trace = TraceBuilder().build()
-        with pytest.raises(VectorBackendUnsupported):
-            TraceColumnPlan(trace, page_bytes=4096, line_shift=6, issue_width=3)
+        def counting(*args, **kwargs):
+            try:
+                return original(*args, **kwargs)
+            except VectorBackendUnsupported:
+                calls["refused"] += 1
+                raise
+
+        monkeypatch.setattr(system_module, "replay_trace", counting)
+        fallback = simulate(workload, PrefetchMode.STRIDE, odd)
+        assert calls["refused"] == 1
+
+        def refuse(*args, **kwargs):
+            raise VectorBackendUnsupported("forced onto the interpreter core")
+
+        monkeypatch.setattr(system_module, "replay_trace", refuse)
+        assert fallback.as_dict() == simulate(workload, PrefetchMode.STRIDE, odd).as_dict()
 
 
 class TestLaneSupport:
@@ -99,6 +94,22 @@ class TestLaneSupport:
         engine.attach(hierarchy)
         with pytest.raises(VectorBackendUnsupported):
             replay_trace(workload.trace("plain"), hierarchy, config.core)
+
+    def test_non_power_of_two_line_size_is_rejected(self, config):
+        odd = _odd_lines(config)
+        builder = TraceBuilder()
+        builder.load(0)
+        hierarchy = MemoryHierarchy(odd, AddressSpace())
+        with pytest.raises(VectorBackendUnsupported, match="non-power-of-two"):
+            replay_trace(builder.build(), hierarchy, odd.core)
+
+    def test_differing_l1_and_l2_line_sizes_are_rejected(self, config):
+        mixed = config.with_caches(l2={"line_bytes": 128})
+        builder = TraceBuilder()
+        builder.load(0)
+        hierarchy = MemoryHierarchy(mixed, AddressSpace())
+        with pytest.raises(VectorBackendUnsupported, match="line sizes differ"):
+            replay_trace(builder.build(), hierarchy, mixed.core)
 
     def test_negative_addresses_are_rejected(self, config):
         builder = TraceBuilder()
@@ -149,6 +160,60 @@ def _build_trace(ops):
     return builder.build()
 
 
+#: Cache geometries as ``with_caches`` overrides of the scaled preset: each
+#: compiles its own specialised replay loop (set mask and shift,
+#: associativity, MSHRs).  The small ones make generated traces evict and
+#: stall on MSHRs.
+GEOMETRIES = {
+    "scaled": {},
+    "l1-8k": {"l1": {"size_bytes": 8 * 1024}},
+    "l1-1k-4way": {
+        "l1": {"size_bytes": 1024, "associativity": 4},
+        "l2": {"size_bytes": 8 * 1024, "associativity": 4},
+    },
+    "l1-512-direct-mapped": {
+        "l1": {"size_bytes": 512, "associativity": 1, "mshrs": 2},
+        "l2": {"size_bytes": 4 * 1024, "associativity": 2, "mshrs": 3},
+    },
+}
+
+
+class TestColumnPlan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ops=st.lists(_OP, max_size=120),
+        chunk_ops=st.integers(min_value=1, max_value=50),
+        geometry=st.sampled_from(sorted(GEOMETRIES)),
+    )
+    def test_chunks_carry_each_ops_l1_set_tag_and_page(self, ops, chunk_ops, geometry):
+        config = SystemConfig.scaled().with_caches(**GEOMETRIES[geometry])
+        hierarchy = MemoryHierarchy(config, AddressSpace())
+        l1 = hierarchy.l1
+        page_bytes = hierarchy.tlb._page_bytes
+        trace = _build_trace(ops)
+        plan = TraceColumnPlan(
+            trace,
+            page_bytes=page_bytes,
+            line_shift=l1._line_shift,
+            set_mask=l1._set_mask,
+            set_shift=l1._set_shift,
+            issue_width=config.core.issue_width,
+            chunk_ops=chunk_ops,
+        )
+        position = 0
+        addrs = trace.columns()[1]
+        for chunk in plan.chunks():
+            assert chunk.start == position
+            for offset, (set_index, tag, page) in enumerate(
+                zip(chunk.sets, chunk.tags, chunk.pages)
+            ):
+                addr = addrs[position + offset]
+                assert (l1._sets[set_index], tag) == l1.probe(addr)
+                assert page == addr // page_bytes
+            position = chunk.end
+        assert position == len(trace)
+
+
 def _run_both(trace, config, *, with_stride):
     """Replay ``trace`` through interpreter and vector backends."""
 
@@ -171,10 +236,11 @@ def _run_both(trace, config, *, with_stride):
 class TestDifferentialHarness:
     """Random op sequences must replay identically through both backends."""
 
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     @settings(max_examples=40, deadline=None)
     @given(ops=st.lists(_OP, max_size=120))
-    def test_pure_lane_matches_interpreter(self, ops):
-        config = SystemConfig.scaled()
+    def test_pure_lane_matches_interpreter(self, geometry, ops):
+        config = SystemConfig.scaled().with_caches(**GEOMETRIES[geometry])
         trace = _build_trace(ops)
         (interp_core, interp_hier), (vector_core, vector_hier) = _run_both(
             trace, config, with_stride=False
@@ -182,115 +248,16 @@ class TestDifferentialHarness:
         assert vector_core == interp_core
         assert vector_hier == interp_hier
 
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
     @settings(max_examples=40, deadline=None)
     @given(ops=st.lists(_OP, max_size=120))
-    def test_snooped_lane_matches_interpreter(self, ops):
+    def test_snooped_lane_matches_interpreter(self, geometry, ops):
         # A stride prefetcher installs a demand snoop, driving the shared
         # (attribute-backed) loop variant plus the prefetch interactions.
-        config = SystemConfig.scaled()
+        config = SystemConfig.scaled().with_caches(**GEOMETRIES[geometry])
         trace = _build_trace(ops)
         (interp_core, interp_hier), (vector_core, vector_hier) = _run_both(
             trace, config, with_stride=True
         )
         assert vector_core == interp_core
         assert vector_hier == interp_hier
-
-
-GEOMETRIES = [
-    {"l1": {"size_bytes": 8 * 1024}},
-    {"l1": {"size_bytes": 32 * 1024}},
-    {"l1": {"size_bytes": 16 * 1024, "associativity": 4}, "l2": {"size_bytes": 128 * 1024}},
-]
-
-
-class TestMultiConfigBatching:
-    def _configs(self, config):
-        return [config.with_caches(**geometry) for geometry in GEOMETRIES]
-
-    @pytest.mark.parametrize("mode", [PrefetchMode.NONE, PrefetchMode.STRIDE])
-    def test_batch_matches_serial_simulations(self, tiny_workloads, config, mode):
-        workload = tiny_workloads.get("intsort")
-        configs = self._configs(config)
-        batched = simulate_batch(workload, mode, configs)
-        assert len(batched) == len(configs)
-        for cfg, result in zip(configs, batched):
-            serial = simulate(workload, mode, cfg)
-            assert result.as_dict() == serial.as_dict()
-
-    def test_try_batch_reports_vector_coverage(self, tiny_workloads, config, monkeypatch):
-        workload = tiny_workloads.get("intsort")
-        configs = self._configs(config)
-        assert try_simulate_batch_vector(workload, PrefetchMode.NONE, configs) is not None
-        # Not batchable: single config, programmable mode, differing cores,
-        # numpy missing.
-        assert try_simulate_batch_vector(workload, PrefetchMode.NONE, configs[:1]) is None
-        assert try_simulate_batch_vector(workload, PrefetchMode.MANUAL, configs) is None
-        mixed = [configs[0], configs[1].with_core(rob_entries=64)]
-        assert try_simulate_batch_vector(workload, PrefetchMode.NONE, mixed) is None
-        monkeypatch.setattr(vector_columns, "_np", None)
-        assert try_simulate_batch_vector(workload, PrefetchMode.NONE, configs) is None
-
-    def test_geometry_sweep_is_backend_independent(self, tiny_workloads, config, monkeypatch):
-        workload = tiny_workloads.get("randacc")
-        sizes = [8 * 1024, 16 * 1024, 32 * 1024]
-        vector = cache_geometry_sweep(workload, l1_sizes=sizes, config=config)
-        monkeypatch.setattr(vector_columns, "_np", None)
-        interp = cache_geometry_sweep(workload, l1_sizes=sizes, config=config)
-        assert list(vector) == sizes == list(interp)
-        for size in sizes:
-            assert vector[size].as_dict() == interp[size].as_dict()
-        # Larger caches can only help at equal geometry elsewhere.
-        assert vector[32 * 1024].cycles <= vector[8 * 1024].cycles
-
-    def test_batch_replay_shares_one_column_pass(self, tiny_workloads, config, monkeypatch):
-        workload = tiny_workloads.get("intsort")
-        workload.build()
-        trace = workload.trace("plain")
-        calls = {"plans": 0}
-        original_init = TraceColumnPlan.__init__
-
-        def counting_init(self, *args, **kwargs):
-            calls["plans"] += 1
-            original_init(self, *args, **kwargs)
-
-        monkeypatch.setattr(TraceColumnPlan, "__init__", counting_init)
-        hierarchies = [
-            MemoryHierarchy(cfg, workload.space) for cfg in self._configs(config)
-        ]
-        stats = replay_trace_batch(trace, hierarchies, config.core)
-        assert len(stats) == len(hierarchies)
-        assert calls["plans"] == 1
-
-    def test_engine_counts_batched_requests(self, config):
-        configs = [
-            config.with_caches(l1={"size_bytes": size})
-            for size in (8 * 1024, 16 * 1024, 32 * 1024)
-        ]
-        plan = SimPlan(
-            SimRequest(workload="intsort", mode="none", scale="tiny", config=cfg)
-            for cfg in configs
-        )
-        engine = SimEngine(runner=SerialRunner())
-        batch = engine.run(plan)
-        assert batch.stats.batched == len(configs)
-        assert "vector-batched" in batch.stats.summary()
-        for request, cfg in zip(plan, configs):
-            direct = simulate(
-                registry.build("intsort", scale="tiny", seed=42), request.prefetch_mode, cfg
-            )
-            assert batch[request].as_dict() == direct.as_dict()
-
-    def test_engine_batched_is_zero_under_interpreter(self, config, monkeypatch):
-        monkeypatch.setattr(vector_columns, "_np", None)
-        plan = SimPlan(
-            SimRequest(
-                workload="intsort",
-                mode="none",
-                scale="tiny",
-                config=config.with_caches(l1={"size_bytes": size}),
-            )
-            for size in (8 * 1024, 16 * 1024)
-        )
-        batch = SimEngine(runner=SerialRunner()).run(plan)
-        assert batch.stats.batched == 0
-        assert len(batch) == 2
