@@ -121,13 +121,21 @@ class ServiceProtocolError(ServiceError):
     """
 
 
-class WorkerCrashedError(ServiceError):
-    """A service pool worker died while executing a chunk.
+class WorkerCrashedError(ReproError):
+    """A pool worker died, or could not start, while executing a chunk.
 
-    Raised internally by :class:`repro.service.pool.ChunkPool`; the server
-    catches it, requeues the chunk, and only surfaces a failure label to
-    waiting clients when the chunk exhausts its retry budget.
+    Raised by :meth:`repro.sim.engine.pool.WorkerPool.run`.  The parallel
+    runner and the service daemon retry the chunk on a fresh worker and
+    report a failure label once the chunk exhausts its attempts.
     """
+
+
+class WorkerHungError(WorkerCrashedError):
+    """A pool worker sent no heartbeat for the hang timeout and was killed."""
+
+
+class ChunkFailedError(ReproError):
+    """A chunk raised inside its pool worker; a retry would only repeat it."""
 
 
 class WorkloadError(ReproError):

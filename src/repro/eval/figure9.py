@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..config import SystemConfig
-from ..sim.engine import SimEngine, SimPlan, SimRequest, SerialRunner
+from ..sim.engine import BatchResult, SimEngine, SimPlan, SimRequest, SerialRunner
 from ..sim.results import geometric_mean
 from ..sim.sweeps import (
     FIGURE9A_FREQUENCIES,
@@ -54,6 +54,26 @@ class _Figure9Requests:
     baselines: dict[str, SimRequest]
     frequency_points: dict[str, dict[float, SimRequest]]
     count_points: dict[tuple[int, float], SimRequest]
+    count_sweep_workload: str
+
+    def data(self, batch: BatchResult) -> Figure9Data:
+        """Read the figure off a batch that executed (at least) :attr:`plan`."""
+
+        data = Figure9Data(count_sweep_workload=self.count_sweep_workload)
+        for name, points in self.frequency_points.items():
+            reference = batch[self.baselines[name]]
+            data.frequency_sweeps[name] = {
+                frequency: batch[request].speedup_over(reference)
+                for frequency, request in points.items()
+                if batch.get(request) is not None
+            }
+        count_reference = batch[self.baselines[self.count_sweep_workload]]
+        data.count_sweep = {
+            key: batch[request].speedup_over(count_reference)
+            for key, request in self.count_points.items()
+            if batch.get(request) is not None
+        }
+        return data
 
 
 def figure9_plan(
@@ -105,7 +125,7 @@ def figure9_plan(
             seed=seed,
         ).items()
     }
-    return _Figure9Requests(plan, baselines, frequency_points, count_points)
+    return _Figure9Requests(plan, baselines, frequency_points, count_points, count_sweep_workload)
 
 
 def run_figure9(
@@ -132,23 +152,7 @@ def run_figure9(
     )
     if engine is None:
         engine = SimEngine(runner=SerialRunner(workloads=prebuilt))
-    batch = engine.run(declared.plan)
-
-    data = Figure9Data(count_sweep_workload=count_sweep_workload)
-    for name, points in declared.frequency_points.items():
-        reference = batch[declared.baselines[name]]
-        data.frequency_sweeps[name] = {
-            frequency: batch[request].speedup_over(reference)
-            for frequency, request in points.items()
-            if batch.get(request) is not None
-        }
-    count_reference = batch[declared.baselines[count_sweep_workload]]
-    data.count_sweep = {
-        key: batch[request].speedup_over(count_reference)
-        for key, request in declared.count_points.items()
-        if batch.get(request) is not None
-    }
-    return data
+    return declared.data(engine.run(declared.plan))
 
 
 def format_figure9(data: Figure9Data) -> str:

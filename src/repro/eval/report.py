@@ -16,13 +16,14 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..config import SystemConfig
-from ..sim.comparison import comparison_plan, run_comparison
+from ..sim.comparison import comparison_from_batch, comparison_plan
 from ..sim.engine import (
     EngineStats,
     MultiprocessRunner,
     ResultCache,
     SerialRunner,
     SimEngine,
+    SimPlan,
 )
 from ..trace_store import trace_store_from_spec
 from ..sim.modes import FIGURE7_MODES, PrefetchMode
@@ -30,7 +31,7 @@ from ..workloads import registry
 from . import paper_values
 from .figure7 import Figure7Data, format_figure7, run_figure7
 from .figure8 import Figure8Data, format_figure8, run_figure8
-from .figure9 import Figure9Data, figure9_plan, format_figure9, run_figure9
+from .figure9 import Figure9Data, figure9_plan, format_figure9
 from .figure10 import Figure10Data, format_figure10, run_figure10
 from .figure11 import Figure11Data, format_figure11, run_figure11
 from .memtraffic import MemTrafficData, format_memtraffic, run_memtraffic
@@ -213,8 +214,7 @@ def run_report(
 
     Every simulation point of every figure is declared up front in one
     deduplicated plan and executed in a single engine run; the per-figure
-    code then reads results back out of the engine's memo without simulating
-    anything further.
+    code then reads its results off that one batch.
     """
 
     names = list(workloads) if workloads is not None else registry.paper_names()
@@ -230,30 +230,23 @@ def run_report(
     # One plan drives everything: the Figure 7 comparison modes (shared by
     # Figures 8, 10, 11 and the traffic analysis) plus the Figure 9 sweeps.
     modes = list(FIGURE7_MODES) + [PrefetchMode.MANUAL_BLOCKED]
-    plan = comparison_plan(names, modes, config=system_config, scale=scale, seed=seed)
+    compared = comparison_plan(names, modes, config=system_config, scale=scale, seed=seed)
+    plan = SimPlan().merge(compared)
+    swept = None
     if include_figure9:
-        plan.merge(
-            figure9_plan(
-                workloads=names, config=system_config, scale=scale, seed=seed
-            ).plan
-        )
+        swept = figure9_plan(workloads=names, config=system_config, scale=scale, seed=seed)
+        plan.merge(swept.plan)
     batch = engine.run(plan)
 
-    comparison = run_comparison(
-        names, modes, config=system_config, scale=scale, seed=seed, engine=engine
-    )
+    # Read the comparison off its own requests: the merged plan also holds
+    # Figure 9's manual points, which would collide with Figure 7's.
+    comparison = comparison_from_batch(compared, batch)
     figure7 = run_figure7(workloads=names, comparison=comparison)
     figure8 = run_figure8(workloads=names, comparison=comparison)
     figure10 = run_figure10(workloads=names, comparison=comparison)
     figure11 = run_figure11(workloads=names, comparison=comparison)
     memtraffic = run_memtraffic(workloads=names, comparison=comparison)
-    figure9 = (
-        run_figure9(
-            workloads=names, config=system_config, scale=scale, seed=seed, engine=engine
-        )
-        if include_figure9
-        else None
-    )
+    figure9 = swept.data(batch) if swept is not None else None
 
     return ReproductionReport(
         figure7=figure7,
@@ -417,9 +410,10 @@ def render_markdown(report: ReproductionReport) -> str:
         "# EXPERIMENTS — measured reproduction results",
         "",
         f"All runs use the `{report.scale}` workload scale and `SystemConfig.scaled()` "
-        "(see DESIGN.md for the scaling rationale).  Paper values are approximate "
-        "readings of the published figures; the goal is to reproduce the *shape* "
-        "of each result, not absolute simulator cycle counts.",
+        "(its docstring in `src/repro/config.py` gives the scaling rationale).  "
+        "Paper values are approximate readings of the published figures; the goal "
+        "is to reproduce the *shape* of each result, not absolute simulator cycle "
+        "counts.",
         "",
     ]
     lines += _markdown_figure7(report)

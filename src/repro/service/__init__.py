@@ -2,7 +2,8 @@
 
 A long-lived daemon (:class:`ReproServer`) holds one warm result memo,
 persistent :class:`~repro.sim.engine.ResultCache`, on-disk trace store and
-process worker pool, and serves simulation plans to any number of
+worker pool (the :class:`~repro.sim.engine.pool.WorkerPool` the parallel
+runner uses too), and serves simulation plans to any number of
 concurrent clients over newline-delimited JSON on a TCP or UNIX socket.
 Identical in-flight requests are deduplicated across clients by a
 digest-keyed singleflight table — each unique simulation executes exactly
@@ -25,7 +26,6 @@ See ``docs/service.md`` for the protocol, lifecycle and failure semantics.
 
 from .client import ServiceClient, ServiceEngine, parse_address, spawn_local_daemon
 from .health import EndpointHealth, probe_endpoint
-from .pool import ChunkPool
 from .protocol import PROTOCOL_VERSION, request_from_wire, request_to_wire
 from .scheduler import DEFAULT_CHUNK_SIZE, Chunk, FairScheduler, split_requests
 from .server import DEFAULT_MAX_ATTEMPTS, ReproServer, ServiceStats
@@ -45,7 +45,6 @@ __all__ = [
     "FairScheduler",
     "Chunk",
     "split_requests",
-    "ChunkPool",
     "PROTOCOL_VERSION",
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_MAX_ATTEMPTS",

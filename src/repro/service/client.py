@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from ..errors import ServiceError, ServiceProtocolError
 from ..resilience import RetryPolicy
-from ..sim.engine import BatchResult, EngineStats, SimPlan, SimRequest
+from ..sim.engine import DEADLINE_FAILURE_TEXT, BatchResult, EngineStats, SimPlan, SimRequest
 from ..sim.results import SimulationResult
 from .protocol import (
     MAX_MESSAGE_BYTES,
@@ -364,6 +364,8 @@ def _absorb_outcome(
         batch.failures[request.digest] = label
         stats.failed += 1
         stats.failures[label] = stats.failures.get(label, 0) + 1
+        if DEADLINE_FAILURE_TEXT in label:
+            stats.expired += 1
     else:
         raise ServiceProtocolError(f"unknown outcome status {status!r}")
 

@@ -40,6 +40,7 @@ class EndpointHealth:
     queued_chunks: Optional[int] = None
     running_chunks: Optional[int] = None
     in_flight: Optional[int] = None
+    #: Pool workers killed after a crash or a hang since the daemon started.
     pool_generation: Optional[int] = None
     memo_entries: Optional[int] = None
     executed: Optional[int] = None

@@ -17,8 +17,8 @@ Client → server
                    server answers ``error`` and schedules nothing.
     ``stats``      global server counters; answered with ``stats``.
     ``health``     readiness probe; answered with ``health``:
-                   uptime, queue depth, in-flight digests, pool
-                   generation, cache/memo state, draining flag.
+                   uptime, queue depth, in-flight digests, replaced
+                   pool workers, cache/memo state, draining flag.
     ``shutdown``   ask the server to drain and exit (same as SIGTERM);
                    answered with ``draining``.
 
@@ -35,7 +35,7 @@ Server → client
     ``chunk-started``  a chunk containing digests this submission waits on
                        began executing (carries a global ``seq`` so clients
                        can observe dispatch order).
-    ``chunk-requeued`` the chunk's worker crashed and it was requeued.
+    ``chunk-requeued`` the chunk's worker crashed or hung and it was requeued.
     ``progress``       ``completed``/``total`` unique digests resolved.
     ``done``           positional ``outcomes`` (aligned with the submitted
                        request list) plus per-submission statistics.

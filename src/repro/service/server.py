@@ -15,8 +15,9 @@ different clients round-robin under load.
 
 Robustness guarantees (exercised by the fault-injection tests):
 
-* a pool worker dying mid-chunk requeues the chunk (bounded retries, then
-  a labelled failure delivered to every waiter — nobody hangs);
+* a pool worker that dies or stops heartbeating mid-chunk costs only its
+  own chunk, which is requeued (bounded retries, then a labelled failure
+  delivered to every waiter — nobody hangs);
 * a client disconnecting mid-stream cancels its still-queued unique work,
   while singleflight work shared with other clients survives;
 * SIGTERM/SIGINT (or a ``shutdown`` message) drains: queued and running
@@ -36,7 +37,7 @@ Robustness guarantees (exercised by the fault-injection tests):
   answered with ``error`` before anything is scheduled, and the
   connection stays usable;
 * a ``health`` readiness probe (uptime, queue depth, in-flight digests,
-  pool generation, cache state, draining flag).
+  replaced pool workers, cache state, draining flag).
 """
 
 from __future__ import annotations
@@ -50,14 +51,15 @@ import os
 import signal
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..errors import ServiceProtocolError, WorkerCrashedError
-from ..sim.engine import UNAVAILABLE, ResultCache, SimRequest
+from ..sim.engine import DEADLINE_FAILURE_TEXT, UNAVAILABLE, ResultCache, SimRequest
+from ..sim.engine.pool import DEFAULT_MAX_ATTEMPTS, WorkerPool
 from ..sim.engine.request import code_fingerprint
 from ..trace_store import trace_store_from_spec
-from .pool import ChunkPool
 from .protocol import (
     MAX_MESSAGE_BYTES,
     PROTOCOL_VERSION,
@@ -67,10 +69,6 @@ from .protocol import (
 )
 from .scheduler import DEFAULT_CHUNK_SIZE, Chunk, FairScheduler, split_requests
 from .singleflight import SingleflightTable
-
-#: Default total execution attempts per chunk before its requests are
-#: failed to their waiters (1 first try + 2 crash retries).
-DEFAULT_MAX_ATTEMPTS = 3
 
 #: Default ``retry_after`` hint (seconds) carried on ``rejected`` messages.
 DEFAULT_RETRY_AFTER = 0.5
@@ -280,10 +278,12 @@ class ReproServer:
         self._started_at: Optional[float] = None
         self.cache = ResultCache(cache_dir) if cache_dir else None
         store = trace_store_from_spec(trace_store)
-        self.pool = ChunkPool(
+        self.pool = WorkerPool(
             workers,
             trace_store_dir=str(store.directory) if store is not None else None,
         )
+        #: One thread per worker blocks in ``pool.run`` for the event loop.
+        self._threads = ThreadPoolExecutor(self.pool.workers, thread_name_prefix="repro-pool")
         self.stats = ServiceStats()
         self._memo: dict[str, dict[str, Any]] = {}
         self._flights = SingleflightTable()
@@ -346,6 +346,7 @@ class ReproServer:
         if self._tasks:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         self.pool.shutdown()
+        self._threads.shutdown()
 
     def _maybe_finish_drain(self) -> None:
         if (
@@ -439,7 +440,7 @@ class ReproServer:
             "address": self.address,
             "uptime": uptime,
             "workers": self.pool.workers,
-            "pool_generation": self.pool.generation,
+            "pool_generation": self.pool.replaced,
             "connections": len(self._connections),
             "queued_chunks": len(self._scheduler),
             "running_chunks": len(self._running),
@@ -622,7 +623,7 @@ class ReproServer:
         for digest in expired:
             request = by_digest[digest]
             failure = (
-                f"{request.workload}/{request.mode}: deadline exceeded "
+                f"{request.workload}/{request.mode}: {DEADLINE_FAILURE_TEXT} "
                 f"({submission.deadline_seconds:g}s budget in service)"
             )
             counts = submission.counts
@@ -689,7 +690,9 @@ class ReproServer:
 
     async def _execute_chunk(self, chunk: Chunk) -> None:
         try:
-            executed, trace_stats = await self.pool.run(chunk.requests)
+            executed, trace_stats = await asyncio.get_running_loop().run_in_executor(
+                self._threads, self.pool.run, chunk.requests
+            )
         except WorkerCrashedError as error:
             self._running.pop(chunk.id, None)
             self.stats.crashes += 1
@@ -702,11 +705,11 @@ class ReproServer:
             else:
                 for request in chunk.requests:
                     label = (
-                        f"{request.workload}/{request.mode}: worker crashed "
-                        f"(attempt {chunk.attempts}/{self.max_attempts}: {error})"
+                        f"{request.workload}/{request.mode}: {error}; "
+                        f"gave up after {chunk.attempts} attempts"
                     )
                     self._publish(request.digest, None, label)
-        except Exception as error:  # defensive: a bug must never hang waiters
+        except Exception as error:  # a chunk that raised (or a bug) must never hang waiters
             self._running.pop(chunk.id, None)
             for request in chunk.requests:
                 self._publish(

@@ -17,7 +17,7 @@ from ..config import SystemConfig
 from ..errors import DuplicateResultError
 from ..workloads import registry
 from ..workloads.base import Workload
-from .engine import EngineStats, SimEngine, SimPlan, SimRequest, SerialRunner
+from .engine import BatchResult, EngineStats, SimEngine, SimPlan, SimRequest, SerialRunner
 from .modes import FIGURE7_MODES, PrefetchMode
 from .results import SimulationResult, geometric_mean
 
@@ -31,8 +31,8 @@ class ComparisonResult:
         results: Result per ``(workload, mode value)`` pair for every other
             mode.
         engine_stats: Statistics of the engine run that produced the results
-            (set by :func:`run_comparison`; ``None`` for hand-assembled
-            comparisons).
+            (set by :func:`comparison_from_batch`; ``None`` for
+            hand-assembled comparisons).
     """
 
     baselines: dict[str, SimulationResult] = field(default_factory=dict)
@@ -162,7 +162,11 @@ def run_comparison(
     if engine is None:
         engine = SimEngine(runner=SerialRunner(workloads=workloads))
     plan = comparison_plan(workload_names, modes, config=config, scale=scale, seed=seed)
-    batch = engine.run(plan)
+    return comparison_from_batch(plan, engine.run(plan))
+
+
+def comparison_from_batch(plan: SimPlan, batch: BatchResult) -> ComparisonResult:
+    """Fold ``plan``'s results into a comparison; ``batch`` may hold more."""
 
     comparison = ComparisonResult(engine_stats=batch.stats)
     for request in plan:

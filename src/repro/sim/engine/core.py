@@ -61,7 +61,7 @@ class EngineStats:
     resumed: int = 0
     #: Parallel chunks requeued after their worker hung or crashed.
     requeues: int = 0
-    #: Workers killed by the hung-worker watchdog.
+    #: Pool workers killed because they stopped heartbeating.
     hung_killed: int = 0
     #: Requests that completed as failures because a deadline expired
     #: (a subset of :attr:`failed`).

@@ -31,26 +31,31 @@ Both runners are resilience-aware (see ``docs/resilience.md``):
 * ``run`` accepts a :class:`~repro.resilience.Deadline`; once it expires,
   remaining requests complete as labelled failures (never cached, so a
   resumed run retries exactly the expired work).
-* :class:`MultiprocessRunner` runs a heartbeat watchdog over its workers:
-  a worker that stops making progress for ``hang_timeout`` seconds is
-  killed, its chunk is requeued with bounded attempts, and when the pool
-  is exhausted the remaining chunks degrade to in-parent serial execution
-  instead of hanging the plan forever.
+* :class:`MultiprocessRunner` runs its chunks on the
+  :class:`~repro.sim.engine.pool.WorkerPool` the service daemon uses too:
+  a worker that dies or stops heartbeating is killed, its chunk is retried
+  on a fresh worker with bounded attempts, and a chunk that exhausts them
+  fails with a label instead of hanging the plan.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-import time
+import threading
 from abc import ABC, abstractmethod
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
-from multiprocessing import connection as _mp_connection
 from typing import Callable, Mapping, Optional, Sequence
 
-from ...errors import RegistryError, WorkloadError
+from ...errors import (
+    ChunkFailedError,
+    RegistryError,
+    WorkerCrashedError,
+    WorkerHungError,
+    WorkloadError,
+)
 from ...resilience import Deadline, DeadlineLike
 from ...trace_store import (
     GroupResolver,
@@ -63,6 +68,7 @@ from ...workloads.base import Workload
 from ..modes import mode_available
 from ..results import SimulationResult
 from ..system import simulate
+from .pool import DEFAULT_MAX_ATTEMPTS, WorkerPool
 from .request import SimRequest, resolve_policy
 
 #: One executed request: ``(digest, result, failure)``.  ``result`` is
@@ -93,25 +99,13 @@ class ResilienceStats:
     Attributes:
         expired: Requests completed as failures because a deadline expired
             before they ran.
-        hung_killed: Workers killed by the heartbeat watchdog.
-        requeues: Chunks requeued after their worker hung or crashed.
-        respawns: Replacement workers spawned after a kill or crash.
-        degraded_serial: Chunks executed in-parent after the worker pool
-            was exhausted.
+        hung_killed: Workers killed because they stopped heartbeating.
+        requeues: Chunk retries after their worker hung or crashed.
     """
 
     expired: int = 0
     hung_killed: int = 0
     requeues: int = 0
-    respawns: int = 0
-    degraded_serial: int = 0
-
-    def merge(self, other: "ResilienceStats") -> None:
-        self.expired += other.expired
-        self.hung_killed += other.hung_killed
-        self.requeues += other.requeues
-        self.respawns += other.respawns
-        self.degraded_serial += other.degraded_serial
 
 
 def group_requests(requests: Sequence[SimRequest]) -> list[list[SimRequest]]:
@@ -312,50 +306,8 @@ class SerialRunner(Runner):
         return executed
 
 
-def _watchdog_worker(conn) -> None:
-    """Worker-process loop of the watchdogged :class:`MultiprocessRunner`.
-
-    Receives ``(index, requests, store_dir)`` task tuples over its pipe and
-    answers with ``("hb", index)`` after every completed request, then
-    ``("done", index, outcome)`` — or ``("err", index, message)`` if the
-    chunk raised something the per-request machinery does not absorb.  A
-    ``None`` task means exit.
-    """
-
-    try:
-        while True:
-            task = conn.recv()
-            if task is None:
-                return
-            index, requests, store_dir = task
-            store = TraceStore(store_dir) if store_dir else None
-            try:
-                outcome = execute_group(
-                    requests,
-                    store=store,
-                    heartbeat=lambda: conn.send(("hb", index)),
-                )
-                conn.send(("done", index, outcome))
-            except Exception as error:  # noqa: BLE001 - forwarded to parent
-                conn.send(("err", index, f"{type(error).__name__}: {error}"))
-    except (EOFError, OSError, KeyboardInterrupt):  # parent went away
-        return
-
-
-class _WorkerSlot:
-    """Parent-side handle on one watchdogged worker process."""
-
-    __slots__ = ("process", "conn", "task", "last_beat")
-
-    def __init__(self, process, conn, clock: Callable[[], float]) -> None:
-        self.process = process
-        self.conn = conn
-        self.task: Optional[int] = None
-        self.last_beat = clock()
-
-
 class MultiprocessRunner(Runner):
-    """Farm independent request chunks across watchdogged worker processes.
+    """Farm independent request chunks across a :class:`WorkerPool`.
 
     Each worker resolves its chunk through the on-disk trace store the
     parent names: warm artifacts decode from a few flat arrays instead of
@@ -370,15 +322,10 @@ class MultiprocessRunner(Runner):
     counts its own store hits.  Falls back to serial execution when there
     is nothing to parallelise.
 
-    The parent supervises its workers directly (pipes, not a ``Pool``):
-    every completed request is a heartbeat, and a worker silent for
-    ``hang_timeout`` seconds is killed, its chunk requeued (at most
-    ``max_attempts`` assignments per chunk) and a replacement spawned from
-    a bounded respawn budget.  A chunk that exhausts its attempts fails
-    with a label instead of hanging the plan; when every worker is gone
-    and the budget is spent, the remaining chunks run serially in-parent.
-    ``hang_timeout`` must comfortably exceed the longest *single*
-    simulation, since a worker only beats between requests.
+    One thread per worker feeds chunks to the pool.  A chunk whose worker
+    crashed or hung is retried on a fresh worker, at most ``max_attempts``
+    times in all, and then fails with a label; a chunk that raised inside
+    its worker fails at once, since a retry would repeat it.
     """
 
     label = "multiprocess"
@@ -389,27 +336,19 @@ class MultiprocessRunner(Runner):
         *,
         workloads: Optional[Mapping[str, Workload]] = None,
         trace_store=_DEFAULT_STORE,
-        hang_timeout: float = 300.0,
-        max_attempts: int = 3,
-        respawn_limit: Optional[int] = None,
-        clock: Callable[[], float] = time.monotonic,
+        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> None:
         super().__init__()
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("MultiprocessRunner needs at least one worker")
-        if hang_timeout <= 0:
-            raise ValueError("hang_timeout must be positive")
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         #: Pre-built workloads reused by the in-process (serial) fallback;
         #: worker processes resolve through the trace store instead.
         self.workloads = workloads
         self.trace_store = _resolve_store(trace_store)
-        self.hang_timeout = hang_timeout
         self.max_attempts = max_attempts
-        self.respawn_limit = respawn_limit
-        self._clock = clock
 
     def _chunk(self, requests: Sequence[SimRequest]) -> list[list[SimRequest]]:
         total = len(requests)
@@ -427,12 +366,12 @@ class MultiprocessRunner(Runner):
         on_executed: Optional[ExecutedCallback] = None,
         deadline: DeadlineLike = None,
     ) -> list[ExecutedRequest]:
+        self.trace_stats = TraceStoreStats()
+        self.resilience = ResilienceStats()
         if not requests:
-            self.trace_stats = TraceStoreStats()
-            self.resilience = ResilienceStats()
             return []
         chunks = self._chunk(requests)
-        budget = Deadline.after(deadline, clock=self._clock)
+        budget = Deadline.after(deadline)
         if self.workers == 1 or len(chunks) <= 1:
             # Nothing to parallelise: hand the whole request set to the
             # serial path, forwarding any pre-built workloads so the
@@ -442,210 +381,67 @@ class MultiprocessRunner(Runner):
             self.trace_stats = fallback.trace_stats
             self.resilience = fallback.resilience
             return executed
-        self.trace_stats = TraceStoreStats()
-        self.resilience = ResilienceStats()
+        return self._run_pooled(chunks, budget, on_executed)
+
+    def _run_pooled(
+        self,
+        chunks: list[list[SimRequest]],
+        budget: Optional[Deadline],
+        on_executed: Optional[ExecutedCallback],
+    ) -> list[ExecutedRequest]:
+        """Run every chunk on a worker pool; return the requests in chunk order."""
+
         # NOTE: ``is not None`` — TraceStore defines __len__, so an empty
         # (cold) store is falsy and a bare truthiness test would silently
         # disable worker-side persistence on exactly the runs that need it.
         store_dir = (
             str(self.trace_store.directory) if self.trace_store is not None else None
         )
-        outcomes = self._run_watchdogged(chunks, store_dir, budget, on_executed)
-        executed: list[ExecutedRequest] = []
-        for chunk_executed, chunk_stats in outcomes:
-            executed.extend(chunk_executed)
-            if chunk_stats is not None:
-                self.trace_stats.merge(chunk_stats)
-        return executed
+        pool = WorkerPool(min(self.workers, len(chunks)), trace_store_dir=store_dir)
+        lock = threading.Lock()
+        stopped = threading.Event()
 
-    # ----------------------------------------------------------- watchdog
+        def failed(chunk: list[SimRequest], reason: str):
+            return [(r.digest, None, f"{r.workload}/{r.mode}: {reason}") for r in chunk], None
 
-    def _run_watchdogged(
-        self,
-        chunks: list[list[SimRequest]],
-        store_dir: Optional[str],
-        budget: Optional[Deadline],
-        on_executed: Optional[ExecutedCallback],
-    ) -> list[tuple[list[ExecutedRequest], Optional[TraceStoreStats]]]:
-        """Supervise the worker fleet until every chunk has an outcome."""
-
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        clock = self._clock
-        total = len(chunks)
-        pending: deque[int] = deque(range(total))
-        attempts = [0] * total
-        # Chunk outcome: (executed, trace_stats_or_None).
-        outcomes: dict[int, tuple[list[ExecutedRequest], Optional[TraceStoreStats]]] = {}
-        fleet_size = min(self.workers, total)
-        respawns_left = (
-            self.respawn_limit if self.respawn_limit is not None else 2 * fleet_size
-        )
-
-        def spawn() -> Optional[_WorkerSlot]:
-            parent_conn, child_conn = context.Pipe(duplex=True)
-            process = context.Process(
-                target=_watchdog_worker, args=(child_conn,), daemon=True
-            )
-            try:
-                process.start()
-            except OSError:  # out of processes: the serial tail handles it
-                parent_conn.close()
-                child_conn.close()
-                return None
-            child_conn.close()
-            return _WorkerSlot(process, parent_conn, clock)
-
-        def finish_chunk(
-            index: int,
-            outcome: tuple[list[ExecutedRequest], Optional[TraceStoreStats]],
-        ) -> None:
-            outcomes[index] = outcome
-            if on_executed is not None and outcome[0]:
-                on_executed(outcome[0])
-
-        def fail_chunk(index: int, reason: str) -> None:
-            executed = [
-                (
-                    request.digest,
-                    None,
-                    f"{request.workload}/{request.mode}: {reason} "
-                    f"(chunk gave up after {attempts[index]} attempts)",
-                )
-                for request in chunks[index]
-            ]
-            finish_chunk(index, (executed, None))
-
-        def requeue_or_fail(index: int, reason: str) -> None:
-            if attempts[index] >= self.max_attempts:
-                fail_chunk(index, reason)
-            else:
-                self.resilience.requeues += 1
-                pending.append(index)
-
-        fleet = [slot for slot in (spawn() for _ in range(fleet_size)) if slot]
-
-        def retire(slot: _WorkerSlot, reason: str) -> None:
-            """Remove a dead or hung worker, salvaging its chunk."""
-
-            nonlocal respawns_left
-            if slot.process.is_alive():
-                slot.process.kill()
-            slot.process.join()
-            slot.conn.close()
-            fleet.remove(slot)
-            if slot.task is not None:
-                requeue_or_fail(slot.task, reason)
-                slot.task = None
-            if pending and respawns_left > 0:
-                replacement = spawn()
-                if replacement is not None:
-                    respawns_left -= 1
-                    self.resilience.respawns += 1
-                    fleet.append(replacement)
-
-        def assign(slot: _WorkerSlot, index: int) -> bool:
-            attempts[index] += 1
-            slot.task = index
-            slot.last_beat = clock()
-            try:
-                slot.conn.send((index, chunks[index], store_dir))
-            except (OSError, ValueError):
-                # The worker died between liveness check and send; the
-                # retire path undoes the assignment bookkeeping via requeue.
-                attempts[index] -= 1
-                slot.task = None
-                pending.appendleft(index)
-                retire(slot, "worker crashed")
-                return False
-            return True
-
-        try:
-            while len(outcomes) < total:
-                if budget is not None and budget.expired:
-                    break
-                for slot in list(fleet):
-                    if slot.task is None and pending:
-                        assign(slot, pending.popleft())
-                busy = [slot for slot in fleet if slot.task is not None]
-                if not busy:
-                    if not fleet or not pending:
-                        break  # pool exhausted or nothing left: serial tail
-                    continue
-                tick = max(0.005, min(self.hang_timeout / 4.0, 0.25))
-                if budget is not None:
-                    tick = min(tick, max(0.001, budget.remaining()))
-                waitable = [slot.conn for slot in busy] + [
-                    slot.process.sentinel for slot in busy
-                ]
-                _mp_connection.wait(waitable, timeout=tick)
-                now = clock()
-                for slot in list(busy):
-                    crashed = False
-                    while slot.task is not None:
-                        try:
-                            if not slot.conn.poll():
-                                break
-                            message = slot.conn.recv()
-                        except (EOFError, OSError):
-                            crashed = True
-                            break
-                        kind = message[0]
-                        if kind == "hb":
-                            slot.last_beat = now
-                        elif kind == "done":
-                            _kind, index, outcome = message
-                            finish_chunk(index, outcome)
-                            slot.task = None
-                        elif kind == "err":
-                            _kind, index, text = message
-                            requeue_or_fail(index, text)
-                            slot.task = None
-                    if crashed or (slot.task is not None and not slot.process.is_alive()):
-                        retire(slot, "worker crashed")
-                    elif (
-                        slot.task is not None
-                        and now - slot.last_beat > self.hang_timeout
-                    ):
-                        self.resilience.hung_killed += 1
-                        retire(slot, "worker hung (no heartbeat)")
-        finally:
-            for slot in list(fleet):
+        def attempt(chunk: list[SimRequest]):
+            for number in range(1, self.max_attempts + 1):
                 try:
-                    slot.conn.send(None)
-                except (OSError, ValueError):
-                    pass
-                slot.process.join(timeout=0.5)
-                if slot.process.is_alive():
-                    slot.process.kill()
-                    slot.process.join()
-                slot.conn.close()
+                    return pool.run(chunk)
+                except ChunkFailedError as error:
+                    return failed(chunk, f"chunk failed in its worker: {error}")
+                except WorkerCrashedError as error:
+                    if stopped.is_set():
+                        return None  # the run is over; its caller labels the chunk
+                    with lock:
+                        self.resilience.hung_killed += isinstance(error, WorkerHungError)
+                        self.resilience.requeues += number < self.max_attempts
+                    last = error
+            return failed(chunk, f"{last}; gave up after {self.max_attempts} attempts")
 
-        # Anything the fleet never finished: expired under the deadline, or
-        # left over after pool exhaustion (degrade to in-parent serial).
-        for index in range(total):
-            if index in outcomes:
-                continue
-            chunk = chunks[index]
-            if budget is not None and budget.expired:
+        outcomes: dict[int, list[ExecutedRequest]] = {}
+
+        def finish(index: int, executed: list[ExecutedRequest], stats) -> None:
+            outcomes[index] = executed
+            if stats is not None:
+                self.trace_stats.merge(stats)
+            if on_executed is not None and executed:
+                on_executed(executed)
+
+        threads = ThreadPoolExecutor(pool.workers)
+        futures = {threads.submit(attempt, chunk): index for index, chunk in enumerate(chunks)}
+        try:
+            timeout = budget.remaining() if budget is not None else None
+            for future in as_completed(futures, timeout=timeout):
+                finish(futures[future], *future.result())
+        except FuturesTimeoutError:
+            pass  # the deadline expired
+        finally:
+            stopped.set()
+            pool.shutdown()
+            threads.shutdown(cancel_futures=True)
+        for index, chunk in enumerate(chunks):
+            if index not in outcomes:
                 self.resilience.expired += len(chunk)
-                finish_chunk(
-                    index,
-                    ([_deadline_failure(r, budget) for r in chunk], None),
-                )
-                continue
-            if attempts[index] >= self.max_attempts:
-                fail_chunk(index, "worker pool exhausted")
-                continue
-            self.resilience.degraded_serial += 1
-            store = TraceStore(store_dir) if store_dir else None
-            outcome = execute_group(
-                chunk,
-                self.workloads,
-                store=store,
-                deadline=budget,
-                resilience=self.resilience,
-            )
-            finish_chunk(index, outcome)
-
-        return [outcomes[index] for index in range(total)]
+                finish(index, [_deadline_failure(r, budget) for r in chunk], None)
+        return [done for index in range(len(chunks)) for done in outcomes[index]]

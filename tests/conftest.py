@@ -7,7 +7,9 @@ cached per test session.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -61,6 +63,18 @@ def _warm_traces_through_store(workload) -> None:
             artifact = store.get(digest)  # decode round-trip, even when cold
         if artifact is not None:
             workload._traces[variant] = artifact.trace
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_worker_processes():
+    """Fail a test whose ``multiprocessing`` children outlive it by 5 s."""
+
+    yield
+    deadline = time.monotonic() + 5.0
+    while multiprocessing.active_children():
+        if time.monotonic() > deadline:
+            pytest.fail(f"worker processes outlived the test: {multiprocessing.active_children()}")
+        time.sleep(0.05)
 
 
 @pytest.fixture

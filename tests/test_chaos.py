@@ -10,6 +10,8 @@ promises:
   only the missing requests with bit-identical results;
 * a hung worker is detected by the heartbeat watchdog, killed, and its
   chunk requeued until it succeeds;
+* the parallel runner retries a crashed worker's chunk bit-identically,
+  and its deadline kills a held worker instead of waiting for it;
 * a client over its in-flight quota (or a full queue) gets ``rejected`` +
   ``retry_after`` and completes after backing off, while other clients'
   traffic is unaffected;
@@ -18,13 +20,19 @@ promises:
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.config import SystemConfig
-from repro.service import ServiceClient
+from repro.errors import WorkerCrashedError
+from repro.service import ServiceClient, ServiceEngine
+from repro.sim.engine import pool as pool_module
+from repro.sim.engine.pool import WorkerPool
 from repro.sim.engine import (
     DEADLINE_FAILURE_TEXT,
     MultiprocessRunner,
@@ -142,7 +150,8 @@ class TestKillResume:
 
 
 class TestHungWorkerWatchdog:
-    def test_hung_worker_is_killed_and_chunk_requeued(self, svc_dir):
+    def test_hung_worker_is_killed_and_chunk_requeued(self, svc_dir, monkeypatch):
+        monkeypatch.setattr(pool_module, "HANG_TIMEOUT", 0.3)
         hold = svc_dir / "hold-401"
         hold.touch()
         with registered_test_workloads():
@@ -152,9 +161,7 @@ class TestHungWorkerWatchdog:
             requests = [request_for("svcgate", seed=401)] + [
                 intsort_request(seed=s) for s in (11, 12, 13)
             ]
-            runner = MultiprocessRunner(
-                workers=2, trace_store=None, hang_timeout=0.3, max_attempts=10,
-            )
+            runner = MultiprocessRunner(workers=2, trace_store=None, max_attempts=10)
             executed: list = []
             failure: list[BaseException] = []
 
@@ -194,6 +201,74 @@ class TestHungWorkerWatchdog:
                 assert outcomes[digest][0].as_dict() == result.as_dict()
 
 
+class TestRunnerWorkerPool:
+    def test_crashed_worker_chunk_is_retried_bit_identically(self, svc_dir):
+        with registered_test_workloads():
+            requests = [request_for("svccrashonce", seed=501)] + [
+                intsort_request(seed=s) for s in (14, 15)
+            ]
+            runner = MultiprocessRunner(workers=2, trace_store=None)
+            executed = runner.run(requests)
+            assert runner.resilience.requeues == 1
+            assert (svc_dir / "crashed-501").exists()
+
+            # Serial only after the parallel run: its crash marker now
+            # exists, so the crash-once workload no longer kills this process.
+            serial = SerialRunner(trace_store=None).run(requests)
+        outcomes = {digest: (result, fail) for digest, result, fail in executed}
+        assert len(outcomes) == len(requests)
+        for digest, result, _ in serial:
+            assert outcomes[digest][1] is None
+            assert outcomes[digest][0].as_dict() == result.as_dict()
+
+    def test_deadline_kills_held_worker_and_labels_chunk_expired(self, svc_dir):
+        hold = svc_dir / "hold-511"
+        hold.touch()
+        gated = request_for("svcgate", seed=511)
+        with registered_test_workloads():
+            engine = SimEngine(
+                runner=MultiprocessRunner(workers=2, trace_store=None), deadline=1.0
+            )
+            start = time.monotonic()
+            batch = engine.run(SimPlan([gated, intsort_request(seed=16)]))
+            elapsed = time.monotonic() - start
+        assert elapsed < 5.0
+        assert DEADLINE_FAILURE_TEXT in batch.failures[gated.digest]
+        assert batch.stats.expired >= 1
+        assert multiprocessing.active_children() == []
+
+    def test_pool_under_thread_contention(self, svc_dir):
+        """More callers than workers and workers than cores, fast switching."""
+
+        healthy = [intsort_request(seed=s) for s in (61, 62, 63, 64)]
+        crashing = [request_for("svccrashonce", seed=s) for s in (521, 522)]
+        expected = {d: r.as_dict() for d, r, _ in SerialRunner(trace_store=None).run(healthy)}
+
+        def run_one(request):
+            try:
+                return pool.run([request])
+            except WorkerCrashedError as error:
+                return error
+
+        with registered_test_workloads():
+            pool = WorkerPool(3)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                with ThreadPoolExecutor(8) as threads:
+                    outcomes = list(threads.map(run_one, healthy * 2 + crashing))
+            finally:
+                sys.setswitchinterval(interval)
+                pool.shutdown()
+        crashes = [o for o in outcomes if isinstance(o, WorkerCrashedError)]
+        assert len(crashes) == len(crashing) == pool.replaced
+        for outcome in outcomes[: 2 * len(healthy)]:
+            ((digest, result, failure),), _ = outcome
+            assert failure is None and result.as_dict() == expected[digest]
+        # Every worker, replaced or not, was joined by shutdown.
+        assert multiprocessing.active_children() == []
+
+
 # ------------------------------------------------------------- deadlines
 
 
@@ -221,6 +296,21 @@ class TestDeadlines:
         retry = SimEngine(runner=SerialRunner(trace_store=None), cache=cache)
         batch = retry.run(SimPlan([request]))
         assert batch.stats.executed == 1 and not batch.failures
+
+    def test_service_engine_counts_deadline_expired_requests(self, svc_dir):
+        hold = svc_dir / "hold-441"
+        hold.touch()
+        with registered_test_workloads():
+            with ServerThread(workers=1) as daemon:
+                engine = ServiceEngine(daemon.address, timeout=120.0, deadline=0.3)
+                try:
+                    batch = engine.run(SimPlan([request_for("svcgate", seed=441)]))
+                finally:
+                    engine.close()
+                # Release the gate so the daemon can drain and stop.
+                hold.unlink()
+        assert (batch.stats.failed, batch.stats.expired) == (1, 1)
+        assert "1 deadline-expired" in batch.stats.summary()
 
     def test_service_submission_deadline_expires_gated_work(self, svc_dir):
         hold = svc_dir / "hold-431"

@@ -123,6 +123,25 @@ class TestReport:
         assert "Table 1" in console
         assert report.figure7.geomean(PrefetchMode.MANUAL) > 0
 
+    def test_run_report_runs_the_engine_once(self):
+        engine = build_engine(trace_store_dir="off")
+        plans = []
+        run_plan = engine.run
+        engine.run = lambda plan: plans.append(plan) or run_plan(plan)
+        report = run_report(
+            workloads=["randacc"], scale="tiny", include_figure9=True, engine=engine
+        )
+        assert len(plans) == 1
+
+        # The figures read off the one batch equal the standalone drivers'.
+        modes = list(FIGURE7_MODES) + [PrefetchMode.MANUAL_BLOCKED]
+        alone = run_comparison(["randacc"], modes, config=SystemConfig.scaled(),
+                               scale="tiny", engine=engine)
+        read = report.figure7.comparison
+        assert (read.baselines, read.results) == (alone.baselines, alone.results)
+        assert report.figure9 == run_figure9(workloads=["randacc"], scale="tiny",
+                                             engine=engine)
+
     def test_build_engine_refuses_parallel_only_arguments_without_parallel(self):
         for name, value in (("workers", 4), ("max_attempts", 2)):
             with pytest.raises(ValueError, match=name):

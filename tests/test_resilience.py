@@ -13,7 +13,6 @@ import pytest
 
 from repro.errors import DeadlineExceededError, ServiceError
 from repro.resilience import Deadline, RetryPolicy
-from repro.sim.engine import ResilienceStats
 
 
 class TestRetryPolicy:
@@ -97,15 +96,6 @@ class TestDeadline:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             Deadline(-1.0)
-
-
-class TestResilienceStats:
-    def test_resilience_stats_merge(self):
-        left = ResilienceStats(expired=1, requeues=2)
-        left.merge(ResilienceStats(expired=3, hung_killed=1, degraded_serial=4))
-        assert (left.expired, left.requeues, left.hung_killed, left.degraded_serial) == (
-            4, 2, 1, 4,
-        )
 
 
 class TestClientBackoffCap:

@@ -117,6 +117,41 @@ def test_persistent_crash_fails_cleanly_and_pool_recovers(svc_dir):
     assert any("worker crashed" in label for label in counters["failures"])
 
 
+def test_crash_costs_only_the_chunk_on_the_dead_worker(svc_dir):
+    """A bystander's running chunk survives another client's crashing one."""
+
+    hold = svc_dir / "hold-331"
+    hold.touch()
+    with registered_test_workloads():
+        with ServerThread(workers=2, max_attempts=2) as daemon:
+            with ServiceClient(daemon.address, timeout=120.0) as bystander, \
+                    ServiceClient(daemon.address, timeout=120.0) as crasher:
+                sid = bystander.submit_nowait([request_for("svcgate", seed=331)])
+                read_until(bystander, "accepted", sid)
+                read_until(bystander, "chunk-started", sid)
+
+                # Both attempts of the crashing chunk kill their worker
+                # while the gated chunk holds the other one.
+                done_crasher = crasher.submit([request_for("svccrashalways", seed=332)])
+                (crashed,) = done_crasher["outcomes"]
+                assert crashed["status"] == "failed"
+                assert "worker crashed" in crashed["failure"]
+
+                hold.unlink()
+                events = []
+                while not (events and events[-1].get("type") == "done"):
+                    event = bystander.read_event()
+                    if event.get("id") == sid:
+                        events.append(event)
+            counters = wait_for_counter(daemon.address, "crashes", 2)
+
+    (outcome,) = events[-1]["outcomes"]
+    assert outcome["status"] == "ok", outcome
+    assert "chunk-requeued" not in [event["type"] for event in events]
+    # One crash per dead worker: the crashing chunk ran twice.
+    assert counters["crashes"] == 2
+
+
 # ------------------------------------------------------- client disconnect
 
 
