@@ -59,9 +59,9 @@ def main() -> int:
                         help="submit simulations to a running 'repro serve' daemon at "
                              "ADDR (host:port or unix:/path) instead of simulating "
                              "locally; --deadline is forwarded, while --parallel, "
-                             "--jobs, --cache, --trace-store, --checkpoint, --resume "
-                             "and --max-attempts are refused (set workers, cache and "
-                             "trace store on 'repro serve' instead)")
+                             "--jobs, --cache, --trace-store, --checkpoint and "
+                             "--resume are refused (set workers, cache and trace "
+                             "store on 'repro serve' instead)")
     parser.add_argument("--checkpoint", metavar="DIR", nargs="?", const="", default=None,
                         help="record completed requests in a run manifest under DIR "
                              "(default: $REPRO_CHECKPOINT_DIR or the per-user cache); "
@@ -73,9 +73,6 @@ def main() -> int:
     parser.add_argument("--deadline", type=float, default=None, metavar="SECONDS",
                         help="overall simulation budget; requests past it fail with a "
                              "retryable label instead of running (resume retries them)")
-    parser.add_argument("--max-attempts", type=int, default=None, metavar="N",
-                        help="with --parallel: execution attempts per chunk before its "
-                             "requests fail (hung/crashed workers requeue; default 3)")
     parser.add_argument("--write-experiments", metavar="PATH", nargs="?",
                         const="EXPERIMENTS.md", default=None,
                         help="write the Markdown report to PATH (default EXPERIMENTS.md)")
@@ -91,7 +88,7 @@ def main() -> int:
         engine = build_engine(parallel=parallel, workers=args.jobs, cache_dir=args.cache,
                               trace_store_dir=args.trace_store, service=args.service,
                               checkpoint_dir=checkpoint_dir, resume=args.resume,
-                              deadline=args.deadline, max_attempts=args.max_attempts)
+                              deadline=args.deadline)
     except ValueError as error:
         parser.error(str(error))
     report = run_report(
@@ -119,8 +116,6 @@ def main() -> int:
                   f"({stats.hung_killed} hung workers killed)")
         if stats.expired:
             print(f"  deadline-expired: {stats.expired}")
-        if stats.rejected:
-            print(f"  service backoffs: {stats.rejected}")
         print(f"  traces:           {stats.trace_hits} warm, {stats.trace_built} emitted "
               f"({stats.trace_stored} stored)")
         print(f"  runner:           {stats.runner}")

@@ -76,16 +76,6 @@ class VectorBackendUnsupported(SimulationError):
     """
 
 
-class DeadlineExceededError(ReproError):
-    """A deadline attached to a run, request or chunk expired.
-
-    Raised by :meth:`repro.resilience.Deadline.check`; the runners convert
-    it into labelled per-request failures (never cached, so a later
-    ``--resume`` run retries exactly the expired work) and the service
-    daemon converts it into ``failed`` outcomes for the expired waiters.
-    """
-
-
 class DuplicateResultError(ReproError):
     """Two simulation results were recorded for the same (workload, mode) key.
 

@@ -89,7 +89,6 @@ def build_engine(
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     deadline: Optional[float] = None,
-    max_attempts: Optional[int] = None,
 ) -> SimEngine:
     """Assemble an engine from the common driver knobs.
 
@@ -101,11 +100,9 @@ def build_engine(
     The resilience knobs (see ``docs/resilience.md``): ``checkpoint_dir``
     writes a durable run manifest as each request completes; ``resume``
     replays the previous manifest against the cache and executes only the
-    missing requests; ``deadline`` bounds each run in seconds; and
-    ``max_attempts`` bounds how often the parallel runner requeues a chunk
-    whose worker hung or crashed.  ``workers`` and ``max_attempts`` configure
-    the parallel runner only; passing either without ``parallel=True``
-    raises :class:`ValueError` naming it.
+    missing requests; and ``deadline`` bounds each run in seconds.
+    ``workers`` configures the parallel runner only; passing it without
+    ``parallel=True`` raises :class:`ValueError` naming it.
 
     ``service`` routes execution to a ``repro serve`` daemon at
     ``host:port`` or ``unix:/path``: a :class:`~repro.service.ServiceEngine`
@@ -123,7 +120,6 @@ def build_engine(
             "trace_store_dir": trace_store_dir,
             "checkpoint_dir": checkpoint_dir,
             "resume": resume,
-            "max_attempts": max_attempts,
         }
         ignored = [
             name for name, value in local_only.items()
@@ -138,20 +134,14 @@ def build_engine(
         from ..service import ServiceEngine
 
         return ServiceEngine(service, deadline=deadline)
-    if not parallel:
-        unused = [
-            name for name, value in (("workers", workers), ("max_attempts", max_attempts))
-            if value is not None
-        ]
-        if unused:
-            raise ValueError(
-                "a serial run would ignore the parallel-only argument(s) "
-                f"{', '.join(unused)}; pass parallel=True (--parallel) to use them"
-            )
+    if not parallel and workers is not None:
+        raise ValueError(
+            "a serial run would ignore the parallel-only argument workers; "
+            "pass parallel=True (--parallel) to use it"
+        )
     store = trace_store_from_spec(trace_store_dir)
     if parallel:
-        runner_kwargs = {} if max_attempts is None else {"max_attempts": max_attempts}
-        runner = MultiprocessRunner(workers, trace_store=store, **runner_kwargs)
+        runner = MultiprocessRunner(workers, trace_store=store)
     else:
         runner = SerialRunner(trace_store=store)
     cache = ResultCache(cache_dir) if cache_dir else None
@@ -208,7 +198,6 @@ def run_report(
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     deadline: Optional[float] = None,
-    max_attempts: Optional[int] = None,
 ) -> ReproductionReport:
     """Run the full experiment suite and return the collected report.
 
@@ -224,7 +213,7 @@ def run_report(
             parallel=parallel, workers=workers, cache_dir=cache_dir,
             trace_store_dir=trace_store_dir, service=service,
             checkpoint_dir=checkpoint_dir, resume=resume,
-            deadline=deadline, max_attempts=max_attempts,
+            deadline=deadline,
         )
 
     # One plan drives everything: the Figure 7 comparison modes (shared by

@@ -1,107 +1,18 @@
-"""Shared retry/backoff and deadline primitives for the execution stack.
+"""The deadline primitive of the execution stack.
 
-Every layer that waits on something fallible — the :class:`~repro.service.
-ServiceClient` connecting or resubmitting, the service daemon requeueing a
-crashed chunk, the :class:`~repro.sim.engine.MultiprocessRunner` retrying a
-hung worker's chunk — used to grow its own ad-hoc loop (typically an
-uncapped, jitter-free ``delay *= 2``).  This module is the one shared
-vocabulary:
-
-* :class:`RetryPolicy` — bounded attempts with capped exponential backoff
-  and **deterministic seeded jitter**: the jitter for attempt *n* is a pure
-  function of ``(seed, n)``, so tests reproduce exact delay sequences while
-  distinct clients (distinct seeds) still decorrelate their retries.
-* :class:`Deadline` — a monotonic-clock budget threaded through runs,
-  requests and chunks.  The clock is injectable, so deadline logic is unit
-  tested without sleeping.
-
-Neither class sleeps or spawns anything by itself; callers own their loops
-and pass ``policy.delay(attempt)`` to whatever sleep primitive fits their
-concurrency model (``time.sleep``, ``loop.call_later``, a queue timeout).
-See ``docs/resilience.md`` for how the layers compose.
+:class:`Deadline` is a monotonic-clock budget threaded through runs,
+requests and chunks: :class:`~repro.sim.engine.SimEngine` starts one per
+run and both runners stop executing once it has expired.  The clock is
+injectable, so deadline logic is unit tested without sleeping.  See
+``docs/resilience.md`` for how the layers compose.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Optional, Union
 
-from .errors import DeadlineExceededError
-
-__all__ = ["RetryPolicy", "Deadline", "DeadlineExceededError"]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff with deterministic seeded jitter.
-
-    Attributes:
-        max_attempts: Total tries, including the first (so ``3`` means one
-            initial attempt plus at most two retries).
-        base_delay: Delay before the first retry, in seconds.
-        max_delay: Cap applied to the exponential term.  The returned delay
-            never exceeds ``max_delay * (1 + jitter)``.
-        multiplier: Exponential growth factor between retries.
-        jitter: Maximum jitter *fraction* added on top of the capped delay.
-            The actual fraction for attempt *n* is deterministic — a hash of
-            ``(seed, n)`` mapped to ``[0, jitter)`` — never a live RNG.
-        seed: Decorrelation seed.  Give each client/worker its own (its
-            name, say) so a thundering herd spreads out, while a fixed seed
-            reproduces the exact delay sequence in tests.
-    """
-
-    max_attempts: int = 5
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-    multiplier: float = 2.0
-    jitter: float = 0.25
-    seed: str = ""
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("RetryPolicy needs at least one attempt")
-        if self.base_delay < 0 or self.max_delay < 0 or self.jitter < 0:
-            raise ValueError("RetryPolicy delays and jitter must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("RetryPolicy multiplier must be >= 1")
-
-    @property
-    def retries(self) -> int:
-        """Retries after the initial attempt."""
-
-        return self.max_attempts - 1
-
-    def _jitter_fraction(self, attempt: int) -> float:
-        if not self.jitter:
-            return 0.0
-        digest = hashlib.sha256(f"{self.seed}:{attempt}".encode("utf-8")).digest()
-        return self.jitter * (int.from_bytes(digest[:8], "big") / 2**64)
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry ``attempt`` (0-based), capped and jittered.
-
-        ``delay(0)`` is the wait before the *first* retry.  The exponential
-        term is capped at :attr:`max_delay` **before** jitter is added, so
-        the hard upper bound is ``max_delay * (1 + jitter)``.
-        """
-
-        if attempt < 0:
-            raise ValueError("attempt index must be >= 0")
-        capped = min(self.base_delay * self.multiplier**attempt, self.max_delay)
-        return capped * (1.0 + self._jitter_fraction(attempt))
-
-    def delays(self) -> Iterator[float]:
-        """Every retry delay this policy allows, in order."""
-
-        for attempt in range(self.retries):
-            yield self.delay(attempt)
-
-    def with_seed(self, seed: str) -> "RetryPolicy":
-        """The same policy decorrelated under a different seed."""
-
-        return replace(self, seed=seed)
+__all__ = ["Deadline", "DeadlineLike"]
 
 
 #: Anything accepted where a deadline is expected: a budget in seconds, an
@@ -152,14 +63,6 @@ class Deadline:
     @property
     def expired(self) -> bool:
         return self._clock() >= self.expires_at
-
-    def check(self, what: str = "operation") -> None:
-        """Raise :class:`DeadlineExceededError` if the budget is spent."""
-
-        if self.expired:
-            raise DeadlineExceededError(
-                f"{what} exceeded its {self.seconds:g}s deadline"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Deadline({self.seconds:g}s, {self.remaining():.3f}s remaining)"

@@ -28,7 +28,7 @@ from .client import ServiceClient, ServiceEngine, parse_address, spawn_local_dae
 from .health import EndpointHealth, probe_endpoint
 from .protocol import PROTOCOL_VERSION, request_from_wire, request_to_wire
 from .scheduler import DEFAULT_CHUNK_SIZE, Chunk, FairScheduler, split_requests
-from .server import DEFAULT_MAX_ATTEMPTS, ReproServer, ServiceStats
+from .server import ReproServer, ServiceStats
 from .singleflight import Flight, SingleflightTable
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "split_requests",
     "PROTOCOL_VERSION",
     "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_MAX_ATTEMPTS",
     "request_to_wire",
     "request_from_wire",
 ]

@@ -3,9 +3,9 @@
 Three layers, lowest to highest:
 
 * :class:`ServiceClient` — a blocking socket client speaking the
-  newline-delimited JSON protocol: connect (with exponential-backoff
-  retries), handshake, :meth:`~ServiceClient.submit` a list of requests and
-  stream progress events until ``done``.  The split
+  newline-delimited JSON protocol: connect (retrying with capped
+  exponential backoff), handshake, :meth:`~ServiceClient.submit` a list of
+  requests and stream progress events until ``done``.  The split
   :meth:`~ServiceClient.submit_nowait` / :meth:`~ServiceClient.read_event`
   pair exposes individual protocol events for tests that synchronise on
   them (the fault-injection tier never sleeps for ordering).
@@ -31,11 +31,11 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from ..errors import ServiceError, ServiceProtocolError
-from ..resilience import RetryPolicy
 from ..sim.engine import DEADLINE_FAILURE_TEXT, BatchResult, EngineStats, SimPlan, SimRequest
 from ..sim.results import SimulationResult
 from .protocol import (
@@ -49,11 +49,11 @@ from .protocol import (
 #: Event callback: receives every server message for one submission.
 EventCallback = Callable[[dict[str, Any]], None]
 
-#: Upper bound on admission-control rejections one ``submit`` call will
-#: retry through before giving up.  Deliberately generous: each retry waits
-#: at least the server's ``retry_after``, so a busy-but-progressing daemon
-#: is eventually admitted, while a wedged one still cannot loop forever.
-DEFAULT_REJECTION_LIMIT = 100
+#: Wait before reconnect retry ``n`` (0-based) is ``min(BACKOFF_BASE * 2**n,
+#: BACKOFF_CAP)`` seconds: the cap keeps a long outage from stretching the
+#: wait without bound.
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
 
 
 def parse_address(address: str) -> Union[tuple[str, int], str]:
@@ -76,7 +76,12 @@ def parse_address(address: str) -> Union[tuple[str, int], str]:
 
 
 class ServiceClient:
-    """Blocking NDJSON client for one daemon connection."""
+    """Blocking NDJSON client for one daemon connection.
+
+    ``timeout`` bounds every socket operation; ``connect_retries`` is how
+    often a failed connect, or a connection lost before a submission is
+    accepted, is retried after a backoff.
+    """
 
     def __init__(
         self,
@@ -84,48 +89,28 @@ class ServiceClient:
         *,
         timeout: Optional[float] = 300.0,
         connect_retries: int = 5,
-        backoff: float = 0.05,
-        name: Optional[str] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        rejection_limit: int = DEFAULT_REJECTION_LIMIT,
     ) -> None:
         self.address = address
         self.timeout = timeout
         self.connect_retries = connect_retries
-        self.backoff = backoff
-        self.name = name or f"client-{os.getpid()}"
-        #: Backoff schedule shared by connects, resubmits after connection
-        #: loss, and admission-control rejections.  Capped and seeded with
-        #: the client name, so concurrent clients decorrelate their retries
-        #: instead of hammering the daemon in lockstep.
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(
-                max_attempts=connect_retries + 1,
-                base_delay=backoff,
-                seed=self.name,
-            )
-        )
-        self.rejection_limit = rejection_limit
         self.welcome: Optional[dict[str, Any]] = None
         self._sock: Optional[socket.socket] = None
         self._file = None
         self._ids = itertools.count(1)
-        self._sleep: Callable[[float], None] = time.sleep
         self.connect()
 
     # ------------------------------------------------------------ transport
 
     def connect(self) -> None:
-        """(Re)connect with capped, jittered backoff, then handshake."""
+        """(Re)connect with capped exponential backoff, then handshake."""
 
         self.close()
         target = parse_address(self.address)
+        attempts = self.connect_retries + 1
         last_error: Optional[Exception] = None
-        for attempt in range(self.retry_policy.max_attempts):
+        for attempt in range(attempts):
             if attempt:
-                self._sleep(self.retry_policy.delay(attempt - 1))
+                time.sleep(min(BACKOFF_BASE * 2 ** (attempt - 1), BACKOFF_CAP))
             try:
                 if isinstance(target, str):
                     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -139,7 +124,7 @@ class ServiceClient:
             self._sock = sock
             self._file = sock.makefile("rb")
             try:
-                self._send({"type": "hello", "client": self.name})
+                self._send({"type": "hello", "client": f"client-{os.getpid()}"})
                 self.welcome = self.read_event()
                 if self.welcome.get("type") != "welcome":
                     raise ServiceProtocolError(
@@ -159,7 +144,7 @@ class ServiceClient:
             return
         raise ServiceError(
             f"could not connect to service at {self.address!r} "
-            f"after {self.retry_policy.max_attempts} attempts: {last_error}"
+            f"after {attempts} attempts: {last_error}"
         )
 
     def close(self) -> None:
@@ -243,44 +228,34 @@ class ServiceClient:
 
         If the connection dies before the submission is ``accepted`` (the
         daemon restarted, a transient network fault), the client reconnects
-        and resubmits — safe because nothing was scheduled yet.  After
-        acceptance a connection loss is surfaced as :class:`ServiceError`:
-        the server has cancelled our pending work on disconnect, and the
-        caller decides whether to retry the whole plan (a retry is cheap —
-        completed digests are served from the daemon's memo).
-
-        A ``rejected`` answer (admission control) is honored
-        by sleeping at least the server's ``retry_after`` — and at least
-        this client's own backoff for the attempt — then resubmitting, up
-        to :attr:`rejection_limit` times.  Rejections do not consume
-        connection-retry attempts: being told "later" is flow control, not
-        a fault.
+        and resubmits — safe because nothing was scheduled yet — within
+        ``connect_retries + 1`` tries in all.  After acceptance a connection
+        loss is surfaced as :class:`ServiceError`: the server has cancelled
+        our pending work on disconnect, and the caller decides whether to
+        retry the whole plan (a retry is cheap — completed digests are
+        served from the daemon's memo).
         """
 
-        rejections = 0
-        attempt = 0
-        while attempt < self.retry_policy.max_attempts:
+        attempts = self.connect_retries + 1
+        for attempt in range(1, attempts + 1):
             if self._sock is None:
                 self.connect()
             try:
                 sid = self.submit_nowait(requests, deadline=deadline)
             except ServiceError:
-                attempt += 1
-                if attempt >= self.retry_policy.max_attempts:
+                if attempt == attempts:
                     raise
                 self.close()
                 continue
             accepted = False
-            rejected = False
             while True:
                 try:
                     event = self.read_event()
                 except ServiceError:
-                    attempt += 1
-                    if accepted or attempt >= self.retry_policy.max_attempts:
+                    if accepted or attempt == attempts:
                         raise
                     self.close()
-                    break
+                    break  # lost before acceptance: reconnect and resubmit
                 if event.get("id") not in (None, sid):
                     continue
                 if on_event is not None:
@@ -288,28 +263,10 @@ class ServiceClient:
                 kind = event.get("type")
                 if kind == "accepted":
                     accepted = True
-                elif kind == "rejected":
-                    rejections += 1
-                    if rejections > self.rejection_limit:
-                        raise ServiceError(
-                            f"service kept rejecting submission "
-                            f"({event.get('reason')}: {event.get('message')}) "
-                            f"after {self.rejection_limit} retries"
-                        )
-                    retry_after = float(event.get("retry_after") or 0.0)
-                    backoff = self.retry_policy.delay(
-                        min(rejections - 1, self.retry_policy.retries)
-                    )
-                    self._sleep(max(retry_after, backoff))
-                    rejected = True
-                    break
                 elif kind == "done":
                     return event
                 elif kind == "error":
                     raise ServiceError(f"service rejected submission: {event.get('message')}")
-            if rejected:
-                continue  # backed off; resubmit without burning an attempt
-            # fell out of the read loop pre-acceptance: reconnect + resubmit
         raise ServiceError("submission retries exhausted")  # pragma: no cover
 
     def server_stats(self) -> dict[str, Any]:
@@ -425,15 +382,8 @@ class ServiceEngine:
 
     def _submit(self, batch: BatchResult, requests: list[SimRequest]) -> None:
         stats = batch.stats
-
-        def count_rejections(event: dict[str, Any]) -> None:
-            if event.get("type") == "rejected":
-                stats.rejected += 1
-
         try:
-            done = self.client.submit(
-                requests, on_event=count_rejections, deadline=self.deadline
-            )
+            done = self.client.submit(requests, deadline=self.deadline)
         except ServiceError:
             self.close()  # the next run reconnects
             raise
@@ -473,15 +423,16 @@ def spawn_local_daemon(
     workers: int = 2,
     cache_dir: Optional[str] = None,
     trace_store: Optional[str] = "off",
-    extra_args: Sequence[str] = (),
     startup_timeout: float = 60.0,
 ) -> Iterator[tuple[subprocess.Popen, str]]:
     """Start ``python -m repro.service``; yield ``(process, address)``.
 
     A context manager so the child can never be leaked: on exit — normal,
-    test failure, or an exception during startup itself — a still-running
-    daemon is killed and reaped.  A body that already shut the daemon down
-    (drain, SIGTERM) sees no interference: an exited child is only reaped.
+    test failure, or an exception during startup itself, such as a daemon
+    that does not announce itself within ``startup_timeout`` seconds — a
+    still-running daemon is killed and reaped.  A body that already shut
+    the daemon down (drain, SIGTERM) sees no interference: an exited child
+    is only reaped.
     Used by the smoke tool, the benchmark and the fault-injection tests;
     ``trace_store`` defaults to ``"off"`` so spawning a daemon never
     touches the per-user store.
@@ -496,7 +447,6 @@ def spawn_local_daemon(
         command += ["--cache", cache_dir]
     if trace_store is not None:
         command += ["--trace-store", trace_store]
-    command += list(extra_args)
     process = subprocess.Popen(
         command, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=child_env
     )
@@ -514,19 +464,36 @@ def spawn_local_daemon(
 
 
 def _read_announcement(process: subprocess.Popen, startup_timeout: float) -> str:
-    """Wait for the daemon's ``listening`` line; return its address."""
+    """Wait for the daemon's ``listening`` line; return its address.
 
-    assert process.stdout is not None
+    The line is read on a helper thread joined with ``startup_timeout``, so
+    a child that neither writes nor exits costs its caller that long, not
+    forever.  A thread rather than ``select`` because ``select`` takes no
+    pipes on Windows; once the caller kills the child, the pipe reaches EOF
+    and the thread ends.
+    """
+
+    stdout = process.stdout
+    assert stdout is not None
     deadline = time.monotonic() + startup_timeout
-    line = b""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        if line:
-            break
-        if process.poll() is not None:
-            raise ServiceError(
-                f"service daemon exited during startup (code {process.returncode})"
-            )
+    late = f"service daemon did not announce itself within {startup_timeout:g}s"
+    lines: list[bytes] = []
+    reader = threading.Thread(
+        target=lambda: lines.append(stdout.readline()),
+        name="daemon-announcement",
+        daemon=True,
+    )
+    reader.start()
+    reader.join(startup_timeout)
+    if not lines:
+        raise ServiceError(late)
+    line = lines[0]
+    if not line:  # EOF: the child is exiting
+        try:
+            code = process.wait(max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            raise ServiceError(late) from None
+        raise ServiceError(f"service daemon exited during startup (code {code})")
     try:
         announcement = json.loads(line)
         if announcement.get("event") != "listening":

@@ -12,9 +12,11 @@ Client → server
                    plus an optional ``"deadline"`` (seconds): after that
                    budget the server fails the submission's unresolved
                    requests instead of keeping it waiting forever.  The
-                   ``id`` must be a string, an integer or null and the
-                   deadline a finite number greater than 0; otherwise the
-                   server answers ``error`` and schedules nothing.
+                   ``id`` must be a string, an integer or null, and must
+                   not repeat the id of a submission still in flight on
+                   the same connection; the deadline must be a finite
+                   number greater than 0.  Otherwise the server answers
+                   ``error`` and schedules nothing.
     ``stats``      global server counters; answered with ``stats``.
     ``health``     readiness probe; answered with ``health``:
                    uptime, queue depth, in-flight digests, replaced
@@ -26,12 +28,6 @@ Server → client
     ``welcome``        protocol version, code fingerprint, worker count.
     ``accepted``       per-submission plan accounting (unique, memo/cache
                        hits, joined in-flight digests, scheduled chunks).
-    ``rejected``       admission control refused the submission (``reason``
-                       is ``"quota"`` or ``"queue"``); nothing was
-                       scheduled.  Carries ``retry_after`` seconds — a
-                       well-behaved client backs off at least that long and
-                       resubmits (``ServiceClient.submit`` does, through
-                       its :class:`~repro.resilience.RetryPolicy`).
     ``chunk-started``  a chunk containing digests this submission waits on
                        began executing (carries a global ``seq`` so clients
                        can observe dispatch order).
@@ -71,7 +67,7 @@ from ..sim.engine import SimRequest
 #: Protocol revision; bumped on any incompatible message change.  Client
 #: and daemon ship together, so there is no negotiation: a client refuses
 #: a ``welcome`` that advertises any other version.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: Upper bound on one encoded message line (and the server's readline
 #: limit).  Large sweep submissions with full nested configs stay well

@@ -26,8 +26,9 @@ from typing import Hashable, Iterable, Optional, Sequence
 
 from ..sim.engine import SimPlan, SimRequest
 
-#: Default upper bound on requests per chunk.  A full figure-7 mode set for
-#: one workload (~10 points) stays whole; figure-9-style sweeps split.
+#: Upper bound on requests per chunk, the one the daemon uses.  A full
+#: figure-7 mode set for one workload (~10 points) stays whole;
+#: figure-9-style sweeps split.
 DEFAULT_CHUNK_SIZE = 16
 
 _chunk_ids = itertools.count(1)

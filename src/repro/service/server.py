@@ -23,19 +23,14 @@ Robustness guarantees (exercised by the fault-injection tests):
 * SIGTERM/SIGINT (or a ``shutdown`` message) drains: queued and running
   chunks finish, every pending submission receives its ``done``, new
   submissions are refused, then the process exits;
-* **admission control**: a client whose in-flight request
-  count would exceed ``--max-inflight``, or any submission arriving while
-  the scheduler already holds ``--max-queued-chunks`` chunks, is answered
-  with ``rejected`` + ``retry_after`` instead of being queued — one greedy
-  client cannot starve the rest, and the queue cannot grow without bound;
-* **per-submission deadlines**: a ``deadline`` on the submit message (or
-  ``--request-deadline`` as the default) bounds how long a submission may
-  wait; on expiry its unresolved requests fail with a retryable label,
-  its un-shared queued work is cancelled, and work shared with other
-  clients (or already running) continues and warms the caches;
-* a malformed submission (bad ``id``, ``deadline`` or request payload) is
-  answered with ``error`` before anything is scheduled, and the
-  connection stays usable;
+* **per-submission deadlines**: a ``deadline`` on the submit message
+  bounds how long a submission may wait; on expiry its unresolved requests
+  fail with a retryable label, its un-shared queued work is cancelled,
+  and work shared with other clients (or already running) continues and
+  warms the caches;
+* a malformed submission (bad ``id``, an ``id`` still in flight on the
+  connection, a bad ``deadline`` or request payload) is answered with
+  ``error`` before anything is scheduled, and the connection stays usable;
 * a ``health`` readiness probe (uptime, queue depth, in-flight digests,
   replaced pool workers, cache state, draining flag).
 """
@@ -57,7 +52,8 @@ from typing import Any, Optional
 
 from ..errors import ServiceProtocolError, WorkerCrashedError
 from ..sim.engine import DEADLINE_FAILURE_TEXT, UNAVAILABLE, ResultCache, SimRequest
-from ..sim.engine.pool import DEFAULT_MAX_ATTEMPTS, WorkerPool
+from ..sim.engine import pool as pool_module
+from ..sim.engine.pool import WorkerPool
 from ..sim.engine.request import code_fingerprint
 from ..trace_store import trace_store_from_spec
 from .protocol import (
@@ -67,11 +63,8 @@ from .protocol import (
     encode_message,
     request_from_wire,
 )
-from .scheduler import DEFAULT_CHUNK_SIZE, Chunk, FairScheduler, split_requests
+from .scheduler import Chunk, FairScheduler, split_requests
 from .singleflight import SingleflightTable
-
-#: Default ``retry_after`` hint (seconds) carried on ``rejected`` messages.
-DEFAULT_RETRY_AFTER = 0.5
 
 
 @dataclass
@@ -94,10 +87,6 @@ class ServiceStats:
     cancelled: int = 0
     crashes: int = 0
     requeued: int = 0
-    #: Submissions refused because the client exceeded its in-flight quota.
-    rejected_quota: int = 0
-    #: Submissions refused because the chunk queue was at capacity.
-    rejected_queue: int = 0
     #: Requests failed to their submission because its deadline expired.
     expired: int = 0
     #: ``health`` probes answered.
@@ -209,13 +198,13 @@ class _Submission:
         return [self.outcomes[digest] for digest in self.digests]
 
 
-def _check_submit(message: dict[str, Any]) -> Optional[float]:
+def _check_submit(message: dict[str, Any], live: dict[Any, "_Submission"]) -> Optional[float]:
     """Validate a submit's ``id`` and ``deadline``; return the deadline.
 
-    Both arrive from outside: an ``id`` keys the connection's submission
-    table and is echoed on every reply, and a ``deadline`` arms a timer.
-    Anything else raises :class:`ServiceProtocolError` before the daemon
-    schedules work.
+    Both arrive from outside: an ``id`` keys the connection's table of
+    ``live`` submissions and is echoed on every reply, so it must not
+    repeat one still in flight; a ``deadline`` arms a timer.  Anything else
+    raises :class:`ServiceProtocolError` before the daemon schedules work.
     """
 
     sid = message.get("id")
@@ -223,6 +212,8 @@ def _check_submit(message: dict[str, Any]) -> Optional[float]:
         raise ServiceProtocolError(
             f"submission id must be a string, an integer or null, not {json.dumps(sid)}"
         )
+    if sid in live:
+        raise ServiceProtocolError(f"submission id {json.dumps(sid)} is already in flight")
     deadline = message.get("deadline")
     if deadline is None:
         return None
@@ -252,29 +243,10 @@ class ReproServer:
         workers: Optional[int] = None,
         cache_dir: Optional[str] = None,
         trace_store: Optional[str] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        max_inflight: Optional[int] = None,
-        max_queued_chunks: Optional[int] = None,
-        request_deadline: Optional[float] = None,
-        retry_after: float = DEFAULT_RETRY_AFTER,
     ) -> None:
         self.host = host
         self.port = port
         self.unix_path = unix_path
-        self.chunk_size = chunk_size
-        self.max_attempts = max(1, max_attempts)
-        #: Per-client cap on in-flight unique requests.  A client with no
-        #: in-flight work is always admitted (otherwise a plan larger than
-        #: the quota could never run); further submissions are rejected
-        #: while outstanding + new would exceed the cap.
-        self.max_inflight = max_inflight
-        #: Global cap on queued (not yet running) chunks; submissions
-        #: arriving at a full queue are rejected with ``retry_after``.
-        self.max_queued_chunks = max_queued_chunks
-        #: Default per-submission deadline when the client names none.
-        self.request_deadline = request_deadline
-        self.retry_after = retry_after
         self._started_at: Optional[float] = None
         self.cache = ResultCache(cache_dir) if cache_dir else None
         store = trace_store_from_spec(trace_store)
@@ -477,27 +449,13 @@ class ReproServer:
             conn.send({"type": "error", "id": sid, "message": "server is draining"})
             return
         try:
-            deadline = _check_submit(message)
+            deadline = _check_submit(message, conn.submissions)
             wire_requests = message["requests"]
             if not isinstance(wire_requests, list):
                 raise ServiceProtocolError("'requests' must be a list")
             requests = [request_from_wire(item) for item in wire_requests]
         except (KeyError, ServiceProtocolError) as error:
             conn.send({"type": "error", "id": sid, "message": str(error)})
-            return
-
-        rejection = self._admission_check(conn, len(requests))
-        if rejection is not None:
-            reason, detail = rejection
-            conn.send(
-                {
-                    "type": "rejected",
-                    "id": sid,
-                    "reason": reason,
-                    "message": detail,
-                    "retry_after": self.retry_after,
-                }
-            )
             return
 
         submission = _Submission(conn, sid, requests)
@@ -527,7 +485,7 @@ class ReproServer:
             else:
                 counts["joined"] += 1
 
-        chunks = split_requests(to_schedule, conn.token, self.chunk_size)
+        chunks = split_requests(to_schedule, conn.token)
         for chunk in chunks:
             self._scheduler.add(chunk)
         counts["scheduled"] = len(to_schedule)
@@ -557,47 +515,12 @@ class ReproServer:
         )
         if not submission.remaining:
             self._finish_submission(submission)
-        else:
-            effective = deadline if deadline is not None else self.request_deadline
-            if effective is not None:
-                submission.deadline_seconds = effective
-                submission.deadline_handle = asyncio.get_running_loop().call_later(
-                    effective, self._expire_submission, submission
-                )
+        elif deadline is not None:
+            submission.deadline_seconds = deadline
+            submission.deadline_handle = asyncio.get_running_loop().call_later(
+                deadline, self._expire_submission, submission
+            )
         self._pump()
-
-    def _admission_check(
-        self, conn: _Connection, incoming: int
-    ) -> Optional[tuple[str, str]]:
-        """Return ``(reason, detail)`` when a submission must be rejected.
-
-        Quota: a client with outstanding work may not push its in-flight
-        request count past ``max_inflight`` (a client with *no* outstanding
-        work is always admitted, so a plan larger than the quota still
-        runs).  Queue: nobody is admitted while the scheduler already holds
-        ``max_queued_chunks`` chunks.  Both are pure backpressure — the
-        client backs off ``retry_after`` seconds and resubmits.
-        """
-
-        if self.max_inflight is not None:
-            outstanding = sum(
-                len(submission.remaining)
-                for submission in conn.submissions.values()
-            )
-            if outstanding > 0 and outstanding + incoming > self.max_inflight:
-                self.stats.rejected_quota += 1
-                return (
-                    "quota",
-                    f"client has {outstanding} requests in flight; "
-                    f"{incoming} more would exceed the quota of {self.max_inflight}",
-                )
-        if self.max_queued_chunks is not None and len(self._scheduler) >= self.max_queued_chunks:
-            self.stats.rejected_queue += 1
-            return (
-                "queue",
-                f"{len(self._scheduler)} chunks queued (limit {self.max_queued_chunks})",
-            )
-        return None
 
     def _expire_submission(self, submission: _Submission) -> None:
         """Deadline fired: fail what is unresolved, cancel un-shared work.
@@ -696,7 +619,7 @@ class ReproServer:
         except WorkerCrashedError as error:
             self._running.pop(chunk.id, None)
             self.stats.crashes += 1
-            if chunk.attempts < self.max_attempts:
+            if chunk.attempts < pool_module.MAX_ATTEMPTS:
                 for request in chunk.requests:
                     self._flights.requeue(request.digest)
                 self.stats.requeued += 1
@@ -792,23 +715,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace-store", metavar="DIR|off", default=None,
                         help="trace-artifact store directory, 'off' to disable, "
                              "default: $REPRO_TRACE_STORE or the per-user store")
-    parser.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
-                        help=f"max requests per scheduled chunk (default {DEFAULT_CHUNK_SIZE})")
-    parser.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS,
-                        help="execution attempts per chunk before its requests fail "
-                             f"(default {DEFAULT_MAX_ATTEMPTS})")
-    parser.add_argument("--max-inflight", type=int, default=None, metavar="N",
-                        help="per-client in-flight request quota; further submissions "
-                             "are rejected with retry_after (default: unlimited)")
-    parser.add_argument("--max-queued-chunks", type=int, default=None, metavar="N",
-                        help="reject submissions while this many chunks are queued "
-                             "(default: unlimited)")
-    parser.add_argument("--request-deadline", type=float, default=None, metavar="SECONDS",
-                        help="default per-submission deadline; expired submissions get "
-                             "retryable failures (default: none)")
-    parser.add_argument("--retry-after", type=float, default=DEFAULT_RETRY_AFTER,
-                        help="backoff hint carried on rejected submissions "
-                             f"(default {DEFAULT_RETRY_AFTER}s)")
     return parser
 
 
@@ -820,12 +726,6 @@ async def _serve(args: argparse.Namespace) -> None:
         workers=args.workers,
         cache_dir=args.cache,
         trace_store=args.trace_store,
-        chunk_size=args.chunk_size,
-        max_attempts=args.max_attempts,
-        max_inflight=args.max_inflight,
-        max_queued_chunks=args.max_queued_chunks,
-        request_deadline=args.request_deadline,
-        retry_after=args.retry_after,
     )
     await server.start()
     loop = asyncio.get_running_loop()

@@ -66,9 +66,6 @@ class EngineStats:
     #: Requests that completed as failures because a deadline expired
     #: (a subset of :attr:`failed`).
     expired: int = 0
-    #: Service submissions rejected by admission control and retried after
-    #: the server-advertised backoff (set by the service engine).
-    rejected: int = 0
     runner: str = "serial"
 
     @property
@@ -108,8 +105,6 @@ class EngineStats:
             resilience.append(f"{self.hung_killed} hung workers killed")
         if self.expired:
             resilience.append(f"{self.expired} deadline-expired")
-        if self.rejected:
-            resilience.append(f"{self.rejected} rejected+retried")
         if resilience:
             text += "; resilience: " + ", ".join(resilience)
         return text

@@ -32,8 +32,10 @@ from ...trace_store import TraceStore, TraceStoreStats
 #: longest *single* simulation.
 HANG_TIMEOUT = 300.0
 
-#: Default total attempts per chunk (one try plus two crash retries).
-DEFAULT_MAX_ATTEMPTS = 3
+#: Total attempts per chunk (one try plus two crash retries) that the
+#: parallel runner and the daemon make before failing its requests.  Both
+#: read it at call time, so tests can shorten it.
+MAX_ATTEMPTS = 3
 
 #: How often a worker checks that the process that started it is alive.
 PARENT_POLL_SECONDS = 0.5

@@ -34,8 +34,8 @@ Both runners are resilience-aware (see ``docs/resilience.md``):
 * :class:`MultiprocessRunner` runs its chunks on the
   :class:`~repro.sim.engine.pool.WorkerPool` the service daemon uses too:
   a worker that dies or stops heartbeating is killed, its chunk is retried
-  on a fresh worker with bounded attempts, and a chunk that exhausts them
-  fails with a label instead of hanging the plan.
+  on a fresh worker, at most ``pool.MAX_ATTEMPTS`` times in all, and a
+  chunk that exhausts them fails with a label instead of hanging the plan.
 """
 
 from __future__ import annotations
@@ -68,7 +68,8 @@ from ...workloads.base import Workload
 from ..modes import mode_available
 from ..results import SimulationResult
 from ..system import simulate
-from .pool import DEFAULT_MAX_ATTEMPTS, WorkerPool
+from . import pool as pool_module
+from .pool import WorkerPool
 from .request import SimRequest, resolve_policy
 
 #: One executed request: ``(digest, result, failure)``.  ``result`` is
@@ -323,9 +324,10 @@ class MultiprocessRunner(Runner):
     is nothing to parallelise.
 
     One thread per worker feeds chunks to the pool.  A chunk whose worker
-    crashed or hung is retried on a fresh worker, at most ``max_attempts``
-    times in all, and then fails with a label; a chunk that raised inside
-    its worker fails at once, since a retry would repeat it.
+    crashed or hung is retried on a fresh worker, at most
+    :data:`~repro.sim.engine.pool.MAX_ATTEMPTS` times in all, and then
+    fails with a label; a chunk that raised inside its worker fails at
+    once, since a retry would repeat it.
     """
 
     label = "multiprocess"
@@ -336,19 +338,15 @@ class MultiprocessRunner(Runner):
         *,
         workloads: Optional[Mapping[str, Workload]] = None,
         trace_store=_DEFAULT_STORE,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     ) -> None:
         super().__init__()
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         if self.workers < 1:
             raise ValueError("MultiprocessRunner needs at least one worker")
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
         #: Pre-built workloads reused by the in-process (serial) fallback;
         #: worker processes resolve through the trace store instead.
         self.workloads = workloads
         self.trace_store = _resolve_store(trace_store)
-        self.max_attempts = max_attempts
 
     def _chunk(self, requests: Sequence[SimRequest]) -> list[list[SimRequest]]:
         total = len(requests)
@@ -405,7 +403,8 @@ class MultiprocessRunner(Runner):
             return [(r.digest, None, f"{r.workload}/{r.mode}: {reason}") for r in chunk], None
 
         def attempt(chunk: list[SimRequest]):
-            for number in range(1, self.max_attempts + 1):
+            attempts = pool_module.MAX_ATTEMPTS
+            for number in range(1, attempts + 1):
                 try:
                     return pool.run(chunk)
                 except ChunkFailedError as error:
@@ -415,9 +414,9 @@ class MultiprocessRunner(Runner):
                         return None  # the run is over; its caller labels the chunk
                     with lock:
                         self.resilience.hung_killed += isinstance(error, WorkerHungError)
-                        self.resilience.requeues += number < self.max_attempts
+                        self.resilience.requeues += number < attempts
                     last = error
-            return failed(chunk, f"{last}; gave up after {self.max_attempts} attempts")
+            return failed(chunk, f"{last}; gave up after {attempts} attempts")
 
         outcomes: dict[int, list[ExecutedRequest]] = {}
 

@@ -1,4 +1,4 @@
-"""Deterministic chaos tests: kill/resume, hung workers, admission control.
+"""Deterministic chaos tests: kill/resume, hung workers, deadlines.
 
 Like ``tests/test_service_faults.py``, synchronisation is via hold-files,
 protocol events, and bounded polling of counters the code under test
@@ -11,10 +11,9 @@ promises:
 * a hung worker is detected by the heartbeat watchdog, killed, and its
   chunk requeued until it succeeds;
 * the parallel runner retries a crashed worker's chunk bit-identically,
-  and its deadline kills a held worker instead of waiting for it;
-* a client over its in-flight quota (or a full queue) gets ``rejected`` +
-  ``retry_after`` and completes after backing off, while other clients'
-  traffic is unaffected;
+  labels a chunk that crashes on every attempt once the pool's attempt
+  budget is spent, and its deadline kills a held worker instead of
+  waiting for it;
 * a submission past its deadline fails promptly with a retryable label.
 """
 
@@ -152,6 +151,7 @@ class TestKillResume:
 class TestHungWorkerWatchdog:
     def test_hung_worker_is_killed_and_chunk_requeued(self, svc_dir, monkeypatch):
         monkeypatch.setattr(pool_module, "HANG_TIMEOUT", 0.3)
+        monkeypatch.setattr(pool_module, "MAX_ATTEMPTS", 10)
         hold = svc_dir / "hold-401"
         hold.touch()
         with registered_test_workloads():
@@ -161,7 +161,7 @@ class TestHungWorkerWatchdog:
             requests = [request_for("svcgate", seed=401)] + [
                 intsort_request(seed=s) for s in (11, 12, 13)
             ]
-            runner = MultiprocessRunner(workers=2, trace_store=None, max_attempts=10)
+            runner = MultiprocessRunner(workers=2, trace_store=None)
             executed: list = []
             failure: list[BaseException] = []
 
@@ -220,6 +220,25 @@ class TestRunnerWorkerPool:
         for digest, result, _ in serial:
             assert outcomes[digest][1] is None
             assert outcomes[digest][0].as_dict() == result.as_dict()
+
+    def test_persistent_crash_gives_up_after_the_pool_attempt_budget(
+        self, svc_dir, monkeypatch
+    ):
+        monkeypatch.setattr(pool_module, "MAX_ATTEMPTS", 2)
+        crasher = request_for("svccrashalways", seed=521)
+        bystander = intsort_request(seed=17)
+        with registered_test_workloads():
+            runner = MultiprocessRunner(workers=2, trace_store=None)
+            executed = runner.run([crasher, bystander])
+        outcomes = {digest: (result, fail) for digest, result, fail in executed}
+        result, failure = outcomes[crasher.digest]
+        assert result is None
+        assert "worker crashed" in failure and "gave up after 2 attempts" in failure
+        assert runner.resilience.requeues == 1
+        # The crashing chunk costs only itself.
+        assert outcomes[bystander.digest][1] is None
+        assert outcomes[bystander.digest][0] is not None
+        assert multiprocessing.active_children() == []
 
     def test_deadline_kills_held_worker_and_labels_chunk_expired(self, svc_dir):
         hold = svc_dir / "hold-511"
@@ -332,96 +351,3 @@ class TestDeadlines:
                 assert counters["expired"] >= 1
                 # Release the gate so the daemon can drain and stop.
                 hold.unlink()
-
-
-# ------------------------------------------------------- admission control
-
-
-class TestAdmissionControl:
-    def test_quota_rejection_backoff_and_recovery(self, svc_dir):
-        hold = svc_dir / "hold-411"
-        hold.touch()
-        with registered_test_workloads():
-            with ServerThread(workers=2, max_inflight=1, retry_after=0.01) as daemon:
-                greedy = ServiceClient(daemon.address, timeout=120.0)
-                bystander = ServiceClient(daemon.address, timeout=120.0)
-
-                # The greedy client's gated request occupies its whole quota.
-                sid1 = greedy.submit_nowait([request_for("svcgate", seed=411)])
-                read_until(greedy, "accepted", sid1)
-                read_until(greedy, "chunk-started", sid1)
-
-                # Its next submission is refused — with a backoff hint, and
-                # without anything being scheduled.
-                sid2 = greedy.submit_nowait([intsort_request(seed=31)])
-                rejection = read_until(greedy, "rejected", sid2)
-                assert rejection["reason"] == "quota"
-                assert rejection["retry_after"] > 0
-
-                # Another client is unaffected: zero outstanding work means
-                # always admitted, and the second worker serves it while the
-                # gated chunk still blocks the first.
-                done_b = bystander.submit([intsort_request(seed=32)])
-                (outcome_b,) = done_b["outcomes"]
-                assert outcome_b["status"] == "ok"
-
-                # Once the gate opens the greedy client drains...
-                hold.unlink()
-                done1 = read_until(greedy, "done", sid1)
-                assert done1["outcomes"][0]["status"] == "ok"
-
-                # ...and its resubmission is admitted normally.
-                sid3 = greedy.submit_nowait([intsort_request(seed=31)])
-                read_until(greedy, "accepted", sid3)
-                done3 = read_until(greedy, "done", sid3)
-                assert done3["outcomes"][0]["status"] == "ok"
-
-                counters = wait_for_counter(daemon.address, "rejected_quota", 1)
-                assert counters["rejected_quota"] >= 1
-                greedy.close()
-                bystander.close()
-
-    def test_queue_backpressure_client_retries_after_hint(self, svc_dir):
-        hold = svc_dir / "hold-421"
-        hold.touch()
-        with registered_test_workloads():
-            with ServerThread(workers=1, max_queued_chunks=1,
-                              retry_after=0.01) as daemon:
-                filler = ServiceClient(daemon.address, timeout=120.0)
-                # One gated chunk occupies the only worker; one more fills
-                # the queue to its limit.  Both are guaranteed stuck while
-                # the hold-file exists, so the rejection below is
-                # deterministic, not a race.
-                sid1 = filler.submit_nowait([request_for("svcgate", seed=421)])
-                read_until(filler, "accepted", sid1)
-                read_until(filler, "chunk-started", sid1)
-                sid2 = filler.submit_nowait([intsort_request(seed=33)])
-                read_until(filler, "accepted", sid2)
-
-                latecomer = ServiceClient(daemon.address, timeout=120.0)
-                sleeps: list[float] = []
-                real_sleep = latecomer._sleep
-                latecomer._sleep = lambda s: (sleeps.append(s), real_sleep(s))
-                rejected_events: list[dict] = []
-
-                def on_event(event: dict) -> None:
-                    if event.get("type") == "rejected":
-                        rejected_events.append(event)
-                        # Open the gate from inside the event stream: the
-                        # client backs off and resubmits into a draining
-                        # queue, eventually getting admitted.
-                        hold.unlink(missing_ok=True)
-
-                done = latecomer.submit([intsort_request(seed=34)], on_event=on_event)
-                (outcome,) = done["outcomes"]
-                assert outcome["status"] == "ok"
-                assert rejected_events and rejected_events[0]["reason"] == "queue"
-                # Every backoff honored at least the server's hint.
-                assert sleeps and all(s >= 0.01 for s in sleeps)
-
-                done2 = read_until(filler, "done", sid2)
-                assert done2["outcomes"][0]["status"] == "ok"
-                counters = wait_for_counter(daemon.address, "rejected_queue", 1)
-                assert counters["rejected_queue"] >= 1
-                filler.close()
-                latecomer.close()

@@ -1,10 +1,5 @@
 """Tests for the evaluation harness (figures, tables, report rendering)."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.config import SystemConfig
@@ -143,22 +138,11 @@ class TestReport:
                                              engine=engine)
 
     def test_build_engine_refuses_parallel_only_arguments_without_parallel(self):
-        for name, value in (("workers", 4), ("max_attempts", 2)):
-            with pytest.raises(ValueError, match=name):
-                build_engine(trace_store_dir="off", **{name: value})
-        engine = build_engine(parallel=True, workers=2, max_attempts=2, trace_store_dir="off")
+        with pytest.raises(ValueError, match="workers"):
+            build_engine(trace_store_dir="off", workers=4)
+        engine = build_engine(parallel=True, workers=2, trace_store_dir="off")
         assert isinstance(engine.runner, MultiprocessRunner)
-        assert (engine.runner.workers, engine.runner.max_attempts) == (2, 2)
-
-        root = Path(__file__).resolve().parents[1]
-        driver = subprocess.run(
-            [sys.executable, str(root / "examples" / "reproduce_paper.py"),
-             "--scale", "tiny", "--max-attempts", "5"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(root / "src")},
-        )
-        assert driver.returncode == 2
-        assert "max_attempts" in driver.stderr
+        assert engine.runner.workers == 2
 
 
 @pytest.fixture(scope="module")

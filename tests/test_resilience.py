@@ -1,74 +1,25 @@
-"""Unit tests for the shared retry/backoff and deadline primitives.
+"""Unit tests for the deadline primitive and the client's retry loops.
 
-Everything here is deterministic and sleep-free: the jitter is a pure
-function of ``(seed, attempt)``, the deadline clock is injected, and the
-client backoff test records the delays instead of serving them.
+Everything here is deterministic and sleep-free: the deadline clock is
+injected, the client backoff tests record the delays instead of serving
+them, and the resubmission tests talk to a scripted loopback stand-in for
+the daemon that plays one fixed reply per connection.
 """
 
 from __future__ import annotations
 
+import contextlib
 import socket
+import threading
 
 import pytest
 
-from repro.errors import DeadlineExceededError, ServiceError
-from repro.resilience import Deadline, RetryPolicy
-
-
-class TestRetryPolicy:
-    def test_delays_are_deterministic_for_a_seed(self):
-        policy = RetryPolicy(seed="alpha")
-        again = RetryPolicy(seed="alpha")
-        assert list(policy.delays()) == list(again.delays())
-
-    def test_zero_jitter_is_exact_capped_exponential(self):
-        policy = RetryPolicy(
-            max_attempts=6, base_delay=0.1, max_delay=1.0, multiplier=2.0, jitter=0.0
-        )
-        assert list(policy.delays()) == [0.1, 0.2, 0.4, 0.8, 1.0]
-
-    def test_delay_never_exceeds_cap_plus_jitter(self):
-        policy = RetryPolicy(
-            max_attempts=30, base_delay=0.5, max_delay=2.0, multiplier=3.0,
-            jitter=0.25, seed="cap",
-        )
-        bound = policy.max_delay * (1.0 + policy.jitter)
-        for attempt in range(60):
-            delay = policy.delay(attempt)
-            assert 0.0 <= delay <= bound
-        # Far past the cap the exponential term is saturated: only the
-        # per-attempt jitter still varies the delay.
-        assert policy.delay(50) >= policy.max_delay
-
-    def test_jitter_is_bounded_fraction(self):
-        policy = RetryPolicy(jitter=0.25, seed="frac")
-        for attempt in range(20):
-            base = RetryPolicy(jitter=0.0).delay(attempt)
-            assert base <= policy.delay(attempt) < base * 1.25 + 1e-12
-
-    def test_distinct_seeds_decorrelate(self):
-        first = RetryPolicy(seed="client-a")
-        second = first.with_seed("client-b")
-        # Same shape, different jitter sequence.
-        assert second.max_attempts == first.max_attempts
-        assert list(first.delays()) != list(second.delays())
-
-    def test_retries_property_and_delays_length(self):
-        policy = RetryPolicy(max_attempts=4)
-        assert policy.retries == 3
-        assert len(list(policy.delays())) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(base_delay=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=-1.0)
-        with pytest.raises(ValueError):
-            RetryPolicy().delay(-1)
+from repro.config import SystemConfig
+from repro.errors import ServiceError
+from repro.resilience import Deadline
+from repro.service import PROTOCOL_VERSION, ServiceClient
+from repro.service.protocol import decode_message, encode_message
+from repro.sim.engine import SimRequest
 
 
 class TestDeadline:
@@ -82,8 +33,6 @@ class TestDeadline:
         now[0] = 105.0
         assert deadline.expired
         assert deadline.remaining() == 0.0
-        with pytest.raises(DeadlineExceededError):
-            deadline.check("sweep")
 
     def test_after_normalises_none_number_and_deadline(self):
         assert Deadline.after(None) is None
@@ -108,21 +57,128 @@ class TestClientBackoffCap:
         probe.close()
         return f"127.0.0.1:{port}"
 
-    def test_connect_backoff_is_capped_jittered_and_bounded(self, monkeypatch):
+    def test_connect_backoff_is_capped_and_bounded(self, monkeypatch):
         from repro.service import client as client_module
 
         recorded: list[float] = []
         monkeypatch.setattr(client_module.time, "sleep", recorded.append)
-        policy = RetryPolicy(
-            max_attempts=5, base_delay=10.0, max_delay=25.0, multiplier=4.0,
-            jitter=0.25, seed="test-client",
-        )
-        with pytest.raises(ServiceError, match="after 5 attempts"):
+        with pytest.raises(ServiceError, match="after 11 attempts"):
             client_module.ServiceClient(
-                self._refused_address(), timeout=1.0, retry_policy=policy
+                self._refused_address(), timeout=1.0, connect_retries=10
             )
-        # One backoff per retry, following the policy exactly: capped at
-        # max_delay * (1 + jitter) instead of doubling without bound.
-        assert recorded == [policy.delay(attempt) for attempt in range(4)]
-        assert all(delay <= 25.0 * 1.25 for delay in recorded)
-        assert recorded[1] >= 25.0  # the cap is in force from attempt 1 on
+        # One backoff per retry, doubling from 50 ms and capped at 2 s
+        # instead of doubling without bound.
+        assert recorded == [min(0.05 * 2**n, 2.0) for n in range(10)]
+        assert recorded[-1] == 2.0  # the cap is in force
+
+    def test_zero_connect_retries_make_one_attempt_without_backoff(self, monkeypatch):
+        from repro.service import client as client_module
+
+        recorded: list[float] = []
+        monkeypatch.setattr(client_module.time, "sleep", recorded.append)
+        with pytest.raises(ServiceError, match="after 1 attempts"):
+            client_module.ServiceClient(
+                self._refused_address(), timeout=1.0, connect_retries=0
+            )
+        assert recorded == []
+
+
+# ------------------------------------------------------- client resubmission
+
+
+ACCEPTED = {"type": "accepted"}
+DONE = {"type": "done", "outcomes": [], "stats": {}}
+
+
+@contextlib.contextmanager
+def scripted_daemon(*scripts: list[dict]):
+    """Serve loopback connections, each playing one script; yield
+    ``(address, submits)``.
+
+    A connection answers ``hello`` with ``welcome``, records the client's
+    ``submit`` in ``submits``, sends the script's messages under the
+    submission's id and hangs up; an empty script hangs up without a reply.
+    Connections past the last script replay it, so ``submits`` counts every
+    attempt the client makes.
+    """
+
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(8)
+    listener.settimeout(0.05)
+    submits: list[dict] = []
+    stop = threading.Event()
+
+    def serve() -> None:
+        while not stop.is_set():
+            try:
+                conn, _peer = listener.accept()
+            except socket.timeout:
+                continue
+            script = scripts[min(len(submits), len(scripts) - 1)]
+            conn.settimeout(30.0)
+            with conn, conn.makefile("rb") as stream:
+                stream.readline()  # the client's hello
+                conn.sendall(encode_message({"type": "welcome", "protocol": PROTOCOL_VERSION}))
+                submit = decode_message(stream.readline())
+                submits.append(submit)
+                for reply in script:
+                    conn.sendall(encode_message({**reply, "id": submit["id"]}))
+
+    server = threading.Thread(target=serve)
+    server.start()
+    try:
+        yield f"127.0.0.1:{listener.getsockname()[1]}", submits
+    finally:
+        stop.set()
+        server.join()
+        listener.close()
+
+
+def intsort_request() -> SimRequest:
+    return SimRequest(
+        workload="intsort", mode="none", scale="tiny", seed=42,
+        config=SystemConfig.scaled(),
+    )
+
+
+class TestClientResubmit:
+    """``submit`` resends a submission the daemon never accepted, and only
+    that: after ``accepted`` the daemon owns the work."""
+
+    def test_submission_lost_before_acceptance_is_resubmitted(self):
+        events: list[str] = []
+        with scripted_daemon([], [ACCEPTED, DONE]) as (address, submits):
+            with ServiceClient(address, timeout=5.0, connect_retries=1) as client:
+                done = client.submit(
+                    [intsort_request()],
+                    on_event=lambda event: events.append(event["type"]),
+                    deadline=3.0,
+                )
+        assert done["type"] == "done"
+        assert events == ["accepted", "done"]
+        first, second = submits
+        assert first["requests"] == second["requests"]
+        assert first["deadline"] == second["deadline"] == 3.0
+
+    def test_resubmission_gives_up_after_connect_retries_plus_one_tries(self):
+        with scripted_daemon([]) as (address, submits):
+            with ServiceClient(address, timeout=5.0, connect_retries=2) as client:
+                with pytest.raises(ServiceError, match="closed the connection"):
+                    client.submit([intsort_request()])
+        assert len(submits) == 3
+
+    def test_connection_lost_after_acceptance_is_not_resubmitted(self):
+        with scripted_daemon([ACCEPTED]) as (address, submits):
+            with ServiceClient(address, timeout=5.0, connect_retries=2) as client:
+                with pytest.raises(ServiceError, match="closed the connection"):
+                    client.submit([intsort_request()])
+        assert len(submits) == 1
+
+    def test_error_reply_raises_without_resubmitting(self):
+        refusal = {"type": "error", "message": "server is draining"}
+        with scripted_daemon([refusal]) as (address, submits):
+            with ServiceClient(address, timeout=5.0, connect_retries=2) as client:
+                with pytest.raises(ServiceError, match="rejected submission: server is draining"):
+                    client.submit([intsort_request()])
+        assert len(submits) == 1

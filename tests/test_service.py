@@ -31,9 +31,15 @@ from repro.service import (
     probe_endpoint,
     spawn_local_daemon,
 )
-from repro.service.protocol import encode_message
+from repro.service.protocol import decode_message, encode_message, request_to_wire
 from repro.sim.comparison import comparison_plan
-from repro.sim.engine import SerialRunner, SimEngine, SimPlan, SimRequest
+from repro.sim.engine import (
+    DEADLINE_FAILURE_TEXT,
+    SerialRunner,
+    SimEngine,
+    SimPlan,
+    SimRequest,
+)
 
 from service_utils import SVC_TEST_DIR_ENV, ServerThread, registered_test_workloads
 
@@ -265,7 +271,7 @@ def test_build_engine_refuses_local_only_arguments_with_service():
     message = str(excinfo.value)
     for name in ("parallel", "cache_dir", "resume"):
         assert name in message
-    for name in ("workers", "trace_store_dir", "checkpoint_dir", "max_attempts"):
+    for name in ("workers", "trace_store_dir", "checkpoint_dir"):
         assert name not in message
 
     engine = build_engine(service=DEAD, deadline=5.0)
@@ -424,6 +430,72 @@ def test_protocol_version_mismatch_is_rejected(monkeypatch):
         assert f"protocol {PROTOCOL_VERSION - 1}" in report.error
 
 
+def test_unknown_message_type_gets_error_and_connection_stays_usable():
+    """A message type the daemon does not know — such as ``rejected``, which
+    protocol 5 dropped — is answered with ``error``; the next message on
+    the same connection is served."""
+
+    with ServerThread(workers=1) as daemon:
+        host, port = daemon.address.rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=60.0) as sock, \
+                sock.makefile("rb") as lines:
+            sock.sendall(encode_message({"type": "rejected", "id": 1}))
+            sock.sendall(encode_message({"type": "stats"}))
+            error = decode_message(lines.readline())
+            stats = decode_message(lines.readline())
+    assert error == {"type": "error", "message": "unknown message type 'rejected'"}
+    assert stats["type"] == "stats" and stats["connections"] == 1
+
+
+def test_serve_takes_only_deployment_settings():
+    """``repro serve`` is configured by where it listens and what it owns;
+    chunk size, retry budget and deadlines are not daemon settings."""
+
+    from repro.service.server import _build_parser
+
+    parser = _build_parser()
+    options = {option for action in parser._actions for option in action.option_strings}
+    assert options == {
+        "-h", "--help", "--host", "--port", "--unix", "--workers", "--cache", "--trace-store",
+    }
+    for removed in ("--chunk-size", "--max-attempts", "--request-deadline", "--max-inflight"):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args([removed, "2"])
+        assert excinfo.value.code == 2
+
+
+def test_reused_submission_id_is_refused_while_in_flight(svc_dir):
+    """Regression: a submit reusing the id of one still in flight replaced
+    it in the connection's table, so the first never got its ``done``.
+    Now the second gets ``error`` and the first keeps its deadline."""
+
+    hold = svc_dir / "hold-451"
+    hold.touch()
+    submits = [
+        {"requests": [request_to_wire(gated_request(451))], "deadline": 0.5},
+        {"requests": [request_to_wire(gated_request(452, workload="intsort"))]},
+    ]
+    with registered_test_workloads():
+        with ServerThread(workers=2) as daemon:
+            try:
+                host, port = daemon.address.rsplit(":", 1)
+                with socket.create_connection((host, int(port)), timeout=60.0) as sock, \
+                        sock.makefile("rb") as lines:
+                    for submit in submits:
+                        sock.sendall(encode_message({"type": "submit", "id": 7, **submit}))
+                    events = [decode_message(lines.readline())]
+                    while events[-1]["type"] != "done":
+                        events.append(decode_message(lines.readline()))
+            finally:
+                hold.unlink()
+            assert daemon.server.stats.submissions == 1
+    (error,) = [event for event in events if event["type"] == "error"]
+    assert error["id"] == 7 and error["message"] == "submission id 7 is already in flight"
+    (outcome,) = events[-1]["outcomes"]
+    assert outcome["status"] == "failed"
+    assert DEADLINE_FAILURE_TEXT in outcome["failure"]
+
+
 # ----------------------------------------------------------- local daemon
 
 
@@ -469,6 +541,21 @@ def test_spawn_local_daemon_kills_child_on_exit():
         assert address
         assert process.poll() is None, "daemon must be running inside the block"
     assert process.poll() is not None, "daemon must be reaped on exit"
+
+
+def test_spawn_local_daemon_gives_up_on_a_silent_child(tmp_path, monkeypatch):
+    """Regression: the startup wait blocked on the child's first line, so a
+    child that neither wrote nor exited held its caller past the timeout."""
+
+    silent = tmp_path / "silent-python"
+    silent.write_text("#!/bin/sh\nexec sleep 10\n")
+    silent.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(silent))
+    started = time.monotonic()
+    with pytest.raises(ServiceError, match="within 0.5s"):
+        with spawn_local_daemon(workers=1, startup_timeout=0.5):
+            pass  # pragma: no cover - startup must fail
+    assert time.monotonic() - started < 5.0
 
 
 def test_spawn_local_daemon_kills_child_when_body_raises():

@@ -19,6 +19,7 @@ from repro.config import SystemConfig
 from repro.service import ServiceClient, spawn_local_daemon
 from repro.service.protocol import decode_message, encode_message, request_to_wire
 from repro.sim.engine import SimRequest
+from repro.sim.engine import pool as pool_module
 
 from service_utils import SVC_TEST_DIR_ENV, ServerThread, registered_test_workloads
 
@@ -89,11 +90,12 @@ def test_worker_crash_requeues_chunk_and_completes(svc_dir):
     assert os.path.exists(svc_dir / "crashed-301")
 
 
-def test_persistent_crash_fails_cleanly_and_pool_recovers(svc_dir):
+def test_persistent_crash_fails_cleanly_and_pool_recovers(svc_dir, monkeypatch):
     """Attempts exhausted → labelled failure; the daemon stays healthy."""
 
+    monkeypatch.setattr(pool_module, "MAX_ATTEMPTS", 2)
     with registered_test_workloads():
-        with ServerThread(workers=1, max_attempts=2) as daemon:
+        with ServerThread(workers=1) as daemon:
             with ServiceClient(daemon.address, timeout=120.0) as client:
                 sid = client.submit_nowait([request_for("svccrashalways", seed=302)])
                 read_until(client, "accepted", sid)
@@ -117,13 +119,14 @@ def test_persistent_crash_fails_cleanly_and_pool_recovers(svc_dir):
     assert any("worker crashed" in label for label in counters["failures"])
 
 
-def test_crash_costs_only_the_chunk_on_the_dead_worker(svc_dir):
+def test_crash_costs_only_the_chunk_on_the_dead_worker(svc_dir, monkeypatch):
     """A bystander's running chunk survives another client's crashing one."""
 
+    monkeypatch.setattr(pool_module, "MAX_ATTEMPTS", 2)
     hold = svc_dir / "hold-331"
     hold.touch()
     with registered_test_workloads():
-        with ServerThread(workers=2, max_attempts=2) as daemon:
+        with ServerThread(workers=2) as daemon:
             with ServiceClient(daemon.address, timeout=120.0) as bystander, \
                     ServiceClient(daemon.address, timeout=120.0) as crasher:
                 sid = bystander.submit_nowait([request_for("svcgate", seed=331)])

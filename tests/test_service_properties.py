@@ -17,7 +17,7 @@ against independent reference models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +31,7 @@ from repro.service import (
     SingleflightTable,
     split_requests,
 )
+from repro.service.scheduler import DEFAULT_CHUNK_SIZE
 from repro.sim.engine import SimRequest
 
 DIGESTS = [f"d{i}" for i in range(4)]
@@ -313,3 +314,23 @@ def test_split_requests_respects_groups_and_size() -> None:
         assert chunk.key == "client"
     # 4 groups of 3 requests, sliced at 2 → 8 chunks.
     assert len(chunks) == 8
+
+
+def test_split_requests_slices_one_group_at_the_default_chunk_size() -> None:
+    """The daemon splits with the default: one group twice the size plus
+    one becomes two full chunks and a remainder, in submission order."""
+
+    base = SystemConfig.scaled()
+    requests = [
+        SimRequest(
+            workload="intsort", mode="none", scale="tiny", seed=1,
+            config=replace(base, prefetcher=replace(base.prefetcher, num_ppus=ppus)),
+        )
+        for ppus in range(1, 2 * DEFAULT_CHUNK_SIZE + 2)
+    ]
+    chunks = split_requests(requests, key="client")
+
+    assert [len(chunk) for chunk in chunks] == [DEFAULT_CHUNK_SIZE, DEFAULT_CHUNK_SIZE, 1]
+    assert [r.digest for chunk in chunks for r in chunk.requests] == [
+        r.digest for r in requests
+    ]

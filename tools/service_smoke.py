@@ -10,10 +10,7 @@ through the client library twice, and asserts the service contract:
    simulations, bit-identical results;
 3. the ``health`` probe answers with a ready daemon speaking this
    client's protocol version;
-4. the daemon drains cleanly on request and exits 0;
-5. against a quota-limited daemon (``--max-inflight``), a pipelined second
-   submission is rejected with ``retry_after``, and completes after
-   backing off — the admission-control round-trip.
+4. the daemon drains cleanly on request and exits 0.
 
 Used by the CI ``service`` job; also handy as a quick local health check::
 
@@ -28,7 +25,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.config import SystemConfig  # noqa: E402
 from repro.service import (  # noqa: E402
     PROTOCOL_VERSION,
     ServiceClient,
@@ -37,7 +33,6 @@ from repro.service import (  # noqa: E402
     spawn_local_daemon,
 )
 from repro.sim.comparison import comparison_plan  # noqa: E402
-from repro.sim.engine import SimRequest  # noqa: E402
 
 
 def health_roundtrip(address: str) -> None:
@@ -50,54 +45,6 @@ def health_roundtrip(address: str) -> None:
     assert report.pool_generation == 0, "no worker should have crashed"
     print(f"health: {report.status}, protocol {report.protocol}, "
           f"{report.workers} workers, up {report.uptime:.1f}s")
-
-
-def quota_roundtrip() -> None:
-    """Admission control: rejection, backoff, recovery — against a real daemon."""
-
-    import time
-
-    with spawn_local_daemon(
-        workers=1, extra_args=["--max-inflight", "1", "--retry-after", "0.05"]
-    ) as (process, address):
-        print(f"quota daemon pid={process.pid} at {address}")
-        config = SystemConfig.scaled()
-        first = [
-            SimRequest(workload="intsort", mode="none", scale="tiny", seed=seed,
-                       config=config)
-            for seed in range(1, 7)
-        ]
-        second = [SimRequest(workload="randacc", mode="none", scale="tiny", seed=9,
-                             config=config)]
-        with ServiceClient(address, timeout=600.0) as client:
-            sid1 = client.submit_nowait(first)
-            sid2 = client.submit_nowait(second)
-            rejections = 0
-            finished: dict[int, dict] = {}
-            while sid1 not in finished or sid2 not in finished:
-                event = client.read_event()
-                kind = event.get("type")
-                if kind == "rejected" and event.get("id") == sid2:
-                    rejections += 1
-                    time.sleep(float(event.get("retry_after") or 0.05))
-                    sid2 = client.submit_nowait(second)
-                elif kind == "done":
-                    finished[event["id"]] = event
-            assert rejections >= 1, (
-                "the pipelined second submission must trip the in-flight quota"
-            )
-            for sid in (sid1, sid2):
-                statuses = [o["status"] for o in finished[sid]["outcomes"]]
-                assert all(s == "ok" for s in statuses), statuses
-            counters = client.server_stats()
-            assert counters["rejected_quota"] >= rejections
-            print(
-                f"quota: {rejections} rejection(s) honored, both submissions "
-                f"completed (rejected_quota={counters['rejected_quota']})"
-            )
-            client.shutdown_server()
-        code = process.wait(timeout=120)
-        assert code == 0, f"quota daemon exited with {code}"
 
 
 def main() -> int:
@@ -146,7 +93,6 @@ def main() -> int:
             code = process.wait(timeout=120)
             assert code == 0, f"daemon exited with {code}"
             print("daemon drained and exited cleanly")
-    quota_roundtrip()
     print("service smoke: OK")
     return 0
 
