@@ -5,17 +5,19 @@ Runs the extended-workloads driver: each workload registered without the
 paper-reference flag (BFS, SpMV, union-find out of the box) is simulated
 with no prefetching, the stride prefetcher, the GHB prefetcher and the
 programmable prefetcher running its manual PPU kernels.  All points flow
-through one deduplicated batch-engine plan; ``--parallel`` spreads them
-across cores and ``--cache DIR`` makes repeated runs free.
+through one deduplicated batch-engine plan, spread over one worker process
+per CPU this process may use (``--jobs N`` sets the count, ``--jobs 1``
+runs in-process); ``--cache DIR`` makes repeated runs free.
 
 Usage::
 
     python examples/extended_workloads.py --scale small
-    python examples/extended_workloads.py --scale tiny --parallel --cache .sim-cache
+    python examples/extended_workloads.py --scale tiny --jobs 1 --cache .sim-cache
 """
 
 import argparse
 
+from repro.cli import worker_count
 from repro.eval.extended import format_extended, run_extended
 from repro.eval.report import build_engine
 from repro.workloads import registry
@@ -27,16 +29,14 @@ def main() -> None:
                         help="workload scale (default: small)")
     parser.add_argument("--workloads", nargs="*", default=None,
                         help=f"workload names (default: {registry.extended_names()})")
-    parser.add_argument("--parallel", action="store_true",
-                        help="execute the simulation plan across CPU cores")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes (implies --parallel; default: all cores)")
+    parser.add_argument("--jobs", type=worker_count, default=None, metavar="N",
+                        help="worker processes (default: one per CPU this process may "
+                             "use; 1 runs in-process)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="persistent result-cache directory")
     args = parser.parse_args()
 
-    parallel = args.parallel or args.jobs is not None
-    engine = build_engine(parallel=parallel, workers=args.jobs, cache_dir=args.cache)
+    engine = build_engine(workers=args.jobs, cache_dir=args.cache)
     data = run_extended(workloads=args.workloads, scale=args.scale, engine=engine)
     print(format_extended(data))
 

@@ -8,8 +8,10 @@ dozens of extra configurations, so they are optional for quick runs).
 
 All simulations are declared as one shared batch-engine plan, so common
 points (every figure's no-prefetch baselines, the Figure 9 reference runs)
-are simulated exactly once.  ``--parallel`` farms the plan across CPU cores
-and ``--cache DIR`` persists results so a repeated run simulates nothing.
+are simulated exactly once.  The plan runs on one worker process per CPU
+this process may use (``--jobs N`` sets the count, ``--jobs 1`` runs
+in-process), and ``--cache DIR`` persists results so a repeated run
+simulates nothing.
 
 Long sweeps are durable: ``--checkpoint`` records each completed request in
 a run manifest, and after a crash or ``kill -9`` the same command with
@@ -20,7 +22,7 @@ failed, with the failure labels printed.
 Usage::
 
     python examples/reproduce_paper.py --scale small
-    python examples/reproduce_paper.py --scale default --figure9 --parallel \\
+    python examples/reproduce_paper.py --scale default --figure9 \\
         --cache .sim-cache --write-experiments
     python examples/reproduce_paper.py --scale default --cache .sim-cache \\
         --checkpoint .sim-ckpt --resume   # after an interrupted run
@@ -28,6 +30,7 @@ Usage::
 
 import argparse
 
+from repro.cli import worker_count
 from repro.eval.report import (
     build_engine,
     failure_exit_code,
@@ -45,10 +48,9 @@ def main() -> int:
                         help="also run the PPU frequency/count sweeps (slow)")
     parser.add_argument("--workloads", nargs="*", default=None,
                         help="subset of workloads to run (default: all eight)")
-    parser.add_argument("--parallel", action="store_true",
-                        help="execute the simulation plan across CPU cores")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes (implies --parallel; default: all cores)")
+    parser.add_argument("--jobs", type=worker_count, default=None, metavar="N",
+                        help="worker processes (default: one per CPU this process may "
+                             "use; 1 runs in-process)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="persistent result-cache directory (warm reruns simulate nothing)")
     parser.add_argument("--trace-store", metavar="DIR|off", default=None,
@@ -58,7 +60,7 @@ def main() -> int:
     parser.add_argument("--service", metavar="ADDR", default=None,
                         help="submit simulations to a running 'repro serve' daemon at "
                              "ADDR (host:port or unix:/path) instead of simulating "
-                             "locally; --deadline is forwarded, while --parallel, "
+                             "locally; --deadline is forwarded, while "
                              "--jobs, --cache, --trace-store, --checkpoint and "
                              "--resume are refused (set workers, cache and trace "
                              "store on 'repro serve' instead)")
@@ -78,14 +80,13 @@ def main() -> int:
                         help="write the Markdown report to PATH (default EXPERIMENTS.md)")
     args = parser.parse_args()
 
-    parallel = args.parallel or args.jobs is not None
     checkpoint_dir = args.checkpoint
     if checkpoint_dir == "":  # bare --checkpoint: use the default directory
         from repro.sim.engine import default_checkpoint_dir
 
         checkpoint_dir = str(default_checkpoint_dir())
     try:
-        engine = build_engine(parallel=parallel, workers=args.jobs, cache_dir=args.cache,
+        engine = build_engine(workers=args.jobs, cache_dir=args.cache,
                               trace_store_dir=args.trace_store, service=args.service,
                               checkpoint_dir=checkpoint_dir, resume=args.resume,
                               deadline=args.deadline)

@@ -22,6 +22,21 @@ import sys
 from typing import Optional
 
 
+def worker_count(text: str) -> int:
+    """``argparse`` type of the worker-count options: a whole number of at least 1.
+
+    Used by ``repro serve --workers`` and the example drivers' ``--jobs``.
+    """
+
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     arguments = list(sys.argv[1:] if argv is None else argv)
     # Forward everything after `serve` verbatim to the daemon's own parser

@@ -114,9 +114,10 @@ class ServiceProtocolError(ServiceError):
 class WorkerCrashedError(ReproError):
     """A pool worker died, or could not start, while executing a chunk.
 
-    Raised by :meth:`repro.sim.engine.pool.WorkerPool.run`.  The parallel
-    runner and the service daemon retry the chunk on a fresh worker and
-    report a failure label once the chunk exhausts its attempts.
+    Raised by :meth:`repro.sim.engine.pool.WorkerPool.run`.  The
+    multiprocess runner retries the chunk's unreported requests, and the
+    service daemon the whole chunk, on a fresh worker, and report a failure
+    label once the attempts are exhausted.
     """
 
 

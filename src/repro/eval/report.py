@@ -3,10 +3,10 @@
 This is the top of the reproduction pipeline: it declares every simulation
 the evaluation needs — the Figure 7 comparison (shared by Figures 8, 10, 11
 and the traffic analysis) plus the Figure 9 sweeps — as **one** deduplicated
-:class:`~repro.sim.engine.SimPlan`, executes it in a single engine run
-(serial or parallel, optionally against a persistent result cache), and
-renders everything both as console tables and as a Markdown report recording
-paper-vs-measured values.
+:class:`~repro.sim.engine.SimPlan`, executes it in a single engine run (on
+every CPU this process may use, optionally against a persistent result
+cache), and renders everything both as console tables and as a Markdown
+report recording paper-vs-measured values.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from ..sim.engine import (
     EngineStats,
     MultiprocessRunner,
     ResultCache,
-    SerialRunner,
     SimEngine,
     SimPlan,
 )
@@ -81,7 +80,6 @@ class ReproductionReport:
 
 def build_engine(
     *,
-    parallel: bool = False,
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     trace_store_dir: Optional[str] = None,
@@ -92,6 +90,11 @@ def build_engine(
 ) -> SimEngine:
     """Assemble an engine from the common driver knobs.
 
+    Local plans run on a :class:`~repro.sim.engine.MultiprocessRunner` with
+    ``workers`` processes, by default one per CPU this process may use;
+    ``workers=1`` runs in-process.  No worker starts before a run has work,
+    so building an engine, and a run the caches answer, cost no process.
+
     ``trace_store_dir`` mirrors the result cache's knob for the trace
     artifact tier: ``None`` uses the environment default
     (``REPRO_TRACE_STORE``, falling back to the per-user cache directory),
@@ -101,8 +104,6 @@ def build_engine(
     writes a durable run manifest as each request completes; ``resume``
     replays the previous manifest against the cache and executes only the
     missing requests; and ``deadline`` bounds each run in seconds.
-    ``workers`` configures the parallel runner only; passing it without
-    ``parallel=True`` raises :class:`ValueError` naming it.
 
     ``service`` routes execution to a ``repro serve`` daemon at
     ``host:port`` or ``unix:/path``: a :class:`~repro.service.ServiceEngine`
@@ -114,7 +115,6 @@ def build_engine(
 
     if service is not None:
         local_only = {
-            "parallel": parallel,
             "workers": workers,
             "cache_dir": cache_dir,
             "trace_store_dir": trace_store_dir,
@@ -134,16 +134,7 @@ def build_engine(
         from ..service import ServiceEngine
 
         return ServiceEngine(service, deadline=deadline)
-    if not parallel and workers is not None:
-        raise ValueError(
-            "a serial run would ignore the parallel-only argument workers; "
-            "pass parallel=True (--parallel) to use it"
-        )
-    store = trace_store_from_spec(trace_store_dir)
-    if parallel:
-        runner = MultiprocessRunner(workers, trace_store=store)
-    else:
-        runner = SerialRunner(trace_store=store)
+    runner = MultiprocessRunner(workers, trace_store=trace_store_from_spec(trace_store_dir))
     cache = ResultCache(cache_dir) if cache_dir else None
     if resume and cache is None:
         # Resume replays the manifest *against the cache*; without one only
@@ -190,7 +181,6 @@ def run_report(
     seed: int = 42,
     include_figure9: bool = True,
     engine: Optional[SimEngine] = None,
-    parallel: bool = False,
     workers: Optional[int] = None,
     cache_dir: Optional[str] = None,
     trace_store_dir: Optional[str] = None,
@@ -210,7 +200,7 @@ def run_report(
     system_config = config if config is not None else SystemConfig.scaled()
     if engine is None:
         engine = build_engine(
-            parallel=parallel, workers=workers, cache_dir=cache_dir,
+            workers=workers, cache_dir=cache_dir,
             trace_store_dir=trace_store_dir, service=service,
             checkpoint_dir=checkpoint_dir, resume=resume,
             deadline=deadline,

@@ -2,8 +2,8 @@
 
 A long-lived daemon (:class:`ReproServer`) holds one warm result memo,
 persistent :class:`~repro.sim.engine.ResultCache`, on-disk trace store and
-worker pool (the :class:`~repro.sim.engine.pool.WorkerPool` the parallel
-runner uses too), and serves simulation plans to any number of
+worker pool (the :class:`~repro.sim.engine.pool.WorkerPool` the
+multiprocess runner uses too), and serves simulation plans to any number of
 concurrent clients over newline-delimited JSON on a TCP or UNIX socket.
 Identical in-flight requests are deduplicated across clients by a
 digest-keyed singleflight table — each unique simulation executes exactly

@@ -50,6 +50,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from ..cli import worker_count
 from ..errors import ServiceProtocolError, WorkerCrashedError
 from ..sim.engine import DEADLINE_FAILURE_TEXT, UNAVAILABLE, ResultCache, SimRequest
 from ..sim.engine import pool as pool_module
@@ -708,8 +709,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="TCP port; 0 picks a free port (announced on stdout)")
     parser.add_argument("--unix", metavar="PATH", default=None,
                         help="serve on a UNIX socket instead of TCP")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="pool worker processes (default: all cores)")
+    parser.add_argument("--workers", type=worker_count, default=None, metavar="N",
+                        help="pool worker processes (default: one per CPU this "
+                             "process may use)")
     parser.add_argument("--cache", metavar="DIR", default=None,
                         help="persistent result-cache directory shared by all clients")
     parser.add_argument("--trace-store", metavar="DIR|off", default=None,

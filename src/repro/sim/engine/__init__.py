@@ -4,10 +4,17 @@ Every figure, table and sweep in the evaluation reduces to a set of
 independent ``(workload, mode, config)`` simulation points.  This package
 turns those points into declarative :class:`SimRequest` values, collects them
 into a deduplicating :class:`SimPlan`, executes the plan with a pluggable
-:class:`Runner` (serial, or ``multiprocessing`` across cores), and memoises
-results both in-process and in a persistent content-addressed
-:class:`ResultCache`, so shared baselines are simulated exactly once and
-repeated reproduction runs skip work entirely.
+:class:`Runner`, and memoises results both in-process and in a persistent
+content-addressed :class:`ResultCache`, so shared baselines are simulated
+exactly once and repeated reproduction runs skip work entirely.
+
+The local drivers run every plan on :class:`MultiprocessRunner`: one
+worker process per CPU this process may use
+(:func:`~repro.sim.engine.pool.default_workers`), in-process when one
+worker or one chunk leaves nothing to spread, and no process at all until
+a run has work.  It banks each result as its worker finishes it, so a
+killed run keeps every finished simulation.  :class:`SerialRunner` is
+:class:`SimEngine`'s own default.
 
 Quickstart::
 

@@ -92,8 +92,8 @@ class RunManifest:
     """Durable per-plan progress record, written incrementally and atomically.
 
     One instance covers one ``SimEngine.run`` of one plan.  ``record_batch``
-    is called as results land (per request on the serial path, per chunk on
-    the parallel one); each call rewrites the manifest file atomically, so
+    is called as results land (per request, on either runner); each call
+    rewrites the manifest file atomically, so
     the on-disk state is always a complete prefix of the run.  The file is
     created lazily on the first record — a fully-warm run that executes
     nothing writes nothing.

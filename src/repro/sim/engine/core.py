@@ -11,10 +11,12 @@
 Everything still pending after those layers goes to the :class:`Runner` —
 and, when a checkpoint directory is configured, is recorded in a durable
 run manifest *as it completes* (see :mod:`repro.sim.engine.checkpoint`):
-each finished request is pushed into the cache and the manifest before the
-next one runs, so a killed sweep resumes from exactly where it died.  With
-``resume=True`` the engine replays the prior manifest against the cache and
-executes only the missing requests.
+each finished request is pushed into the cache and the manifest as soon as
+the runner reports it — before the next one runs on the serial path, while
+the other requests of its chunk still run on the multiprocess path — so a
+killed sweep resumes from exactly where it died.  With ``resume=True`` the
+engine replays the prior manifest against the cache and executes only the
+missing requests.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class EngineStats:
     #: Trace-artifact tier counters: traces warmed from the store, traces
     #: that had to be emitted, and freshly-persisted artifacts.  Hits count
     #: once per executed chunk and trace variant, so a workload group the
-    #: parallel runner splits into K chunks reads each warm trace K times.
+    #: multiprocess runner splits into K chunks reads each warm trace K times.
     trace_hits: int = 0
     trace_built: int = 0
     trace_stored: int = 0
@@ -190,7 +192,6 @@ class SimEngine:
             submitted=plan.submitted,
             unique=len(plan),
             deduplicated=plan.deduplicated,
-            runner=self.runner.label,
         )
         batch = BatchResult(stats=run_stats)
         pending: list[SimRequest] = []
@@ -241,11 +242,11 @@ class SimEngine:
         by_digest = {request.digest: request for request in pending}
 
         def absorb(executed: Sequence[ExecutedRequest]) -> None:
-            """Bank a batch of completed requests the moment it lands.
+            """Bank completed requests the moment the runner reports them.
 
-            Cache writes and the manifest flush happen here — between
-            executed batches, not after the whole run — so a ``kill -9``
-            at any point leaves every completed request durable.
+            Cache writes and the manifest flush happen here — per request,
+            not after the whole run — so a ``kill -9`` at any point leaves
+            every completed request durable.
             """
 
             records: list[tuple[str, str, Optional[str]]] = []
@@ -284,6 +285,8 @@ class SimEngine:
             on_executed=absorb,
             deadline=Deadline.after(self.deadline),
         )
+        # After the run: a multiprocess runner that ran in-process says so.
+        run_stats.runner = self.runner.label
 
         trace_stats = getattr(self.runner, "trace_stats", None)
         if trace_stats is not None:

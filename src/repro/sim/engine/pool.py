@@ -1,4 +1,4 @@
-"""One pool of supervised worker processes for every parallel caller.
+"""One pool of supervised worker processes for every multiprocess caller.
 
 :class:`~repro.sim.engine.runner.MultiprocessRunner` and the ``repro
 serve`` daemon both hand chunks of requests to :class:`WorkerPool`.  Each
@@ -6,11 +6,13 @@ worker is one long-lived process on one duplex pipe, running chunks
 through :func:`~repro.sim.engine.runner.execute_group` (the serial path,
 so results are bit-identical) with its kernel cache warm across chunks.
 
-A worker sends a heartbeat after every finished request.  One that dies
-(EOF on its pipe) or stays silent for :data:`HANG_TIMEOUT` seconds is
-killed; only the call running on it fails, and its slot starts a fresh
-process on next use.  Retrying is the caller's policy.  Workers never
-outlive their parent: a SIGKILLed daemon or runner orphans none.
+A worker sends a heartbeat after every finished request, carrying that
+request's result, so a caller can bank each result as it lands and knows
+which requests a crashed chunk had already finished.  One that dies (EOF
+on its pipe) or stays silent for :data:`HANG_TIMEOUT` seconds is killed;
+only the call running on it fails, and its slot starts a fresh process on
+next use.  Retrying is the caller's policy.  Workers never outlive their
+parent: a SIGKILLed daemon or runner orphans none.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import stat
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ...errors import ChunkFailedError, WorkerCrashedError, WorkerHungError
 from ...trace_store import TraceStore, TraceStoreStats
@@ -33,8 +35,8 @@ from ...trace_store import TraceStore, TraceStoreStats
 HANG_TIMEOUT = 300.0
 
 #: Total attempts per chunk (one try plus two crash retries) that the
-#: parallel runner and the daemon make before failing its requests.  Both
-#: read it at call time, so tests can shorten it.
+#: multiprocess runner and the daemon make before failing its requests.
+#: Both read it at call time, so tests can shorten it.
 MAX_ATTEMPTS = 3
 
 #: How often a worker checks that the process that started it is alive.
@@ -42,6 +44,19 @@ PARENT_POLL_SECONDS = 0.5
 
 #: How long :meth:`WorkerPool.shutdown` gives workers before killing them.
 STOP_GRACE_SECONDS = 0.5
+
+
+def default_workers() -> int:
+    """Worker processes to run by default: the CPUs this process may use.
+
+    ``os.cpu_count()`` counts every CPU of the machine, including those an
+    affinity mask or cpuset forbids; ``os.sched_getaffinity`` counts only
+    the allowed ones, where the platform has it.
+    """
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # no affinity API (macOS)
 
 
 def _close_inherited_sockets(keep: int) -> None:
@@ -103,10 +118,12 @@ def _exit_with_parent() -> None:
 
 
 def _worker_main(conn) -> None:
-    """Worker loop: ``(requests, store_dir)`` in; heartbeats and outcome out.
+    """Worker loop: ``(requests, store_dir)`` in; heartbeats and counters out.
 
-    Answers ``("hb", None)`` after every finished request, then ``("done",
-    outcome)``, or ``("err", text)`` if the chunk raised.  ``None`` exits.
+    Answers ``("hb", executed)`` after every finished request, carrying its
+    ``ExecutedRequest``, then ``("done", trace_stats)``, or ``("err",
+    text)`` if the chunk raised.  Each result crosses the pipe once, in its
+    heartbeat.  ``None`` exits.
     """
 
     from .runner import execute_group  # runner.py imports this module
@@ -119,13 +136,13 @@ def _worker_main(conn) -> None:
             requests, store_dir = task
             store = TraceStore(store_dir) if store_dir else None
             try:
-                outcome = execute_group(
-                    requests, store=store, heartbeat=lambda: conn.send(("hb", None))
+                _, stats = execute_group(
+                    requests, store=store, on_executed=lambda done: conn.send(("hb", done))
                 )
             except Exception as error:  # noqa: BLE001 - reported to the caller
                 conn.send(("err", f"{type(error).__name__}: {error}"))
             else:
-                conn.send(("done", outcome))
+                conn.send(("done", stats))
     except (EOFError, OSError):  # parent went away
         return
 
@@ -139,7 +156,7 @@ class _Slot:
 
 
 class WorkerPool:
-    """``workers`` supervised worker processes (default: all cores).
+    """``workers`` supervised worker processes (default: :func:`default_workers`).
 
     ``trace_store_dir`` names the trace store the workers resolve chunks
     through; ``None`` disables the trace tier in the workers.
@@ -148,7 +165,7 @@ class WorkerPool:
     def __init__(
         self, workers: Optional[int] = None, *, trace_store_dir: Optional[str] = None
     ) -> None:
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
+        self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise ValueError("WorkerPool needs at least one worker")
         self.trace_store_dir = trace_store_dir
@@ -161,11 +178,16 @@ class WorkerPool:
         #: Workers killed after a crash or a hang since start.
         self.replaced = 0
 
-    def run(self, requests: Sequence) -> tuple[list, TraceStoreStats]:
+    def run(
+        self, requests: Sequence, on_executed: Optional[Callable[[Any], None]] = None
+    ) -> tuple[list, TraceStoreStats]:
         """Execute one chunk on a free worker; return ``execute_group``'s outcome.
 
-        Blocks, first for a free worker if all are busy; thread-safe.
-        Raises :class:`WorkerHungError` if the worker sent nothing for
+        ``on_executed`` is called with each request's ``ExecutedRequest`` as
+        its heartbeat arrives, on the calling thread; the requests it saw
+        before an error are the ones the chunk finished.  Blocks, first for
+        a free worker if all are busy; thread-safe.  Raises
+        :class:`WorkerHungError` if the worker sent nothing for
         :data:`HANG_TIMEOUT` seconds, :class:`WorkerCrashedError` if it died
         or could not start or the pool is shut down, and
         :class:`ChunkFailedError` if the chunk raised inside the worker.
@@ -178,7 +200,7 @@ class WorkerPool:
             slot = self._idle.pop()
             self._busy.add(slot)
         try:
-            return self._execute(slot, list(requests))
+            return self._execute(slot, list(requests), on_executed)
         finally:
             with self._cond:
                 self._busy.discard(slot)
@@ -189,9 +211,12 @@ class WorkerPool:
             if closed:
                 self._stop(slot)
 
-    def _execute(self, slot: _Slot, requests: list) -> tuple[list, TraceStoreStats]:
+    def _execute(
+        self, slot: _Slot, requests: list, on_executed: Optional[Callable[[Any], None]]
+    ) -> tuple[list, TraceStoreStats]:
         if slot.process is None:
             self._start(slot)
+        executed: list = []
         try:
             slot.conn.send((requests, self.trace_store_dir))
             while True:
@@ -199,9 +224,13 @@ class WorkerPool:
                     self._retire(slot)
                     raise WorkerHungError(f"worker hung (no heartbeat for {HANG_TIMEOUT:g}s)")
                 kind, payload = slot.conn.recv()
-                if kind == "done":
-                    return payload
-                if kind == "err":
+                if kind == "hb":
+                    executed.append(payload)
+                    if on_executed is not None:
+                        on_executed(payload)
+                elif kind == "done":
+                    return executed, payload
+                else:
                     raise ChunkFailedError(payload)
         except (EOFError, OSError) as error:
             exitcode = self._retire(slot)

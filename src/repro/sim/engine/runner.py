@@ -8,10 +8,14 @@ in the digest-keyed on-disk store; warm artifacts replay directly (no
 workload rebuild at all for the non-programmable modes, traces injected
 instead of re-emitted for the programmable ones), and anything missing is
 built once, emitted, and persisted so the next run — or the next worker —
-starts warm.  The serial and parallel runners execute the same per-request
-code path, so for a given request set they produce bit-identical results;
-the parallel runner merely farms chunks of those groups out to worker
-processes, each of which resolves its chunk through the same on-disk store.
+starts warm.  The serial and multiprocess runners execute the same
+per-request code path, so for a given request set they produce
+bit-identical results; the multiprocess runner merely farms chunks of those
+groups out to worker processes, each of which resolves its chunk through
+the same on-disk store.  It is the runner every local driver uses
+(:func:`repro.eval.report.build_engine`), with one worker per usable CPU by
+default, and runs in-process when one worker or one chunk leaves nothing
+to spread.
 
 A request whose mode cannot be built for its workload (the missing Figure 7
 bars, e.g. software prefetching on PageRank) executes to ``None`` with no
@@ -24,28 +28,28 @@ So does every request of a group whose workload cannot be resolved at all
 
 Both runners are resilience-aware (see ``docs/resilience.md``):
 
-* ``run`` accepts an ``on_executed`` callback invoked with each batch of
-  completed requests *as they finish*, which the engine uses to persist
-  results and checkpoint-manifest entries incrementally — a killed run
-  keeps everything completed so far.
+* ``run`` accepts an ``on_executed`` callback invoked, on the calling
+  thread, with each completed request *as it finishes*, which the engine
+  uses to persist results and checkpoint-manifest entries incrementally —
+  a killed run keeps everything completed so far, whichever runner ran it.
 * ``run`` accepts a :class:`~repro.resilience.Deadline`; once it expires,
   remaining requests complete as labelled failures (never cached, so a
   resumed run retries exactly the expired work).
 * :class:`MultiprocessRunner` runs its chunks on the
   :class:`~repro.sim.engine.pool.WorkerPool` the service daemon uses too:
-  a worker that dies or stops heartbeating is killed, its chunk is retried
-  on a fresh worker, at most ``pool.MAX_ATTEMPTS`` times in all, and a
-  chunk that exhausts them fails with a label instead of hanging the plan.
+  a worker that dies or stops heartbeating is killed, the requests of its
+  chunk that it had not reported are retried on a fresh worker, at most
+  ``pool.MAX_ATTEMPTS`` times in all, and those that exhaust them fail
+  with a label instead of hanging the plan.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import queue
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -69,7 +73,7 @@ from ..modes import mode_available
 from ..results import SimulationResult
 from ..system import simulate
 from . import pool as pool_module
-from .pool import WorkerPool
+from .pool import WorkerPool, default_workers
 from .request import SimRequest, resolve_policy
 
 #: One executed request: ``(digest, result, failure)``.  ``result`` is
@@ -77,7 +81,8 @@ from .request import SimRequest, resolve_policy
 #: failures (``failure`` holds the error text).
 ExecutedRequest = tuple[str, Optional[SimulationResult], Optional[str]]
 
-#: Callback receiving each batch of completed requests as it finishes.
+#: Callback receiving each completed request, as a one-element batch, as
+#: it finishes.
 ExecutedCallback = Callable[[Sequence[ExecutedRequest]], None]
 
 #: Sentinel distinguishing "no store passed" (resolve from the environment)
@@ -161,7 +166,6 @@ def execute_group(
     *,
     store: Optional[TraceStore] = None,
     deadline: Optional[Deadline] = None,
-    heartbeat: Optional[Callable[[], None]] = None,
     on_executed: Optional[Callable[[ExecutedRequest], None]] = None,
     resilience: Optional[ResilienceStats] = None,
 ) -> tuple[list[ExecutedRequest], TraceStoreStats]:
@@ -175,10 +179,9 @@ def execute_group(
 
     The resilience hooks are all optional: once ``deadline`` expires the
     remaining requests complete as labelled failures instead of running;
-    ``heartbeat`` is called after every completed request (the parallel
-    runner's liveness signal); ``on_executed`` is called with each request
-    as it completes; ``resilience`` accumulates expiry counters for the
-    caller.
+    ``on_executed`` is called with each request as it completes (in a pool
+    worker it sends the request's heartbeat); ``resilience`` accumulates
+    expiry counters for the caller.
 
     Returns the executed requests in submission order and the trace-tier
     counters.
@@ -189,8 +192,6 @@ def execute_group(
 
     def finish(done: ExecutedRequest) -> None:
         executed.append(done)
-        if heartbeat is not None:
-            heartbeat()
         if on_executed is not None:
             on_executed(done)
 
@@ -240,7 +241,8 @@ def execute_group(
 class Runner(ABC):
     """Executes the pending requests of a plan."""
 
-    #: Human-readable label recorded in engine statistics.
+    #: Human-readable label of the path the most recent :meth:`run` took,
+    #: recorded in engine statistics.
     label: str = "runner"
 
     #: Trace-artifact resolution counters of the most recent :meth:`run`.
@@ -320,14 +322,22 @@ class MultiprocessRunner(Runner):
     a Figure 9(b) sweep is dozens of points on one workload — are split
     into several chunks in proportion to their share of the plan, trading a
     few redundant artifact decodes for keeping every core busy; each chunk
-    counts its own store hits.  Falls back to serial execution when there
-    is nothing to parallelise.
+    counts its own store hits.
 
-    One thread per worker feeds chunks to the pool.  A chunk whose worker
-    crashed or hung is retried on a fresh worker, at most
+    ``workers`` defaults to the CPUs this process may use
+    (:func:`~repro.sim.engine.pool.default_workers`).  With one worker, or
+    when the plan forms at most one chunk, :meth:`run` executes in-process
+    on the serial path, starts no process, and sets :attr:`label` to
+    ``"serial"``; a pooled run sets it to ``"multiprocess"``.  No worker
+    starts before a run has work.
+
+    One thread per worker feeds chunks to the pool; each result is handed
+    to ``on_executed`` on the calling thread as its worker reports it.
+    When a worker crashes or hangs, the requests of its chunk it had not
+    reported are retried on a fresh worker, at most
     :data:`~repro.sim.engine.pool.MAX_ATTEMPTS` times in all, and then
-    fails with a label; a chunk that raised inside its worker fails at
-    once, since a retry would repeat it.
+    fail with a label; a chunk that raised inside its worker fails its
+    unreported requests at once, since a retry would repeat it.
     """
 
     label = "multiprocess"
@@ -340,7 +350,7 @@ class MultiprocessRunner(Runner):
         trace_store=_DEFAULT_STORE,
     ) -> None:
         super().__init__()
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
+        self.workers = workers if workers is not None else default_workers()
         if self.workers < 1:
             raise ValueError("MultiprocessRunner needs at least one worker")
         #: Pre-built workloads reused by the in-process (serial) fallback;
@@ -366,19 +376,19 @@ class MultiprocessRunner(Runner):
     ) -> list[ExecutedRequest]:
         self.trace_stats = TraceStoreStats()
         self.resilience = ResilienceStats()
-        if not requests:
-            return []
         chunks = self._chunk(requests)
         budget = Deadline.after(deadline)
         if self.workers == 1 or len(chunks) <= 1:
             # Nothing to parallelise: hand the whole request set to the
             # serial path, forwarding any pre-built workloads so the
             # fallback does not pay a redundant workload rebuild.
+            self.label = SerialRunner.label
             fallback = SerialRunner(workloads=self.workloads, trace_store=self.trace_store)
             executed = fallback.run(requests, on_executed=on_executed, deadline=budget)
             self.trace_stats = fallback.trace_stats
             self.resilience = fallback.resilience
             return executed
+        self.label = MultiprocessRunner.label
         return self._run_pooled(chunks, budget, on_executed)
 
     def _run_pooled(
@@ -398,49 +408,83 @@ class MultiprocessRunner(Runner):
         pool = WorkerPool(min(self.workers, len(chunks)), trace_store_dir=store_dir)
         lock = threading.Lock()
         stopped = threading.Event()
+        # Each executed request as its worker reports it, and None as each
+        # chunk ends; drained on the calling thread.
+        landed: queue.SimpleQueue = queue.SimpleQueue()
 
-        def failed(chunk: list[SimRequest], reason: str):
-            return [(r.digest, None, f"{r.workload}/{r.mode}: {reason}") for r in chunk], None
+        def attempt(chunk: list[SimRequest]) -> None:
+            reported: set[str] = set()
 
-        def attempt(chunk: list[SimRequest]):
+            def report(done: ExecutedRequest) -> None:
+                reported.add(done[0])
+                landed.put(done)
+
             attempts = pool_module.MAX_ATTEMPTS
+            reason = ""
             for number in range(1, attempts + 1):
+                remaining = [r for r in chunk if r.digest not in reported]
+                if not remaining:
+                    return
                 try:
-                    return pool.run(chunk)
+                    _, stats = pool.run(remaining, report)
                 except ChunkFailedError as error:
-                    return failed(chunk, f"chunk failed in its worker: {error}")
+                    reason = f"chunk failed in its worker: {error}"
+                    break
                 except WorkerCrashedError as error:
                     if stopped.is_set():
-                        return None  # the run is over; its caller labels the chunk
+                        return  # the run is over; its caller labels the rest
                     with lock:
                         self.resilience.hung_killed += isinstance(error, WorkerHungError)
                         self.resilience.requeues += number < attempts
-                    last = error
-            return failed(chunk, f"{last}; gave up after {attempts} attempts")
+                    reason = f"{error}; gave up after {attempts} attempts"
+                else:
+                    with lock:
+                        self.trace_stats.merge(stats)
+                    return
+            for r in chunk:
+                if r.digest not in reported:
+                    landed.put((r.digest, None, f"{r.workload}/{r.mode}: {reason}"))
 
-        outcomes: dict[int, list[ExecutedRequest]] = {}
+        def feed(chunk: list[SimRequest]) -> None:
+            try:
+                attempt(chunk)
+            finally:
+                landed.put(None)
 
-        def finish(index: int, executed: list[ExecutedRequest], stats) -> None:
-            outcomes[index] = executed
-            if stats is not None:
-                self.trace_stats.merge(stats)
-            if on_executed is not None and executed:
-                on_executed(executed)
+        outcomes: dict[str, ExecutedRequest] = {}
+
+        def bank(done: ExecutedRequest) -> None:
+            outcomes[done[0]] = done
+            if on_executed is not None:
+                on_executed([done])
 
         threads = ThreadPoolExecutor(pool.workers)
-        futures = {threads.submit(attempt, chunk): index for index, chunk in enumerate(chunks)}
+        futures = [threads.submit(feed, chunk) for chunk in chunks]
+        open_chunks = len(chunks)
         try:
-            timeout = budget.remaining() if budget is not None else None
-            for future in as_completed(futures, timeout=timeout):
-                finish(futures[future], *future.result())
-        except FuturesTimeoutError:
-            pass  # the deadline expired
+            while open_chunks and not (budget is not None and budget.expired):
+                try:
+                    done = landed.get(timeout=budget.remaining() if budget is not None else None)
+                except queue.Empty:
+                    break  # the deadline expired
+                if done is None:
+                    open_chunks -= 1
+                else:
+                    bank(done)
         finally:
             stopped.set()
             pool.shutdown()
             threads.shutdown(cancel_futures=True)
-        for index, chunk in enumerate(chunks):
-            if index not in outcomes:
-                self.resilience.expired += len(chunk)
-                finish(index, [_deadline_failure(r, budget) for r in chunk], None)
-        return [done for index in range(len(chunks)) for done in outcomes[index]]
+        for future in futures:
+            if not future.cancelled():
+                future.result()  # re-raise an error of the feeding code
+        while not landed.empty():  # reported before the pool stopped: finished work
+            done = landed.get()
+            if done is not None:
+                bank(done)
+        for chunk in chunks:
+            for r in chunk:
+                if r.digest not in outcomes:
+                    self.resilience.expired += 1
+                    bank(_deadline_failure(r, budget))
+        return [outcomes[r.digest] for chunk in chunks for r in chunk]

@@ -143,6 +143,18 @@ class TestExecution:
         for request in plan:
             assert serial[request].as_dict() == parallel[request].as_dict()
 
+    def test_runner_label_names_the_in_process_fallback(self, config):
+        # One worker: the whole multi-group plan runs in-process.
+        plan = tiny_plan(config)
+        assert SimEngine(runner=MultiprocessRunner(workers=1)).run(plan).stats.runner == "serial"
+        # One chunk: a single request leaves nothing to spread.
+        single = SimPlan([tiny_request("intsort", PrefetchMode.NONE, config)])
+        runner = MultiprocessRunner(workers=2)
+        assert len(runner._chunk(list(single))) == 1
+        assert SimEngine(runner=runner).run(single).stats.runner == "serial"
+        # The same runner reports the pooled path once it takes it.
+        assert SimEngine(runner=runner).run(plan).stats.runner == "multiprocess"
+
     def test_single_workload_sweep_is_chunked_and_identical(self, config):
         # A one-workload plan (the Figure 9(b) shape) must still split into
         # several chunks so multiple workers get busy, without changing results.

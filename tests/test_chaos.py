@@ -10,7 +10,9 @@ promises:
   only the missing requests with bit-identical results;
 * a hung worker is detected by the heartbeat watchdog, killed, and its
   chunk requeued until it succeeds;
-* the parallel runner retries a crashed worker's chunk bit-identically,
+* the multiprocess runner banks each request as its worker reports it,
+  while the rest of that chunk still runs; after a crash it re-runs only
+  the requests the dead worker had not reported, bit-identically; it
   labels a chunk that crashes on every attempt once the pool's attempt
   budget is spent, and its deadline kills a held worker instead of
   waiting for it;
@@ -20,22 +22,28 @@ promises:
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.errors import WorkerCrashedError
+from repro.resilience import Deadline
 from repro.service import ServiceClient, ServiceEngine
 from repro.sim.engine import pool as pool_module
+from repro.sim.engine import runner as runner_module
 from repro.sim.engine.pool import WorkerPool
 from repro.sim.engine import (
     DEADLINE_FAILURE_TEXT,
     MultiprocessRunner,
     ResultCache,
+    RunManifest,
     SerialRunner,
     SimEngine,
     SimPlan,
@@ -201,6 +209,131 @@ class TestHungWorkerWatchdog:
                 assert outcomes[digest][0].as_dict() == result.as_dict()
 
 
+def tiny_request(workload: str, mode: str) -> SimRequest:
+    return SimRequest(
+        workload=workload, mode=mode, scale="tiny", seed=42, config=SystemConfig.scaled()
+    )
+
+
+class TestPooledDurability:
+    """The multiprocess runner banks every request as its worker reports it."""
+
+    def test_finished_request_is_banked_while_its_chunk_still_runs(
+        self, tmp_path, monkeypatch
+    ):
+        # Two intsort requests share a chunk; randacc makes a second chunk,
+        # so the run takes the pooled path.
+        first, held = tiny_request("intsort", "none"), tiny_request("intsort", "stride")
+        plan = SimPlan([first, held, tiny_request("randacc", "none")])
+        hold, started = tmp_path / "hold", tmp_path / "held-started"
+        hold.touch()
+        execute = runner_module.execute_request
+
+        def gated(request, workload):
+            if request == held:  # runs in the forked worker
+                started.touch()
+                while hold.exists():
+                    time.sleep(0.002)
+            return execute(request, workload)
+
+        monkeypatch.setattr(runner_module, "execute_request", gated)
+        cache_dir, ckpt_dir = tmp_path / "cache", tmp_path / "ckpt"
+        runner = MultiprocessRunner(workers=2, trace_store=None)
+        assert runner._chunk(list(plan))[0] == [first, held]
+        engine = SimEngine(runner=runner, cache=ResultCache(cache_dir), checkpoint_dir=ckpt_dir)
+        batches: list = []
+        thread = threading.Thread(target=lambda: batches.append(engine.run(plan)))
+        thread.start()
+        try:
+            # Bounded poll: the held request must start and its predecessor
+            # reach the cache while the hold-file still stops the chunk.
+            deadline = time.monotonic() + 30.0
+            while not (started.exists() and ResultCache(cache_dir).get(first.digest)):
+                if time.monotonic() > deadline or not thread.is_alive():
+                    break
+                time.sleep(0.01)
+            banked = ResultCache(cache_dir).get(first.digest)
+            entries = RunManifest(ckpt_dir, [d for d, _ in plan.items()]).load_prior()
+            still_held = ResultCache(cache_dir).get(held.digest) is None and thread.is_alive()
+        finally:
+            hold.unlink()
+            thread.join(timeout=120.0)
+        assert not thread.is_alive(), "the run never completed"
+        assert banked is not None, "the finished request waited for its chunk"
+        assert entries[first.digest].status == "ok"
+        assert held.digest not in entries and still_held
+
+        (batch,) = batches
+        assert batch.stats.runner == "multiprocess"
+        assert batch.stats.executed == batch.stats.unique == len(plan)
+        assert not batch.failures
+        reference = SimEngine(runner=SerialRunner(trace_store=None)).run(plan)
+        for request in plan:
+            assert batch[request].as_dict() == reference[request].as_dict()
+        assert banked.as_dict() == reference[first].as_dict()
+
+    def test_deadline_expires_only_the_unreported_requests(self, tmp_path, monkeypatch):
+        first, held = tiny_request("intsort", "none"), tiny_request("intsort", "stride")
+        other = tiny_request("randacc", "none")
+        hold = tmp_path / "hold"
+        hold.touch()
+        execute = runner_module.execute_request
+
+        def gated(request, workload):
+            while request == held and hold.exists():
+                time.sleep(0.002)
+            return execute(request, workload)
+
+        monkeypatch.setattr(runner_module, "execute_request", gated)
+        banked: list = []
+        # The budget runs out once the two unheld requests are banked.
+        budget = Deadline(60.0, clock=lambda: 0.0 if len(banked) < 2 else 120.0)
+        runner = MultiprocessRunner(workers=2, trace_store=None)
+        try:
+            executed = runner.run([first, held, other], on_executed=banked.extend,
+                                  deadline=budget)
+        finally:
+            hold.unlink()
+        outcomes = {digest: (result, failure) for digest, result, failure in executed}
+        assert outcomes[first.digest][0] is not None and outcomes[first.digest][1] is None
+        assert outcomes[other.digest][0] is not None
+        assert DEADLINE_FAILURE_TEXT in outcomes[held.digest][1]
+        assert runner.resilience.expired == 1
+        assert multiprocessing.active_children() == []
+
+    def test_crash_re_runs_only_the_unreported_requests(self, tmp_path, monkeypatch):
+        # Two chunks of three; the intsort chunk's worker dies on its third
+        # request, after reporting the first two.
+        modes = ("none", "stride", "ghb-regular")
+        plan = SimPlan(tiny_request(w, m) for w in ("intsort", "randacc") for m in modes)
+        doomed = tiny_request("intsort", "ghb-regular")
+        reference = SimEngine(runner=SerialRunner(trace_store=None)).run(plan)
+        log, crashed = tmp_path / "completed", tmp_path / "crashed"
+        execute = runner_module.execute_request
+
+        def crash_once(request, workload):
+            if request == doomed and not crashed.exists():
+                crashed.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            outcome = execute(request, workload)
+            with open(log, "a") as completions:
+                completions.write(f"{request.digest}\n")
+            return outcome
+
+        monkeypatch.setattr(runner_module, "execute_request", crash_once)
+        runner = MultiprocessRunner(workers=2, trace_store=None)
+        assert [len(chunk) for chunk in runner._chunk(list(plan))] == [3, 3]
+        batch = SimEngine(runner=runner).run(plan)
+
+        assert crashed.exists() and batch.stats.requeues == 1
+        completions = Counter(log.read_text().split())
+        assert completions == Counter(digest for digest, _ in plan.items())
+        assert batch.stats.executed == batch.stats.unique == len(plan)
+        assert not batch.failures
+        for request in plan:
+            assert batch[request].as_dict() == reference[request].as_dict()
+
+
 class TestRunnerWorkerPool:
     def test_crashed_worker_chunk_is_retried_bit_identically(self, svc_dir):
         with registered_test_workloads():
@@ -254,6 +387,38 @@ class TestRunnerWorkerPool:
         assert elapsed < 5.0
         assert DEADLINE_FAILURE_TEXT in batch.failures[gated.digest]
         assert batch.stats.expired >= 1
+        assert multiprocessing.active_children() == []
+
+    def test_runner_under_thread_contention(self, svc_dir):
+        """More workers than cores, two crashing chunks, fast thread switching."""
+
+        healthy = [intsort_request(seed=s, mode=m) for s in (71, 72) for m in ("none", "stride")]
+        crashing = [request_for("svccrashonce", seed=s) for s in (531, 532)]
+        requests = healthy + crashing
+        expected = {d: r.as_dict() for d, r, _ in SerialRunner(trace_store=None).run(healthy)}
+        caller = threading.get_ident()
+        banked: list = []
+
+        def on_executed(batch):
+            assert threading.get_ident() == caller
+            banked.extend(batch)
+
+        with registered_test_workloads():
+            runner = MultiprocessRunner(workers=3, trace_store=None)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                executed = runner.run(requests, on_executed=on_executed)
+            finally:
+                sys.setswitchinterval(interval)
+        # A lost update on the shared counters or results would break these.
+        assert runner.resilience.requeues == len(crashing)
+        assert sorted(banked) == sorted(executed)
+        assert sorted(d for d, _, _ in executed) == sorted(r.digest for r in requests)
+        assert all(failure is None for _, _, failure in executed)
+        for digest, result, _ in executed:
+            if digest in expected:
+                assert result.as_dict() == expected[digest]
         assert multiprocessing.active_children() == []
 
     def test_pool_under_thread_contention(self, svc_dir):

@@ -1,5 +1,11 @@
 """Tests for the evaluation harness (figures, tables, report rendering)."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.config import SystemConfig
@@ -12,9 +18,12 @@ from repro.eval.memtraffic import format_memtraffic, run_memtraffic
 from repro.eval.report import build_engine, render_markdown, run_report
 from repro.eval.table1 import format_table1, run_table1
 from repro.eval.table2 import format_table2, run_table2
-from repro.sim import MultiprocessRunner, PrefetchMode, SimRequest, run_comparison
+from repro.sim import MultiprocessRunner, PrefetchMode, SimPlan, SimRequest, run_comparison
+from repro.sim.engine.pool import WorkerPool, default_workers
 from repro.sim.modes import FIGURE7_MODES
 from repro.workloads import registry
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 WORKLOAD_SUBSET = ["intsort", "randacc"]
 PAPER_WORKLOADS = registry.paper_names()
@@ -137,12 +146,55 @@ class TestReport:
         assert report.figure9 == run_figure9(workloads=["randacc"], scale="tiny",
                                              engine=engine)
 
-    def test_build_engine_refuses_parallel_only_arguments_without_parallel(self):
-        with pytest.raises(ValueError, match="workers"):
-            build_engine(trace_store_dir="off", workers=4)
-        engine = build_engine(parallel=True, workers=2, trace_store_dir="off")
+    def test_build_engine_runs_local_plans_on_the_multiprocess_runner(self):
+        engine = build_engine(trace_store_dir="off")
         assert isinstance(engine.runner, MultiprocessRunner)
-        assert engine.runner.workers == 2
+        assert engine.runner.workers == default_workers()
+        assert build_engine(workers=2, trace_store_dir="off").runner.workers == 2
+        with pytest.raises(ValueError, match="at least one worker"):
+            build_engine(workers=0, trace_store_dir="off")
+        with pytest.raises(TypeError, match="parallel"):
+            build_engine(parallel=True)
+
+    def test_default_workers_count_only_the_cpus_this_process_may_use(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert default_workers() == 3
+        assert MultiprocessRunner().workers == WorkerPool().workers == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert default_workers() == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_workers() == 1
+
+    def test_build_engine_on_one_allowed_cpu_starts_no_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+        def refuse(process):
+            raise AssertionError("a worker process was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        engine = build_engine(trace_store_dir="off")
+        assert engine.runner.workers == 1
+        plan = SimPlan(
+            SimRequest(workload=w, mode=m, scale="tiny", config=SystemConfig.scaled())
+            for w in WORKLOAD_SUBSET for m in ("none", "stride")
+        )
+        batch = engine.run(plan)
+        assert batch.stats.runner == "serial"
+        assert batch.stats.executed == len(plan) and not batch.failures
+
+    @pytest.mark.parametrize("arguments, message", [
+        (["--jobs", "0"], "argument --jobs: must be at least 1"),
+        (["--parallel"], "unrecognized arguments: --parallel"),
+    ])
+    def test_driver_rejects_bad_runner_arguments(self, arguments, message):
+        driver = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "examples" / "reproduce_paper.py"), *arguments],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert driver.returncode == 2
+        assert message in driver.stderr
 
 
 @pytest.fixture(scope="module")

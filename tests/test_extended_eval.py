@@ -1,5 +1,12 @@
 """The extended-workloads comparison driver, end to end at tiny scale."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from repro.config import SystemConfig
 from repro.eval.extended import EXTENDED_MODES, format_extended, run_extended
 from repro.sim import PrefetchMode, SimEngine
@@ -42,3 +49,18 @@ class TestExtendedComparison:
         assert "spmv" in text
         assert "geomean" in text
         assert "Batch engine:" in text
+
+
+@pytest.mark.parametrize("arguments, message", [
+    (["--jobs", "0"], "argument --jobs: must be at least 1"),
+    (["--parallel"], "unrecognized arguments: --parallel"),
+])
+def test_driver_rejects_bad_runner_arguments(arguments, message):
+    root = Path(__file__).resolve().parents[1]
+    driver = subprocess.run(
+        [sys.executable, str(root / "examples" / "extended_workloads.py"), *arguments],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert driver.returncode == 2
+    assert message in driver.stderr

@@ -4,6 +4,8 @@ Covers the EWMA calculators, global registers, address filter, PPU
 bookkeeping, scheduling policies and the configuration API.
 """
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -41,6 +43,34 @@ class TestEWMA:
             EWMA(alpha=0.0)
 
 
+def feed(calc: LookaheadCalculator, time: float, iteration: float, latency: float) -> float:
+    """One sample of each input: a window of reads ``iteration`` apart, one chain.
+
+    Returns the time of the last read.  The calculator's first read must
+    already have opened its window.
+    """
+
+    for _ in range(calc.iteration_window):
+        time += iteration
+        calc.observe_iteration(time)
+    calc.observe_chain(time, time + latency)
+    return time
+
+
+def samples_to_reach(alpha: float, before: float, after: float, band: tuple) -> int:
+    """Samples until an EWMA stepped from ``before`` to ``after`` lies in ``band``.
+
+    After n samples of ``after`` its value is after + (before − after)·(1 − α)^n,
+    so it enters ``[low, high)`` from above once (before − after)·(1 − α)^n <
+    high − after, and from below once (after − before)·(1 − α)^n ≤ after − low.
+    """
+
+    low, high = band
+    gap = high - after if before > after else after - low
+    exponent = math.log(abs(before - after) / gap) / -math.log(1.0 - alpha)
+    return math.floor(exponent) + 1 if before > after else math.ceil(exponent)
+
+
 class TestLookaheadCalculator:
     def test_default_distance_before_samples(self):
         calc = LookaheadCalculator(default_distance=6)
@@ -51,8 +81,58 @@ class TestLookaheadCalculator:
         for i in range(20):
             calc.observe_iteration(i * 50.0)
         calc.observe_chain(0.0, 400.0)
-        # chain 400 / iteration 50 → 8 (+1 margin)
-        assert 8 <= calc.lookahead() <= 10
+        # ⌈chain 400 ÷ iteration 50⌉ + 1
+        assert calc.lookahead() == 9
+
+    @pytest.mark.parametrize("iteration, latency", [
+        (50, 400), (7, 100), (20, 250), (3, 3), (1000, 0), (1, 1000), (2, 126),
+    ])
+    def test_constant_inputs_settle_at_the_ceiling_ratio_plus_one(self, iteration, latency):
+        expected = max(MIN_LOOKAHEAD, min(MAX_LOOKAHEAD, math.ceil(latency / iteration) + 1))
+        calc = LookaheadCalculator()
+        time = 0.0
+        calc.observe_iteration(time)
+        distances = []
+        for _ in range(50):
+            time = feed(calc, time, iteration, latency)
+            distances.append(calc.lookahead())
+        # The first sample of each input sets its EWMA exactly, so the
+        # distance is right from the first sample on and never moves.
+        assert distances == [expected] * 50
+
+    # A step in one input, the other held constant.  ``band`` is the range
+    # of smoothed values of the stepped input that give the new distance,
+    # from distance = ⌈int(latency) ÷ int(iteration)⌉ + 1; ``samples`` is
+    # what samples_to_reach derives for the default alpha of 0.25.
+    @pytest.mark.parametrize("stepped, before, after, fixed, distance, band, samples", [
+        # int(latency) in 241..260 gives ⌈·/20⌉ = 13.
+        ("latency", 600, 250, 20, 14, (241, 261), 13),
+        ("latency", 100, 250, 20, 14, (241, 261), 10),
+        # int(iteration) in 37..41 gives ⌈330/·⌉ = 9; only 10 gives 33.
+        ("iteration", 10, 40, 330, 10, (37, 42), 9),
+        ("iteration", 40, 10, 330, 34, (10, 11), 12),
+    ])
+    def test_a_step_reaches_the_new_distance_within_the_derived_samples(
+        self, stepped, before, after, fixed, distance, band, samples
+    ):
+        calc = LookaheadCalculator()
+        assert samples_to_reach(calc.alpha, before, after, band) == samples
+
+        def inputs(value):
+            return (value, fixed) if stepped == "iteration" else (fixed, value)
+
+        time = 0.0
+        calc.observe_iteration(time)
+        for _ in range(20):
+            time = feed(calc, time, *inputs(before))
+        assert calc.lookahead() != distance
+        distances = []
+        for _ in range(samples + 30):
+            time = feed(calc, time, *inputs(after))
+            distances.append(calc.lookahead())
+        # Not a sample early, and then for good.
+        assert distances[samples - 2] != distance
+        assert distances[samples - 1:] == [distance] * 31
 
     def test_lookahead_clamped(self):
         calc = LookaheadCalculator(iteration_window=1)

@@ -267,11 +267,11 @@ def test_build_engine_refuses_local_only_arguments_with_service():
     from repro.eval.report import build_engine
 
     with pytest.raises(ValueError) as excinfo:
-        build_engine(service=DEAD, parallel=True, cache_dir="results", resume=True)
+        build_engine(service=DEAD, workers=2, cache_dir="results", resume=True)
     message = str(excinfo.value)
-    for name in ("parallel", "cache_dir", "resume"):
+    for name in ("workers", "cache_dir", "resume"):
         assert name in message
-    for name in ("workers", "trace_store_dir", "checkpoint_dir"):
+    for name in ("trace_store_dir", "checkpoint_dir"):
         assert name not in message
 
     engine = build_engine(service=DEAD, deadline=5.0)

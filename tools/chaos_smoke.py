@@ -2,10 +2,11 @@
 """Kill ``-9`` a sweep mid-run, resume it, and verify exactly-once execution.
 
 The checkpoint tier's end-to-end smoke (see ``docs/resilience.md``): a
-child process runs a small checkpointed plan; the parent waits until the
-run manifest records at least one completed request, SIGKILLs the child —
-the real signal, not an exception — and then re-runs the same command with
-``--resume``.  It asserts:
+child process runs a small checkpointed plan on two pool workers, the
+drivers' default path; the parent waits until the run manifest records at
+least one completed request, SIGKILLs the child — the real signal, not an
+exception — and then re-runs the same command with ``--resume``.  It
+asserts:
 
 1. the killed run left a parseable manifest and durable cache entries;
 2. the resumed run executes only the missing requests (everything the
@@ -34,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import SystemConfig  # noqa: E402
 from repro.sim.engine import (  # noqa: E402
+    MultiprocessRunner,
     ResultCache,
     SerialRunner,
     SimEngine,
@@ -63,7 +65,7 @@ def run_child(cache_dir: str, ckpt_dir: str, resume: bool) -> int:
     """Child mode: execute the checkpointed plan and print its stats."""
 
     engine = SimEngine(
-        runner=SerialRunner(trace_store=None),
+        runner=MultiprocessRunner(2, trace_store=None),
         cache=ResultCache(cache_dir),
         checkpoint_dir=ckpt_dir,
         resume=resume,
