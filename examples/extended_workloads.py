@@ -18,8 +18,9 @@ Usage::
 import argparse
 
 from repro.cli import worker_count
-from repro.eval.extended import format_extended, run_extended
+from repro.eval.extended import extended_table, run_extended
 from repro.eval.report import build_engine
+from repro.eval.table import render_tables
 from repro.workloads import registry
 
 
@@ -38,7 +39,7 @@ def main() -> None:
 
     engine = build_engine(workers=args.jobs, cache_dir=args.cache)
     data = run_extended(workloads=args.workloads, scale=args.scale, engine=engine)
-    print(format_extended(data))
+    print(render_tables([extended_table(data)]))
 
 
 if __name__ == "__main__":

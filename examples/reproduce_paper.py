@@ -2,9 +2,12 @@
 """Reproduce the paper's evaluation and (optionally) write EXPERIMENTS.md.
 
 Runs every experiment of Section 7 — Figures 7, 8, 10, 11 and the extra
-memory-traffic analysis, plus Tables 1 and 2 — and prints the resulting
-tables.  The Figure 9 sweeps are included with ``--figure9`` (they simulate
-dozens of extra configurations, so they are optional for quick runs).
+memory-traffic analysis, plus Tables 1 and 2 — and prints the report once:
+one Markdown table per figure, with the paper's reading beside each measured
+value, then the batch-engine statistics.  ``--write-experiments`` also
+writes the report to a file.  The Figure 9 sweeps are included with
+``--figure9`` (they simulate dozens of extra configurations, so they are
+optional for quick runs).
 
 All simulations are declared as one shared batch-engine plan, so common
 points (every figure's no-prefetch baselines, the Figure 9 reference runs)
@@ -22,8 +25,8 @@ failed, with the failure labels printed.
 Usage::
 
     python examples/reproduce_paper.py --scale small
-    python examples/reproduce_paper.py --scale default --figure9 \\
-        --cache .sim-cache --write-experiments
+    python examples/reproduce_paper.py --scale small --figure9 \\
+        --trace-store off --write-experiments   # regenerate EXPERIMENTS.md
     python examples/reproduce_paper.py --scale default --cache .sim-cache \\
         --checkpoint .sim-ckpt --resume   # after an interrupted run
 """
@@ -31,13 +34,7 @@ Usage::
 import argparse
 
 from repro.cli import worker_count
-from repro.eval.report import (
-    build_engine,
-    failure_exit_code,
-    run_report,
-    render_markdown,
-    write_markdown,
-)
+from repro.eval.report import build_engine, failure_exit_code, render_markdown, run_report
 
 
 def main() -> int:
@@ -98,7 +95,8 @@ def main() -> int:
         include_figure9=args.figure9,
         engine=engine,
     )
-    print(report.format_console())
+    markdown = render_markdown(report)
+    print(markdown)
 
     stats = report.engine_stats
     if stats is not None:
@@ -125,11 +123,9 @@ def main() -> int:
             print(f"  FAILED: {label}{suffix}")
 
     if args.write_experiments:
-        write_markdown(report, args.write_experiments)
+        with open(args.write_experiments, "w", encoding="utf-8") as handle:
+            handle.write(markdown + "\n")
         print(f"\nWrote {args.write_experiments}")
-    else:
-        # Show the paper-vs-measured summary either way.
-        print("\n" + render_markdown(report))
 
     return failure_exit_code(report.engine_stats)
 

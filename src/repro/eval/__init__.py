@@ -14,45 +14,47 @@ Each module reproduces one artefact of Section 7:
 * :mod:`~repro.eval.report`   — runs everything and renders EXPERIMENTS.md.
 
 Every experiment function returns a plain data structure (suitable for tests
-and further analysis) and has a ``format_*`` companion that renders the
-ASCII table printed by the examples and benchmarks.
+and further analysis) read off results that have already run.  Its module
+turns that data into :class:`~repro.eval.table.Table` objects, with the
+paper's reading beside each measured value, and
+:func:`~repro.eval.table.render_tables` draws any list of them as Markdown.
 """
 
-from .extended import EXTENDED_MODES, ExtendedData, format_extended, run_extended
-from .figure7 import Figure7Data, format_figure7, run_figure7
-from .figure8 import Figure8Data, format_figure8, run_figure8
-from .figure9 import Figure9Data, format_figure9, run_figure9
-from .figure10 import Figure10Data, format_figure10, run_figure10
-from .figure11 import Figure11Data, format_figure11, run_figure11
-from .memtraffic import MemTrafficData, format_memtraffic, run_memtraffic
-from .table1 import format_table1, run_table1
-from .table2 import format_table2, run_table2
+from .extended import EXTENDED_MODES, ExtendedData, extended_table, run_extended
+from .figure7 import Figure7Data, figure7_tables, run_figure7
+from .figure8 import Figure8Data, figure8_table, run_figure8
+from .figure9 import Figure9Data, figure9_tables, run_figure9
+from .figure10 import Figure10Data, figure10_table, run_figure10
+from .figure11 import Figure11Data, figure11_table, run_figure11
+from .memtraffic import MemTrafficData, memtraffic_table, run_memtraffic
+from .table1 import run_table1, table1_table
+from .table2 import run_table2, table2_table
 
 __all__ = [
     "run_figure7",
-    "format_figure7",
+    "figure7_tables",
     "Figure7Data",
     "run_figure8",
-    "format_figure8",
+    "figure8_table",
     "Figure8Data",
     "run_figure9",
-    "format_figure9",
+    "figure9_tables",
     "Figure9Data",
     "run_figure10",
-    "format_figure10",
+    "figure10_table",
     "Figure10Data",
     "run_figure11",
-    "format_figure11",
+    "figure11_table",
     "Figure11Data",
     "run_memtraffic",
-    "format_memtraffic",
+    "memtraffic_table",
     "MemTrafficData",
     "run_table1",
-    "format_table1",
+    "table1_table",
     "run_table2",
-    "format_table2",
+    "table2_table",
     "run_extended",
-    "format_extended",
+    "extended_table",
     "ExtendedData",
     "EXTENDED_MODES",
 ]

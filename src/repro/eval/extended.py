@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..config import SystemConfig
-from ..sim.comparison import ComparisonResult, comparison_plan
+from ..sim.comparison import ComparisonResult, comparison_from_batch, comparison_plan
 from ..sim.engine import EngineStats, SimEngine
 from ..sim.modes import PrefetchMode
-from ..sim.results import geometric_mean
 from ..workloads import registry
+from .figure7 import speedup_table
+from .table import Table
 
 #: The schemes every registry workload supports without compiler support:
 #: no-prefetching baseline, the two hardware baselines, and the programmable
@@ -51,15 +52,6 @@ class ExtendedData:
     speedups: dict[str, dict[str, Optional[float]]] = field(default_factory=dict)
     comparison: Optional[ComparisonResult] = None
     engine_stats: Optional[EngineStats] = None
-
-    def geomean(self, mode: PrefetchMode) -> float:
-        return geometric_mean(
-            [
-                row[mode.value]
-                for row in self.speedups.values()
-                if row.get(mode.value) is not None
-            ]
-        )
 
 
 def run_extended(
@@ -96,48 +88,20 @@ def run_extended(
 
     plan = comparison_plan(names, mode_list, config=system_config, scale=scale, seed=seed)
     batch = engine.run(plan)
+    comparison = comparison_from_batch(plan, batch)
 
-    comparison = ComparisonResult(engine_stats=batch.stats)
-    for request in plan:
-        result = batch.get(request)
-        if result is not None:
-            comparison.add(result)
-
-    data = ExtendedData(comparison=comparison, engine_stats=batch.stats)
-    for name in names:
-        row: dict[str, Optional[float]] = {}
-        for mode in mode_list:
-            row[mode.value] = comparison.speedup(name, mode) if mode != PrefetchMode.NONE else (
-                1.0 if comparison.result(name, PrefetchMode.NONE) is not None else None
-            )
-        data.speedups[name] = row
-    return data
+    # The baseline's speedup over itself is 1.0, its column's bar.
+    speedups = {
+        name: {mode.value: comparison.speedup(name, mode) for mode in mode_list}
+        for name in names
+    }
+    return ExtendedData(speedups, comparison=comparison, engine_stats=batch.stats)
 
 
-def format_extended(data: ExtendedData, *, modes: Optional[Iterable[PrefetchMode]] = None) -> str:
-    """Render the extended comparison as a paper-style speedup table."""
+def extended_table(data: ExtendedData) -> Table:
+    """The extended comparison as a paper-style speedup table."""
 
-    mode_list = list(modes) if modes is not None else list(EXTENDED_MODES)
-    mode_values = [mode.value for mode in mode_list]
-    header = f"{'workload':<12}" + "".join(f"{value:>14}" for value in mode_values)
-    lines = [
-        "Extended workloads: speedup over no prefetching",
-        header,
-        "-" * len(header),
-    ]
-    for name, row in data.speedups.items():
-        cells = []
-        for value in mode_values:
-            speedup = row.get(value)
-            cells.append(f"{speedup:>14.2f}" if speedup is not None else f"{'--':>14}")
-        lines.append(f"{name:<12}" + "".join(cells))
-    lines.append("-" * len(header))
-    geomeans = []
-    for mode in mode_list:
-        value = data.geomean(mode)
-        geomeans.append(f"{value:>14.2f}" if value else f"{'--':>14}")
-    lines.append(f"{'geomean':<12}" + "".join(geomeans))
+    table = speedup_table("Extended workloads: speedup over no prefetching", data.speedups)
     if data.engine_stats is not None:
-        lines.append("")
-        lines.append(f"Batch engine: {data.engine_stats.summary()}")
-    return "\n".join(lines)
+        table.notes.append(f"Batch engine: {data.engine_stats.summary()}")
+    return table

@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..config import SystemConfig
-from ..sim.comparison import ComparisonResult, run_comparison
-from ..sim.engine import SimEngine
+from ..sim.comparison import ComparisonResult
 from ..sim.modes import PrefetchMode
 from ..workloads import registry
+from .table import RATE, Column, Table
 
 
 @dataclass
@@ -51,18 +50,9 @@ class Figure10Data:
 def run_figure10(
     *,
     workloads: Optional[Iterable[str]] = None,
-    config: Optional[SystemConfig] = None,
-    scale: str = "default",
-    seed: int = 42,
-    comparison: Optional[ComparisonResult] = None,
-    engine: Optional[SimEngine] = None,
+    comparison: ComparisonResult,
 ) -> Figure10Data:
     names = list(workloads) if workloads is not None else registry.paper_names()
-    if comparison is None:
-        comparison = run_comparison(
-            names, [PrefetchMode.MANUAL], config=config, scale=scale, seed=seed,
-            engine=engine,
-        )
     data = Figure10Data()
     for name in names:
         manual = comparison.result(name, PrefetchMode.MANUAL)
@@ -72,19 +62,14 @@ def run_figure10(
     return data
 
 
-def format_figure10(data: Figure10Data) -> str:
-    header = (
-        f"{'benchmark':<12}{'min':>8}{'q1':>8}{'median':>8}{'q3':>8}{'max':>8}{'unused':>8}"
+def figure10_table(data: Figure10Data) -> Table:
+    quantiles = ["min", "q1", "median", "q3", "max"]
+    return Table(
+        "Figure 10: fraction of time each PPU is awake (manual, lowest-free-ID scheduling)",
+        [Column("benchmark"), *(Column(name, RATE) for name in quantiles),
+         Column("unused PPUs")],
+        [
+            [name, *(data.summary(name)[q] for q in quantiles), data.unused_ppus(name)]
+            for name in data.activity
+        ],
     )
-    lines = [
-        "Figure 10: fraction of time each PPU is awake (manual, 12 PPUs @ 1GHz)",
-        header,
-        "-" * len(header),
-    ]
-    for name in data.activity:
-        stats = data.summary(name)
-        lines.append(
-            f"{name:<12}{stats['min']:>8.2f}{stats['q1']:>8.2f}{stats['median']:>8.2f}"
-            f"{stats['q3']:>8.2f}{stats['max']:>8.2f}{data.unused_ppus(name):>8d}"
-        )
-    return "\n".join(lines)

@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..config import SystemConfig
-from ..sim.comparison import ComparisonResult, run_comparison
-from ..sim.engine import SimEngine
+from ..sim.comparison import ComparisonResult
 from ..sim.modes import PrefetchMode
 from ..workloads import registry
+from .paper_values import FIGURE11_BLOCKED_SPEEDUPS
+from .table import SPEEDUP, Cell, Column, Table
 
 
 @dataclass
@@ -23,22 +23,9 @@ class Figure11Data:
 def run_figure11(
     *,
     workloads: Optional[Iterable[str]] = None,
-    config: Optional[SystemConfig] = None,
-    scale: str = "default",
-    seed: int = 42,
-    comparison: Optional[ComparisonResult] = None,
-    engine: Optional[SimEngine] = None,
+    comparison: ComparisonResult,
 ) -> Figure11Data:
     names = list(workloads) if workloads is not None else registry.paper_names()
-    if comparison is None:
-        comparison = run_comparison(
-            names,
-            [PrefetchMode.MANUAL, PrefetchMode.MANUAL_BLOCKED],
-            config=config,
-            scale=scale,
-            seed=seed,
-            engine=engine,
-        )
     data = Figure11Data()
     for name in names:
         events = comparison.speedup(name, PrefetchMode.MANUAL)
@@ -50,15 +37,12 @@ def run_figure11(
     return data
 
 
-def format_figure11(data: Figure11Data) -> str:
-    header = f"{'benchmark':<12}{'blocked':>10}{'events':>10}"
-    lines = [
+def figure11_table(data: Figure11Data) -> Table:
+    return Table(
         "Figure 11: speedup with and without blocking on intermediate loads",
-        header,
-        "-" * len(header),
-    ]
-    for name in data.events:
-        blocked = data.blocked.get(name)
-        blocked_text = f"{blocked:>10.2f}" if blocked is not None else f"{'--':>10}"
-        lines.append(f"{name:<12}{blocked_text}{data.events[name]:>10.2f}")
-    return "\n".join(lines)
+        [Column("benchmark"), Column("blocked", SPEEDUP), Column("events", SPEEDUP)],
+        [
+            [name, Cell(data.blocked.get(name), FIGURE11_BLOCKED_SPEEDUPS.get(name)), events]
+            for name, events in data.events.items()
+        ],
+    ).with_paper_error()

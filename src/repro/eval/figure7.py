@@ -3,55 +3,45 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
-from ..config import SystemConfig
-from ..sim.comparison import ComparisonResult, run_comparison
-from ..sim.engine import SimEngine
+from ..sim.comparison import ComparisonResult
 from ..sim.modes import FIGURE7_MODES, PrefetchMode
 from ..sim.results import geometric_mean
 from ..workloads import registry
 from . import paper_values
+from .table import PERCENT, SPEEDUP, Cell, Column, Table
+
+Speedups = dict[str, dict[str, Optional[float]]]
+
+
+def geomean(speedups: Speedups, mode: str) -> Optional[float]:
+    """Geometric mean of one column's bars; ``None`` when it has no bar."""
+
+    values = [row[mode] for row in speedups.values() if row.get(mode) is not None]
+    return geometric_mean(values) if values else None
 
 
 @dataclass
 class Figure7Data:
     """Per-benchmark speedups for each prefetching scheme."""
 
-    speedups: dict[str, dict[str, Optional[float]]] = field(default_factory=dict)
+    speedups: Speedups = field(default_factory=dict)
     software_overhead: dict[str, float] = field(default_factory=dict)
     comparison: Optional[ComparisonResult] = None
 
-    def geomean(self, mode: PrefetchMode) -> float:
-        values = [
-            row[mode.value]
-            for row in self.speedups.values()
-            if row.get(mode.value) is not None
-        ]
-        return geometric_mean([value for value in values if value is not None])
+    def geomean(self, mode: PrefetchMode) -> Optional[float]:
+        return geomean(self.speedups, mode.value)
 
 
 def run_figure7(
     *,
     workloads: Optional[Iterable[str]] = None,
-    config: Optional[SystemConfig] = None,
-    scale: str = "default",
-    seed: int = 42,
-    comparison: Optional[ComparisonResult] = None,
-    engine: Optional[SimEngine] = None,
+    comparison: ComparisonResult,
 ) -> Figure7Data:
-    """Reproduce Figure 7 (and the Section 7.1 instruction-overhead numbers).
-
-    Pass a shared ``engine`` so the plan's simulations are deduplicated (and
-    optionally parallelised/cached) with those of the other figures.
-    """
+    """Read Figure 7 (and the Section 7.1 instruction overhead) off ``comparison``."""
 
     names = list(workloads) if workloads is not None else registry.paper_names()
-    if comparison is None:
-        comparison = run_comparison(
-            names, FIGURE7_MODES, config=config, scale=scale, seed=seed, engine=engine
-        )
-
     data = Figure7Data(comparison=comparison)
     for name in names:
         row: dict[str, Optional[float]] = {}
@@ -68,32 +58,45 @@ def run_figure7(
     return data
 
 
-def format_figure7(data: Figure7Data) -> str:
-    """Render the Figure 7 table (one row per benchmark, one column per scheme)."""
+def speedup_table(
+    title: str,
+    speedups: Speedups,
+    paper: Optional[Mapping[str, Mapping[str, float]]] = None,
+    paper_geomean: Optional[Mapping[str, float]] = None,
+) -> Table:
+    """One row of speedups per benchmark, one column per scheme, and their
+    geometric means; the columns are the schemes of the rows."""
 
-    modes = [mode.value for mode in FIGURE7_MODES]
-    header = f"{'benchmark':<12}" + "".join(f"{mode:>12}" for mode in modes)
-    lines = ["Figure 7: speedup over no prefetching", header, "-" * len(header)]
-    for name, row in data.speedups.items():
-        cells = []
-        for mode in modes:
-            value = row.get(mode)
-            cells.append(f"{value:>12.2f}" if value is not None else f"{'--':>12}")
-        lines.append(f"{name:<12}" + "".join(cells))
-    geomeans = []
-    for mode in FIGURE7_MODES:
-        value = data.geomean(mode)
-        geomeans.append(f"{value:>12.2f}" if value else f"{'--':>12}")
-    lines.append("-" * len(header))
-    lines.append(f"{'geomean':<12}" + "".join(geomeans))
-    paper = paper_values.PAPER_GEOMEAN
-    lines.append(
-        f"(paper geomeans: manual {paper['manual']:.1f}x, converted {paper['converted']:.1f}x, "
-        f"pragma {paper['pragma']:.1f}x)"
+    modes = list(next(iter(speedups.values()), {}))
+    paper, paper_geomean = paper or {}, paper_geomean or {}
+    return Table(
+        title,
+        [Column("benchmark"), *(Column(mode, SPEEDUP) for mode in modes)],
+        [
+            [name, *(Cell(row.get(mode), paper.get(name, {}).get(mode)) for mode in modes)]
+            for name, row in speedups.items()
+        ],
+        summary=["geomean", *(
+            Cell(geomean(speedups, mode), paper_geomean.get(mode)) for mode in modes
+        )],
     )
-    if data.software_overhead:
-        lines.append("")
-        lines.append("Software-prefetch dynamic instruction overhead (Section 7.1):")
-        for name, overhead in sorted(data.software_overhead.items()):
-            lines.append(f"  {name:<12} +{overhead * 100:5.1f} %")
-    return "\n".join(lines)
+
+
+def figure7_tables(data: Figure7Data) -> list[Table]:
+    """Figure 7 and the Section 7.1 software-prefetch instruction overhead."""
+
+    figure = speedup_table(
+        "Figure 7: speedup over no prefetching",
+        data.speedups,
+        paper_values.FIGURE7_SPEEDUPS,
+        paper_values.PAPER_GEOMEAN,
+    ).with_paper_error()
+    overhead = Table(
+        "Section 7.1: dynamic instruction overhead of software prefetching",
+        [Column("benchmark"), Column("overhead", PERCENT)],
+        [
+            [name, Cell(value, paper_values.SOFTWARE_PREFETCH_OVERHEAD.get(name))]
+            for name, value in data.software_overhead.items()
+        ],
+    )
+    return [figure, overhead]

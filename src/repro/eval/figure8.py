@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..config import SystemConfig
-from ..sim.comparison import ComparisonResult, run_comparison
-from ..sim.engine import SimEngine
+from ..sim.comparison import ComparisonResult
 from ..sim.modes import PrefetchMode
 from ..workloads import registry
+from . import paper_values
+from .table import RATE, Cell, Column, Table
 
 
 @dataclass
@@ -27,19 +27,9 @@ class Figure8Data:
 def run_figure8(
     *,
     workloads: Optional[Iterable[str]] = None,
-    config: Optional[SystemConfig] = None,
-    scale: str = "default",
-    seed: int = 42,
-    comparison: Optional[ComparisonResult] = None,
-    engine: Optional[SimEngine] = None,
+    comparison: ComparisonResult,
 ) -> Figure8Data:
     names = list(workloads) if workloads is not None else registry.paper_names()
-    if comparison is None:
-        comparison = run_comparison(
-            names, [PrefetchMode.MANUAL], config=config, scale=scale, seed=seed,
-            engine=engine,
-        )
-
     data = Figure8Data()
     for name in names:
         baseline = comparison.result(name, PrefetchMode.NONE)
@@ -52,24 +42,24 @@ def run_figure8(
     return data
 
 
-def format_figure8(data: Figure8Data) -> str:
-    lines = [
-        "Figure 8(a): proportion of prefetches used before eviction from the L1",
-        f"{'benchmark':<12}{'utilisation':>14}",
-        "-" * 26,
-    ]
-    for name, value in data.utilisation.items():
-        lines.append(f"{name:<12}{value:>14.2f}")
-
-    lines += [
-        "",
-        "Figure 8(b): L1 read hit rate (and L2, for the G500-List discussion)",
-        f"{'benchmark':<12}{'L1 no-PF':>10}{'L1 prog-PF':>12}{'L2 no-PF':>10}{'L2 prog-PF':>12}",
-        "-" * 58,
-    ]
-    for name, (before, after) in data.hit_rates.items():
-        l2_before, l2_after = data.l2_hit_rates.get(name, (0.0, 0.0))
-        lines.append(
-            f"{name:<12}{before:>10.2f}{after:>12.2f}{l2_before:>10.2f}{l2_after:>12.2f}"
-        )
-    return "\n".join(lines)
+def figure8_table(data: Figure8Data) -> Table:
+    rows = []
+    for name, utilisation in data.utilisation.items():
+        before, after = data.hit_rates[name]
+        paper_before, paper_after = paper_values.FIGURE8B_HIT_RATES.get(name, (None, None))
+        rows.append([
+            name,
+            Cell(utilisation, paper_values.FIGURE8A_UTILISATION.get(name)),
+            Cell(before, paper_before),
+            Cell(after, paper_after),
+            *data.l2_hit_rates[name],
+        ])
+    rates = ["utilisation (a)", "L1 hit, no PF (b)", "L1 hit, manual (b)",
+             "L2 hit, no PF", "L2 hit, manual"]
+    return Table(
+        "Figure 8: L1 prefetch utilisation (a) and read hit rates (b)",
+        [Column("benchmark"), *(Column(name, RATE) for name in rates)],
+        rows,
+        notes=["Utilisation is the share of prefetches used before eviction from the "
+               "L1. The L2 hit rates serve the paper's G500-List discussion."],
+    ).with_paper_error()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..config import SystemConfig
-from ..sim.engine import BatchResult, SimEngine, SimPlan, SimRequest, SerialRunner
+from ..sim.engine import BatchResult, SimEngine, SimPlan, SimRequest
 from ..sim.results import geometric_mean
 from ..sim.sweeps import (
     FIGURE9A_FREQUENCIES,
@@ -26,7 +26,7 @@ from ..sim.sweeps import (
     frequency_sweep_requests,
 )
 from ..workloads import registry
-from ..workloads.base import Workload
+from .table import SPEEDUP, Column, Table
 
 
 @dataclass
@@ -137,7 +137,6 @@ def run_figure9(
     frequencies: Optional[Iterable[float]] = None,
     counts: Optional[Iterable[int]] = None,
     count_sweep_workload: str = "g500-csr",
-    prebuilt: Optional[dict[str, Workload]] = None,
     engine: Optional[SimEngine] = None,
 ) -> Figure9Data:
     declared = figure9_plan(
@@ -151,37 +150,29 @@ def run_figure9(
         count_sweep_workload=count_sweep_workload,
     )
     if engine is None:
-        engine = SimEngine(runner=SerialRunner(workloads=prebuilt))
+        engine = SimEngine()
     return declared.data(engine.run(declared.plan))
 
 
-def format_figure9(data: Figure9Data) -> str:
-    frequencies = sorted({f for sweep in data.frequency_sweeps.values() for f in sweep})
-    header = f"{'benchmark':<12}" + "".join(f"{f:>9.3g}GHz" for f in frequencies)
-    lines = ["Figure 9(a): speedup vs PPU clock speed (12 PPUs)", header, "-" * len(header)]
-    for name, sweep in data.frequency_sweeps.items():
-        cells = "".join(
-            f"{sweep[f]:>12.2f}" if f in sweep else f"{'--':>12}" for f in frequencies
-        )
-        lines.append(f"{name:<12}{cells}")
-    lines.append("-" * len(header))
-    lines.append(
-        f"{'geomean':<12}"
-        + "".join(f"{data.geomean_at(f):>12.2f}" for f in frequencies)
-    )
+def figure9_tables(data: Figure9Data) -> list[Table]:
+    """Figure 9(a) with its geometric means, and Figure 9(b)."""
 
-    if data.count_sweep:
-        counts = sorted({count for count, _ in data.count_sweep})
-        sweep_frequencies = sorted({f for _, f in data.count_sweep})
-        lines += [
-            "",
-            f"Figure 9(b): PPU count x clock on {data.count_sweep_workload}",
-            f"{'PPUs':<6}" + "".join(f"{f:>9.3g}GHz" for f in sweep_frequencies),
-        ]
-        for count in counts:
-            cells = "".join(
-                f"{data.count_sweep.get((count, f), float('nan')):>12.2f}"
-                for f in sweep_frequencies
-            )
-            lines.append(f"{count:<6}{cells}")
-    return "\n".join(lines)
+    frequencies = sorted({f for sweep in data.frequency_sweeps.values() for f in sweep})
+    by_frequency = Table(
+        "Figure 9(a): speedup vs PPU clock speed",
+        [Column("benchmark"), *(Column(f"{f:g} GHz", SPEEDUP) for f in frequencies)],
+        [
+            [name, *(sweep.get(f) for f in frequencies)]
+            for name, sweep in data.frequency_sweeps.items()
+        ],
+        summary=["geomean", *(data.geomean_at(f) for f in frequencies)],
+    )
+    counts = sorted({count for count, _ in data.count_sweep})
+    count_frequencies = sorted({f for _, f in data.count_sweep})
+    by_count = Table(
+        f"Figure 9(b): speedup vs PPU count and clock speed on {data.count_sweep_workload}",
+        [Column("PPUs"), *(Column(f"{f:g} GHz", SPEEDUP) for f in count_frequencies)],
+        [[count, *(data.count_sweep.get((count, f)) for f in count_frequencies)]
+         for count in counts],
+    )
+    return [by_frequency, by_count]

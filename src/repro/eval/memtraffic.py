@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..config import SystemConfig
-from ..sim.comparison import ComparisonResult, run_comparison
-from ..sim.engine import SimEngine
+from ..sim.comparison import ComparisonResult
 from ..sim.modes import PrefetchMode
 from ..workloads import registry
+from . import paper_values
+from .table import COUNT, PERCENT, Cell, Column, Table
 
 
 @dataclass
@@ -23,18 +23,9 @@ class MemTrafficData:
 def run_memtraffic(
     *,
     workloads: Optional[Iterable[str]] = None,
-    config: Optional[SystemConfig] = None,
-    scale: str = "default",
-    seed: int = 42,
-    comparison: Optional[ComparisonResult] = None,
-    engine: Optional[SimEngine] = None,
+    comparison: ComparisonResult,
 ) -> MemTrafficData:
     names = list(workloads) if workloads is not None else registry.paper_names()
-    if comparison is None:
-        comparison = run_comparison(
-            names, [PrefetchMode.MANUAL], config=config, scale=scale, seed=seed,
-            engine=engine,
-        )
     data = MemTrafficData()
     for name in names:
         baseline = comparison.result(name, PrefetchMode.NONE)
@@ -46,14 +37,15 @@ def run_memtraffic(
     return data
 
 
-def format_memtraffic(data: MemTrafficData) -> str:
-    header = f"{'benchmark':<12}{'no-PF DRAM':>12}{'manual DRAM':>12}{'extra':>10}"
-    lines = [
-        "Section 7.2: extra memory accesses from programmable prefetching",
-        header,
-        "-" * len(header),
-    ]
-    for name, extra in data.extra.items():
-        before, after = data.dram_accesses[name]
-        lines.append(f"{name:<12}{before:>12.0f}{after:>12.0f}{extra * 100:>9.1f}%")
-    return "\n".join(lines)
+def memtraffic_table(data: MemTrafficData) -> Table:
+    return Table(
+        "Section 7.2: extra memory accesses of the programmable prefetcher",
+        [Column("benchmark"), Column("DRAM, no PF", COUNT), Column("DRAM, manual", COUNT),
+         Column("extra", PERCENT)],
+        [
+            [name, *data.dram_accesses[name],
+             Cell(extra, paper_values.EXTRA_MEMORY_ACCESSES.get(name))]
+            for name, extra in data.extra.items()
+        ],
+        notes=["The paper calls the extra traffic of the other benchmarks negligible."],
+    )

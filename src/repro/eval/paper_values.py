@@ -9,6 +9,9 @@ absolute values.
 
 from __future__ import annotations
 
+import math
+from typing import Iterable, Optional
+
 #: Figure 7 speedups over no prefetching (approximate, read off the figure).
 FIGURE7_SPEEDUPS: dict[str, dict[str, float]] = {
     "g500-csr": {"stride": 1.1, "software": 1.2, "pragma": 1.5, "converted": 2.3, "manual": 2.5},
@@ -66,3 +69,18 @@ FIGURE11_BLOCKED_SPEEDUPS: dict[str, float] = {
     "intsort": 2.3,
     "conjgrad": 2.2,
 }
+
+
+def paper_error(pairs: Iterable[tuple[Optional[float], Optional[float]]]) -> Optional[float]:
+    """Mean |ln(measured ÷ paper)| over the ``(measured, paper)`` pairs that
+    have both values; ``None`` when none has.
+
+    Over the Figure 7 bars this is perfbench's ``paper_err``.
+    """
+
+    errors = [
+        abs(math.log(measured / paper))
+        for measured, paper in pairs
+        if measured is not None and paper is not None
+    ]
+    return sum(errors) / len(errors) if errors else None

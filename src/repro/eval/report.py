@@ -5,8 +5,8 @@ the evaluation needs — the Figure 7 comparison (shared by Figures 8, 10, 11
 and the traffic analysis) plus the Figure 9 sweeps — as **one** deduplicated
 :class:`~repro.sim.engine.SimPlan`, executes it in a single engine run (on
 every CPU this process may use, optionally against a persistent result
-cache), and renders everything both as console tables and as a Markdown
-report recording paper-vs-measured values.
+cache), and renders every figure and table once, as Markdown with the
+paper's reading beside each measured value.
 """
 
 from __future__ import annotations
@@ -27,15 +27,15 @@ from ..sim.engine import (
 from ..trace_store import trace_store_from_spec
 from ..sim.modes import FIGURE7_MODES, PrefetchMode
 from ..workloads import registry
-from . import paper_values
-from .figure7 import Figure7Data, format_figure7, run_figure7
-from .figure8 import Figure8Data, format_figure8, run_figure8
-from .figure9 import Figure9Data, figure9_plan, format_figure9
-from .figure10 import Figure10Data, format_figure10, run_figure10
-from .figure11 import Figure11Data, format_figure11, run_figure11
-from .memtraffic import MemTrafficData, format_memtraffic, run_memtraffic
-from .table1 import format_table1, run_table1
-from .table2 import format_table2, run_table2
+from .figure7 import Figure7Data, figure7_tables, run_figure7
+from .figure8 import Figure8Data, figure8_table, run_figure8
+from .figure9 import Figure9Data, figure9_plan, figure9_tables
+from .figure10 import Figure10Data, figure10_table, run_figure10
+from .figure11 import Figure11Data, figure11_table, run_figure11
+from .memtraffic import MemTrafficData, memtraffic_table, run_memtraffic
+from .table import Table, render_tables
+from .table1 import run_table1, table1_table
+from .table2 import run_table2, table2_table
 
 
 @dataclass
@@ -55,27 +55,20 @@ class ReproductionReport:
     #: simulations executed, runner kind).
     engine_stats: Optional[EngineStats] = None
 
-    def format_console(self) -> str:
-        sections = [
-            format_table1(self.table1),
-            "",
-            format_table2(self.table2),
-            "",
-            format_figure7(self.figure7),
-            "",
-            format_figure8(self.figure8),
-            "",
-            format_figure10(self.figure10),
-            "",
-            format_figure11(self.figure11),
-            "",
-            format_memtraffic(self.memtraffic),
+    def tables(self) -> list[Table]:
+        """Every table of the report, in the paper's order."""
+
+        figure9 = figure9_tables(self.figure9) if self.figure9 is not None else []
+        return [
+            table1_table(self.table1),
+            table2_table(self.table2),
+            *figure7_tables(self.figure7),
+            figure8_table(self.figure8),
+            *figure9,
+            figure10_table(self.figure10),
+            figure11_table(self.figure11),
+            memtraffic_table(self.memtraffic),
         ]
-        if self.figure9 is not None:
-            sections += ["", format_figure9(self.figure9)]
-        if self.engine_stats is not None:
-            sections += ["", f"Batch engine: {self.engine_stats.summary()}"]
-        return "\n".join(sections)
 
 
 def build_engine(
@@ -181,30 +174,19 @@ def run_report(
     seed: int = 42,
     include_figure9: bool = True,
     engine: Optional[SimEngine] = None,
-    workers: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    trace_store_dir: Optional[str] = None,
-    service: Optional[str] = None,
-    checkpoint_dir: Optional[str] = None,
-    resume: bool = False,
-    deadline: Optional[float] = None,
 ) -> ReproductionReport:
     """Run the full experiment suite and return the collected report.
 
     Every simulation point of every figure is declared up front in one
-    deduplicated plan and executed in a single engine run; the per-figure
-    code then reads its results off that one batch.
+    deduplicated plan and executed in a single engine run, on ``engine`` or
+    else on :func:`build_engine`'s; the per-figure code then reads its
+    results off that one batch.
     """
 
     names = list(workloads) if workloads is not None else registry.paper_names()
     system_config = config if config is not None else SystemConfig.scaled()
     if engine is None:
-        engine = build_engine(
-            workers=workers, cache_dir=cache_dir,
-            trace_store_dir=trace_store_dir, service=service,
-            checkpoint_dir=checkpoint_dir, resume=resume,
-            deadline=deadline,
-        )
+        engine = build_engine()
 
     # One plan drives everything: the Figure 7 comparison modes (shared by
     # Figures 8, 10, 11 and the traffic analysis) plus the Figure 9 sweeps.
@@ -241,152 +223,15 @@ def run_report(
     )
 
 
-# ----------------------------------------------------------------- markdown
-
-
-def _markdown_figure7(report: ReproductionReport) -> list[str]:
-    lines = [
-        "## E1 — Figure 7: speedup over no prefetching",
-        "",
-        "| benchmark | " + " | ".join(mode.value for mode in FIGURE7_MODES) + " |",
-        "|---|" + "---|" * len(FIGURE7_MODES),
-    ]
-    for name, row in report.figure7.speedups.items():
-        cells = []
-        for mode in FIGURE7_MODES:
-            measured = row.get(mode.value)
-            paper = paper_values.FIGURE7_SPEEDUPS.get(name, {}).get(
-                mode.value.replace("ghb-regular", "ghb").replace("ghb-large", "ghb")
-            )
-            if measured is None:
-                cells.append("–")
-            elif paper is not None:
-                cells.append(f"{measured:.2f}× (paper ≈{paper:.1f}×)")
-            else:
-                cells.append(f"{measured:.2f}×")
-        lines.append(f"| {name} | " + " | ".join(cells) + " |")
-    lines += [
-        "",
-        f"Measured geometric means: manual {report.figure7.geomean(PrefetchMode.MANUAL):.2f}×, "
-        f"converted {report.figure7.geomean(PrefetchMode.CONVERTED):.2f}×, "
-        f"pragma {report.figure7.geomean(PrefetchMode.PRAGMA):.2f}× "
-        f"(paper: 3.0×, 2.5×, 1.9×).",
-        "",
-    ]
-    if report.figure7.software_overhead:
-        lines.append("Software-prefetch dynamic-instruction overhead (E11):")
-        lines.append("")
-        for name, overhead in sorted(report.figure7.software_overhead.items()):
-            paper = paper_values.SOFTWARE_PREFETCH_OVERHEAD.get(name)
-            suffix = f" (paper +{paper * 100:.0f} %)" if paper is not None else ""
-            lines.append(f"- {name}: +{overhead * 100:.0f} %{suffix}")
-        lines.append("")
-    return lines
-
-
-def _markdown_figure8(report: ReproductionReport) -> list[str]:
-    lines = [
-        "## E2/E3 — Figure 8: prefetch utilisation and L1 hit rates",
-        "",
-        "| benchmark | utilisation | L1 hit (no PF) | L1 hit (prog PF) | L2 hit (no PF) | L2 hit (prog PF) |",
-        "|---|---|---|---|---|---|",
-    ]
-    for name, utilisation in report.figure8.utilisation.items():
-        l1_before, l1_after = report.figure8.hit_rates[name]
-        l2_before, l2_after = report.figure8.l2_hit_rates[name]
-        lines.append(
-            f"| {name} | {utilisation:.2f} | {l1_before:.2f} | {l1_after:.2f} "
-            f"| {l2_before:.2f} | {l2_after:.2f} |"
-        )
-    lines.append("")
-    return lines
-
-
-def _markdown_figure9(report: ReproductionReport) -> list[str]:
-    if report.figure9 is None:
-        return []
-    data = report.figure9
-    frequencies = sorted({f for sweep in data.frequency_sweeps.values() for f in sweep})
-    lines = [
-        "## E4/E5 — Figure 9: PPU frequency and count scaling",
-        "",
-        "| benchmark | " + " | ".join(f"{f:g} GHz" for f in frequencies) + " |",
-        "|---|" + "---|" * len(frequencies),
-    ]
-    for name, sweep in data.frequency_sweeps.items():
-        cells = [f"{sweep[f]:.2f}×" if f in sweep else "–" for f in frequencies]
-        lines.append(f"| {name} | " + " | ".join(cells) + " |")
-    lines.append("")
-    if data.count_sweep:
-        counts = sorted({count for count, _ in data.count_sweep})
-        sweep_frequencies = sorted({f for _, f in data.count_sweep})
-        lines += [
-            f"Figure 9(b) on {data.count_sweep_workload}:",
-            "",
-            "| PPUs | " + " | ".join(f"{f:g} GHz" for f in sweep_frequencies) + " |",
-            "|---|" + "---|" * len(sweep_frequencies),
-        ]
-        for count in counts:
-            cells = [
-                f"{data.count_sweep.get((count, f), 0.0):.2f}×" for f in sweep_frequencies
-            ]
-            lines.append(f"| {count} | " + " | ".join(cells) + " |")
-        lines.append("")
-    return lines
-
-
-def _markdown_figure10(report: ReproductionReport) -> list[str]:
-    lines = [
-        "## E6 — Figure 10: PPU activity factors (manual, lowest-free-ID scheduling)",
-        "",
-        "| benchmark | min | q1 | median | q3 | max | unused PPUs |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for name in report.figure10.activity:
-        stats = report.figure10.summary(name)
-        lines.append(
-            f"| {name} | {stats['min']:.2f} | {stats['q1']:.2f} | {stats['median']:.2f} "
-            f"| {stats['q3']:.2f} | {stats['max']:.2f} | {report.figure10.unused_ppus(name)} |"
-        )
-    lines.append("")
-    return lines
-
-
-def _markdown_figure11(report: ReproductionReport) -> list[str]:
-    lines = [
-        "## E7 — Figure 11: event triggering vs blocking",
-        "",
-        "| benchmark | blocked | events |",
-        "|---|---|---|",
-    ]
-    for name, events in report.figure11.events.items():
-        blocked = report.figure11.blocked.get(name)
-        blocked_text = f"{blocked:.2f}×" if blocked is not None else "–"
-        lines.append(f"| {name} | {blocked_text} | {events:.2f}× |")
-    lines.append("")
-    return lines
-
-
-def _markdown_traffic(report: ReproductionReport) -> list[str]:
-    lines = [
-        "## E8 — Extra memory accesses (Section 7.2)",
-        "",
-        "| benchmark | extra DRAM traffic | paper |",
-        "|---|---|---|",
-    ]
-    for name, extra in report.memtraffic.extra.items():
-        paper = paper_values.EXTRA_MEMORY_ACCESSES.get(name)
-        paper_text = f"+{paper * 100:.0f} %" if paper is not None else "negligible"
-        lines.append(f"| {name} | {extra * 100:+.1f} % | {paper_text} |")
-    lines.append("")
-    return lines
-
-
 def render_markdown(report: ReproductionReport) -> str:
-    """Render the EXPERIMENTS.md body for a completed reproduction run."""
+    """Render the report, the body of EXPERIMENTS.md: every table once."""
 
-    lines = [
+    header = [
         "# EXPERIMENTS — measured reproduction results",
+        "",
+        "The committed EXPERIMENTS.md is this report at `small` scale with Figure 9; "
+        "regenerate it with `python examples/reproduce_paper.py --scale small --figure9 "
+        "--trace-store off --write-experiments`.",
         "",
         f"All runs use the `{report.scale}` workload scale and `SystemConfig.scaled()` "
         "(its docstring in `src/repro/config.py` gives the scaling rationale).  "
@@ -395,15 +240,4 @@ def render_markdown(report: ReproductionReport) -> str:
         "counts.",
         "",
     ]
-    lines += _markdown_figure7(report)
-    lines += _markdown_figure8(report)
-    lines += _markdown_figure9(report)
-    lines += _markdown_figure10(report)
-    lines += _markdown_figure11(report)
-    lines += _markdown_traffic(report)
-    return "\n".join(lines)
-
-
-def write_markdown(report: ReproductionReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(render_markdown(report))
+    return "\n".join(header) + "\n" + render_tables(report.tables())

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..config import SystemConfig
+from .table import Column, Table
 
 
 def run_table1(config: Optional[SystemConfig] = None) -> dict[str, dict[str, object]]:
@@ -53,11 +54,10 @@ def run_table1(config: Optional[SystemConfig] = None) -> dict[str, dict[str, obj
     }
 
 
-def format_table1(table: Optional[dict[str, dict[str, object]]] = None) -> str:
-    data = table if table is not None else run_table1()
-    lines = ["Table 1: simulated system configuration"]
-    for group, entries in data.items():
-        lines.append(f"\n[{group}]")
-        for key, value in entries.items():
-            lines.append(f"  {key:<20} {value}")
-    return "\n".join(lines)
+def table1_table(data: dict[str, dict[str, object]]) -> Table:
+    return Table(
+        "Table 1: simulated system configuration",
+        [Column("group"), Column("parameter"), Column("value")],
+        [[group, key, value] for group, entries in data.items()
+         for key, value in entries.items()],
+    )

@@ -2,41 +2,29 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from ..workloads import registry
-from ..workloads.base import Workload
+from .table import Column, Table
 
 
 def run_table2(
     *,
     workloads: Optional[Iterable[str]] = None,
     scale: str = "default",
-    prebuilt: Optional[Mapping[str, Workload]] = None,
 ) -> list[dict[str, str]]:
-    """Return one row per benchmark: source, pattern, paper input, scaled input.
-
-    ``prebuilt`` lets callers that already hold workload objects (the batch
-    drivers) describe them without constructing fresh instances.
-    """
+    """Return one row per benchmark: source, pattern, paper input, scaled input."""
 
     names = list(workloads) if workloads is not None else registry.paper_names()
-    rows: list[dict[str, str]] = []
-    for name in names:
-        workload = (prebuilt or {}).get(name)
-        if workload is None or workload.scale.name != scale:
-            # Description only — no need to build the data structures.
-            workload = registry.get(name).factory(scale=scale)
-        rows.append(workload.description())
-    return rows
+    # Description only — no need to build the data structures.
+    return [registry.get(name).factory(scale=scale).description() for name in names]
 
 
-def format_table2(rows: Optional[list[dict[str, str]]] = None) -> str:
-    data = rows if rows is not None else run_table2()
-    header = f"{'benchmark':<12}{'pattern':<42}{'paper input':<28}{'reproduction input'}"
-    lines = ["Table 2: benchmarks evaluated", header, "-" * len(header)]
-    for row in data:
-        lines.append(
-            f"{row['name']:<12}{row['pattern']:<42}{row['paper_input']:<28}{row['repro_input']}"
-        )
-    return "\n".join(lines)
+def table2_table(rows: list[dict[str, str]]) -> Table:
+    keys = {"name": "benchmark", "pattern": "pattern", "paper_input": "paper input",
+            "repro_input": "reproduction input"}
+    return Table(
+        "Table 2: benchmarks evaluated",
+        [Column(name) for name in keys.values()],
+        [[row[key] for key in keys] for row in rows],
+    )

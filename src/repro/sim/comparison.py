@@ -16,10 +16,9 @@ from typing import Iterable, Optional
 from ..config import SystemConfig
 from ..errors import DuplicateResultError
 from ..workloads import registry
-from ..workloads.base import Workload
-from .engine import BatchResult, EngineStats, SimEngine, SimPlan, SimRequest, SerialRunner
+from .engine import BatchResult, EngineStats, SimEngine, SimPlan, SimRequest
 from .modes import FIGURE7_MODES, PrefetchMode
-from .results import SimulationResult, geometric_mean
+from .results import SimulationResult
 
 
 @dataclass
@@ -79,21 +78,6 @@ class ComparisonResult:
             return None
         return result.speedup_over(baseline)
 
-    def speedups_for_mode(self, mode: PrefetchMode) -> dict[str, float]:
-        """Per-workload speedups for ``mode``, omitting missing points."""
-
-        speedups: dict[str, float] = {}
-        for workload in self.baselines:
-            value = self.speedup(workload, mode)
-            if value is not None:
-                speedups[workload] = value
-        return speedups
-
-    def geomean_speedup(self, mode: PrefetchMode) -> float:
-        """Geometric-mean speedup of ``mode`` across recorded workloads."""
-
-        return geometric_mean(list(self.speedups_for_mode(mode).values()))
-
     @property
     def workloads(self) -> list[str]:
         """Workload names with a recorded baseline, in insertion order."""
@@ -148,19 +132,17 @@ def run_comparison(
     config: Optional[SystemConfig] = None,
     scale: str = "default",
     seed: int = 42,
-    workloads: Optional[dict[str, Workload]] = None,
     engine: Optional[SimEngine] = None,
 ) -> ComparisonResult:
     """Simulate every (workload, mode) pair plus the no-prefetching baseline.
 
     ``engine`` shares memoised/cached results (and a parallel runner) across
-    callers; when omitted a serial engine is created, reusing any pre-built
-    workload objects passed via ``workloads``.  Unavailable modes (missing
-    Figure 7 bars) are skipped silently.
+    callers; when omitted a serial engine is created.  Unavailable modes
+    (missing Figure 7 bars) are skipped silently.
     """
 
     if engine is None:
-        engine = SimEngine(runner=SerialRunner(workloads=workloads))
+        engine = SimEngine()
     plan = comparison_plan(workload_names, modes, config=config, scale=scale, seed=seed)
     return comparison_from_batch(plan, engine.run(plan))
 

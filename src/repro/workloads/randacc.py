@@ -11,8 +11,7 @@ The paper's input performs 10^8 updates over a multi-GiB table; this
 reproduction scales both down while keeping the table much larger than the
 scaled L2.  The value buffer is stored at full length rather than as the
 128-entry circular window the reference code uses (the window's wrap-around
-only changes which few elements the compiler-generated prefetches miss; the
-substitution is recorded in EXPERIMENTS.md).
+only changes which few elements the compiler-generated prefetches miss).
 """
 
 from __future__ import annotations

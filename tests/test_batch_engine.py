@@ -7,7 +7,6 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigurationError, DuplicateResultError
-from repro.eval.figure7 import run_figure7
 from repro.sim import (
     ComparisonResult,
     EngineStats,
@@ -336,11 +335,11 @@ class TestResultCache:
 class TestComparisonOnEngine:
     def test_figure7_simulates_each_unique_point_exactly_once(self, config):
         engine = SimEngine()
-        run_figure7(workloads=WORKLOADS, config=config, scale="tiny", engine=engine)
+        run_comparison(WORKLOADS, FIGURE7_MODES, config=config, scale="tiny", engine=engine)
         plan = comparison_plan(WORKLOADS, FIGURE7_MODES, config=config, scale="tiny")
         assert engine.stats.executed == len(plan)
         # A second figure over the same engine re-simulates nothing.
-        run_figure7(workloads=WORKLOADS, config=config, scale="tiny", engine=engine)
+        run_comparison(WORKLOADS, FIGURE7_MODES, config=config, scale="tiny", engine=engine)
         assert engine.stats.executed == len(plan)
         assert engine.stats.memo_hits == len(plan)
 

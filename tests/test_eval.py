@@ -1,5 +1,7 @@
 """Tests for the evaluation harness (figures, tables, report rendering)."""
 
+import dataclasses
+import math
 import multiprocessing
 import os
 import subprocess
@@ -9,15 +11,17 @@ from pathlib import Path
 import pytest
 
 from repro.config import SystemConfig
-from repro.eval.figure7 import format_figure7, run_figure7
-from repro.eval.figure8 import format_figure8, run_figure8
-from repro.eval.figure9 import format_figure9, run_figure9
-from repro.eval.figure10 import format_figure10, run_figure10
-from repro.eval.figure11 import format_figure11, run_figure11
-from repro.eval.memtraffic import format_memtraffic, run_memtraffic
+from repro.eval import paper_values
+from repro.eval.figure7 import figure7_tables, run_figure7
+from repro.eval.figure8 import figure8_table, run_figure8
+from repro.eval.figure9 import figure9_tables, run_figure9
+from repro.eval.figure10 import figure10_table, run_figure10
+from repro.eval.figure11 import figure11_table, run_figure11
+from repro.eval.memtraffic import memtraffic_table, run_memtraffic
 from repro.eval.report import build_engine, render_markdown, run_report
-from repro.eval.table1 import format_table1, run_table1
-from repro.eval.table2 import format_table2, run_table2
+from repro.eval.table import MISSING, render_tables
+from repro.eval.table1 import run_table1, table1_table
+from repro.eval.table2 import run_table2, table2_table
 from repro.sim import MultiprocessRunner, PrefetchMode, SimPlan, SimRequest, run_comparison
 from repro.sim.engine.pool import WorkerPool, default_workers
 from repro.sim.modes import FIGURE7_MODES
@@ -38,6 +42,17 @@ CONVENTIONAL_MODES = [
 ]
 
 
+def table_rows(markdown: str, title: str) -> dict[str, dict[str, str]]:
+    """The cells of the rendered table whose title starts with ``title``,
+    keyed by the row's first cell, then by column."""
+
+    section = markdown.split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("|")]
+    header, *rows = [[cell.strip() for cell in line.strip("|").split("|")]
+                     for line in lines[:1] + lines[2:]]
+    return {row[0]: dict(zip(header, row)) for row in rows}
+
+
 @pytest.fixture(scope="module")
 def comparison():
     """One shared tiny comparison reused by the figure tests."""
@@ -50,7 +65,7 @@ class TestTables:
     def test_table1_groups(self):
         table = run_table1()
         assert set(table) == {"Main Core", "Memory & OS", "Prefetcher"}
-        text = format_table1(table)
+        text = render_tables([table1_table(table)])
         assert "PPUs" in text and "L1 cache" in text
 
     def test_table1_reflects_config(self):
@@ -61,7 +76,7 @@ class TestTables:
         rows = run_table2(workloads=WORKLOAD_SUBSET)
         assert len(rows) == 2
         assert rows[0]["name"] == "intsort"
-        assert "Stride-indirect" in format_table2(rows)
+        assert "Stride-indirect" in render_tables([table2_table(rows)])
 
 
 class TestFigures:
@@ -72,7 +87,7 @@ class TestFigures:
         assert manual is not None and manual > 1.0
         assert data.geomean(PrefetchMode.MANUAL) > 1.0
         assert "intsort" in data.software_overhead
-        text = format_figure7(data)
+        text = render_tables(figure7_tables(data))
         assert "geomean" in text and "intsort" in text
 
     def test_figure8_rates(self, comparison):
@@ -81,26 +96,26 @@ class TestFigures:
             assert 0 <= data.utilisation[name] <= 1
             before, after = data.hit_rates[name]
             assert after >= before
-        assert "utilisation" in format_figure8(data)
+        assert "utilisation" in render_tables([figure8_table(data)])
 
     def test_figure10_activity(self, comparison):
         data = run_figure10(workloads=WORKLOAD_SUBSET, comparison=comparison)
         summary = data.summary("intsort")
         assert summary["max"] >= summary["median"] >= summary["min"]
         assert data.unused_ppus("intsort") >= 0
-        assert "median" in format_figure10(data)
+        assert "median" in render_tables([figure10_table(data)])
 
     def test_figure11_blocked_vs_events(self, comparison):
         data = run_figure11(workloads=WORKLOAD_SUBSET, comparison=comparison)
         for name in WORKLOAD_SUBSET:
             assert data.events[name] >= data.blocked[name] * 0.8
-        assert "events" in format_figure11(data)
+        assert "events" in render_tables([figure11_table(data)])
 
     def test_memtraffic(self, comparison):
         data = run_memtraffic(workloads=WORKLOAD_SUBSET, comparison=comparison)
         for name in WORKLOAD_SUBSET:
             assert data.extra[name] < 0.5
-        assert "%" in format_memtraffic(data)
+        assert "%" in render_tables([memtraffic_table(data)])
 
     def test_figure9_sweeps_small(self):
         data = run_figure9(
@@ -112,7 +127,7 @@ class TestFigures:
         )
         assert set(data.frequency_sweeps["randacc"]) == {0.5, 1.0}
         assert (3, 1.0) in data.count_sweep
-        assert "GHz" in format_figure9(data)
+        assert "GHz" in render_tables(figure9_tables(data))
 
 
 class TestReport:
@@ -123,8 +138,7 @@ class TestReport:
         markdown = render_markdown(report)
         assert "Figure 7" in markdown
         assert "intsort" in markdown
-        console = report.format_console()
-        assert "Table 1" in console
+        assert "Table 1" in markdown
         assert report.figure7.geomean(PrefetchMode.MANUAL) > 0
 
     def test_run_report_runs_the_engine_once(self):
@@ -182,6 +196,28 @@ class TestReport:
         batch = engine.run(plan)
         assert batch.stats.runner == "serial"
         assert batch.stats.executed == len(plan) and not batch.failures
+
+    def test_driver_prints_the_report_once_and_writes_what_it_prints(self, tmp_path):
+        written = tmp_path / "EXPERIMENTS.md"
+        driver = subprocess.run(
+            [sys.executable, str(REPO_ROOT / "examples" / "reproduce_paper.py"),
+             "--scale", "tiny", "--workloads", "intsort", "--jobs", "1",
+             "--trace-store", "off", "--write-experiments", str(written)],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+        assert driver.returncode == 0, driver.stderr
+        out = driver.stdout
+        titles = [line[3:] for line in out.splitlines() if line.startswith("## ")]
+        assert [title.split(":")[0] for title in titles] == [
+            "Table 1", "Table 2", "Figure 7", "Section 7.1", "Figure 8",
+            "Figure 10", "Figure 11", "Section 7.2",
+        ]
+        for title in titles:
+            assert out.count(title) == 1, title
+        assert out.count("Batch-engine statistics") == 1
+        assert out.index("Batch-engine statistics") > out.index(titles[-1])
+        assert out.startswith(written.read_text(encoding="utf-8"))
 
     @pytest.mark.parametrize("arguments, message", [
         (["--jobs", "0"], "argument --jobs: must be at least 1"),
@@ -269,6 +305,65 @@ class TestPaperShape:
         # The graph traversals may over-fetch (paper: 16-40 %).
         bound = 0.8 if name.startswith("g500") else 0.25
         assert paper_report.memtraffic.extra[name] < bound
+
+
+class TestReportTables:
+    """The rendered report, checked on the full tiny plan."""
+
+    def test_every_paper_reading_sits_beside_its_cell(self, paper_report):
+        markdown = render_markdown(paper_report)
+
+        def beside(title, row, column, reading):
+            cell = table_rows(markdown, title)[row][column]
+            assert cell.endswith(f"(paper {reading})"), (title, row, column, cell)
+
+        for name, row in paper_values.FIGURE7_SPEEDUPS.items():
+            for mode, paper in row.items():
+                beside("Figure 7", name, mode, f"{paper:.2f}×")
+        for mode, paper in paper_values.PAPER_GEOMEAN.items():
+            beside("Figure 7", "geomean", mode, f"{paper:.2f}×")
+        for name, paper in paper_values.FIGURE8A_UTILISATION.items():
+            beside("Figure 8", name, "utilisation (a)", f"{paper:.2f}")
+        for name, (before, after) in paper_values.FIGURE8B_HIT_RATES.items():
+            beside("Figure 8", name, "L1 hit, no PF (b)", f"{before:.2f}")
+            beside("Figure 8", name, "L1 hit, manual (b)", f"{after:.2f}")
+        for name, paper in paper_values.SOFTWARE_PREFETCH_OVERHEAD.items():
+            beside("Section 7.1", name, "overhead", f"{paper:+.1%}")
+        for name, paper in paper_values.EXTRA_MEMORY_ACCESSES.items():
+            beside("Section 7.2", name, "extra", f"{paper:+.1%}")
+        for name, paper in paper_values.FIGURE11_BLOCKED_SPEEDUPS.items():
+            beside("Figure 11", name, "blocked", f"{paper:.2f}×")
+
+    def test_figure7_paper_error_is_perfbench_paper_err(self, paper_report):
+        errors = [
+            abs(math.log(measured / paper))
+            for name, row in paper_report.figure7.speedups.items()
+            for mode, paper in paper_values.FIGURE7_SPEEDUPS.get(name, {}).items()
+            if (measured := row.get(mode)) is not None
+        ]
+        assert len(errors) == 37
+        section = render_markdown(paper_report).split("## Figure 7", 1)[1].split("\n## ", 1)[0]
+        assert f"paper_err {sum(errors) / len(errors):.4f}" in section
+        assert f"over the {len(errors)} measured cells" in section
+
+    def test_a_mode_without_bars_has_no_geomean(self, paper_report, paper_engine):
+        report = run_report(workloads=["pagerank"], scale="tiny", seed=PAPER_SEED,
+                            include_figure9=False, engine=paper_engine)
+        geomean = table_rows(render_markdown(report), "Figure 7")["geomean"]
+        measured = {mode: cell.split(" (paper ")[0] for mode, cell in geomean.items()}
+        assert measured["software"] == measured["converted"] == MISSING
+        manual = report.figure7.speedups["pagerank"][PrefetchMode.MANUAL.value]
+        assert geomean["manual"].startswith(f"{manual:.2f}×")
+
+    def test_a_failed_count_sweep_point_renders_as_missing(self, paper_report):
+        full = paper_report.figure9
+        failed = (6, 2.0)
+        data = dataclasses.replace(
+            full, count_sweep={k: v for k, v in full.count_sweep.items() if k != failed}
+        )
+        rows = table_rows(render_tables(figure9_tables(data)), "Figure 9(b)")
+        assert rows["6"]["2 GHz"] == MISSING
+        assert rows["12"]["2 GHz"] == f"{full.count_sweep[(12, 2.0)]:.2f}×"
 
 
 class TestRandaccAblations:

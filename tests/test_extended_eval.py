@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from repro.config import SystemConfig
-from repro.eval.extended import EXTENDED_MODES, format_extended, run_extended
+from repro.eval.extended import EXTENDED_MODES, extended_table, run_extended
+from repro.eval.table import render_tables
 from repro.sim import PrefetchMode, SimEngine
 from repro.workloads import registry
 
@@ -41,11 +42,12 @@ class TestExtendedComparison:
         assert again.engine_stats.executed == 0
         assert again.engine_stats.memo_hits == again.engine_stats.unique
 
-    def test_format_reports_table_and_stats(self):
+    def test_table_reports_speedups_and_stats(self):
         data = run_extended(
             workloads=["spmv"], modes=[PrefetchMode.NONE, PrefetchMode.MANUAL], scale="tiny"
         )
-        text = format_extended(data, modes=[PrefetchMode.NONE, PrefetchMode.MANUAL])
+        text = render_tables([extended_table(data)])
+        assert "| benchmark | none  | manual |" in text
         assert "spmv" in text
         assert "geomean" in text
         assert "Batch engine:" in text
