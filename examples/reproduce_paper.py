@@ -115,8 +115,12 @@ def main() -> int:
                   f"({stats.hung_killed} hung workers killed)")
         if stats.expired:
             print(f"  deadline-expired: {stats.expired}")
-        print(f"  traces:           {stats.trace_hits} warm, {stats.trace_built} emitted "
-              f"({stats.trace_stored} stored)")
+        if args.service is None:  # the daemon's trace store is out of the client's sight
+            if engine.runner.trace_store is None:
+                print("  traces:           store off")
+            else:
+                print(f"  traces:           {stats.trace_hits} warm, "
+                      f"{stats.trace_built} emitted ({stats.trace_stored} stored)")
         print(f"  runner:           {stats.runner}")
         for label, count in sorted(stats.failures.items()):
             suffix = f" (×{count})" if count > 1 else ""

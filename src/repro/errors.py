@@ -114,10 +114,10 @@ class ServiceProtocolError(ServiceError):
 class WorkerCrashedError(ReproError):
     """A pool worker died, or could not start, while executing a chunk.
 
-    Raised by :meth:`repro.sim.engine.pool.WorkerPool.run`.  The
-    multiprocess runner retries the chunk's unreported requests, and the
-    service daemon the whole chunk, on a fresh worker, and report a failure
-    label once the attempts are exhausted.
+    Raised by :meth:`repro.sim.engine.pool.WorkerPool.run` once its own
+    retries of the unreported requests are exhausted, or when the pool is
+    shut down; the multiprocess runner and the service daemon then label
+    the requests that were never reported.
     """
 
 

@@ -31,7 +31,9 @@ Server → client
     ``chunk-started``  a chunk containing digests this submission waits on
                        began executing (carries a global ``seq`` so clients
                        can observe dispatch order).
-    ``chunk-requeued`` the chunk's worker crashed or hung and it was requeued.
+    ``chunk-requeued`` the chunk's worker crashed or hung; its unfinished
+                       ``requests`` are retried on a fresh worker (also
+                       carries the ``attempt`` that died and its ``error``).
     ``progress``       ``completed``/``total`` unique digests resolved.
     ``done``           positional ``outcomes`` (aligned with the submitted
                        request list) plus per-submission statistics.

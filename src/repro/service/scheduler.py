@@ -1,13 +1,14 @@
 """Work splitting and fair cross-client chunk scheduling.
 
 Submitted plans are divided into *chunks* — the unit the daemon hands to a
-pool worker.  Splitting reuses :meth:`~repro.sim.engine.SimPlan.workload_groups`
+pool worker.  Splitting reuses :func:`~repro.sim.engine.group_requests`
 so requests that replay the same traces stay together: a chunk resolves its
 workload's trace artifacts once.  Groups larger than ``chunk_size`` are
 sliced — the work-splitting heuristic from the
 parallel-instantiation literature (Perri et al., arXiv:1110.1015): bound
 each unit of work so one giant submission cannot monopolise a worker for
-its whole duration.
+its whole duration.  A worker crash costs a chunk only its unfinished
+part, which the pool retries in place; no chunk goes back to the queue.
 
 The :class:`FairScheduler` then interleaves chunks *across clients* in
 strict round-robin: under load, a client submitting two chunks gets one
@@ -24,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Optional, Sequence
 
-from ..sim.engine import SimPlan, SimRequest
+from ..sim.engine import SimRequest, group_requests
 
 #: Upper bound on requests per chunk, the one the daemon uses.  A full
 #: figure-7 mode set for one workload (~10 points) stays whole;
@@ -41,8 +42,6 @@ class Chunk:
     key: Hashable
     requests: list[SimRequest]
     id: int = field(default_factory=lambda: next(_chunk_ids))
-    #: Execution attempts so far (bumped when a pool worker crashes).
-    attempts: int = 0
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -64,7 +63,7 @@ def split_requests(
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     chunks: list[Chunk] = []
-    for group in SimPlan(requests).workload_groups().values():
+    for group in group_requests(requests):
         for start in range(0, len(group), chunk_size):
             chunks.append(Chunk(key=key, requests=list(group[start : start + chunk_size])))
     return chunks
@@ -77,21 +76,14 @@ class FairScheduler:
         self._queues: dict[Hashable, deque[Chunk]] = {}
         self._rotation: deque[Hashable] = deque()
 
-    def add(self, chunk: Chunk, *, front: bool = False) -> None:
-        """Queue ``chunk`` under its fairness key.
-
-        ``front`` requeues a crash-recovered chunk at the head of its
-        owner's queue so a retry is not penalised a full rotation.
-        """
+    def add(self, chunk: Chunk) -> None:
+        """Queue ``chunk`` at the back of its fairness key's queue."""
 
         queue = self._queues.get(chunk.key)
         if queue is None:
             queue = self._queues[chunk.key] = deque()
             self._rotation.append(chunk.key)
-        if front:
-            queue.appendleft(chunk)
-        else:
-            queue.append(chunk)
+        queue.append(chunk)
 
     def next(self) -> Optional[Chunk]:
         """Pop the next chunk, rotating fairness keys; ``None`` when empty.

@@ -15,9 +15,11 @@ different clients round-robin under load.
 
 Robustness guarantees (exercised by the fault-injection tests):
 
-* a pool worker that dies or stops heartbeating mid-chunk costs only its
-  own chunk, which is requeued (bounded retries, then a labelled failure
-  delivered to every waiter — nobody hangs);
+* a pool worker that dies or stops heartbeating mid-chunk costs only the
+  unfinished part of its own chunk: each result is published as its
+  worker reports it, the pool retries the rest (bounded attempts), and
+  whatever is still unpublished then fails with a label delivered to every
+  waiter — nobody hangs;
 * a client disconnecting mid-stream cancels its still-queued unique work,
   while singleflight work shared with other clients survives;
 * SIGTERM/SIGINT (or a ``shutdown`` message) drains: queued and running
@@ -53,7 +55,6 @@ from typing import Any, Optional
 from ..cli import worker_count
 from ..errors import ServiceProtocolError, WorkerCrashedError
 from ..sim.engine import DEADLINE_FAILURE_TEXT, UNAVAILABLE, ResultCache, SimRequest
-from ..sim.engine import pool as pool_module
 from ..sim.engine.pool import WorkerPool
 from ..sim.engine.request import code_fingerprint
 from ..trace_store import trace_store_from_spec
@@ -586,7 +587,6 @@ class ReproServer:
                 continue
             for request in chunk.requests:
                 self._flights.start(request.digest)
-            chunk.attempts += 1
             self._running[chunk.id] = chunk
             self.stats.chunks_dispatched += 1
             self._notify_chunk(chunk, "chunk-started", seq=next(self._dispatch_seq))
@@ -606,50 +606,55 @@ class ReproServer:
                     "type": kind,
                     "id": submission.sid,
                     "chunk": chunk.id,
-                    "attempt": chunk.attempts,
                     "requests": len(chunk.requests),
                     **extra,
                 }
             )
 
     async def _execute_chunk(self, chunk: Chunk) -> None:
-        try:
-            executed, trace_stats = await asyncio.get_running_loop().run_in_executor(
-                self._threads, self.pool.run, chunk.requests
-            )
-        except WorkerCrashedError as error:
-            self._running.pop(chunk.id, None)
+        loop = asyncio.get_running_loop()
+        published: set[str] = set()
+
+        def publish(done) -> None:
+            published.add(done[0])
+            self.stats.executed += 1
+            self._publish(*done)
+
+        def requeued(attempt: int, error: WorkerCrashedError) -> None:
             self.stats.crashes += 1
-            if chunk.attempts < pool_module.MAX_ATTEMPTS:
-                for request in chunk.requests:
-                    self._flights.requeue(request.digest)
-                self.stats.requeued += 1
-                self._notify_chunk(chunk, "chunk-requeued", error=str(error))
-                self._scheduler.add(chunk, front=True)
+            self.stats.requeued += 1
+            unfinished = len(chunk.requests) - len(published)
+            self._notify_chunk(
+                chunk, "chunk-requeued", attempt=attempt, error=str(error), requests=unfinished
+            )
+
+        try:
+            # The pool thread queues each callback on the loop before
+            # pool.run returns, so all of them run before this resumes.
+            _, trace_stats = await loop.run_in_executor(
+                self._threads,
+                self.pool.run,
+                chunk.requests,
+                lambda done: loop.call_soon_threadsafe(publish, done),
+                lambda attempt, error: loop.call_soon_threadsafe(requeued, attempt, error),
+            )
+        except Exception as error:  # a failed chunk (or a bug) must never hang waiters
+            if isinstance(error, WorkerCrashedError):
+                self.stats.crashes += 1
+                reason = str(error)
             else:
-                for request in chunk.requests:
-                    label = (
-                        f"{request.workload}/{request.mode}: {error}; "
-                        f"gave up after {chunk.attempts} attempts"
-                    )
-                    self._publish(request.digest, None, label)
-        except Exception as error:  # a chunk that raised (or a bug) must never hang waiters
-            self._running.pop(chunk.id, None)
+                reason = f"service error: {error}"
             for request in chunk.requests:
-                self._publish(
-                    request.digest,
-                    None,
-                    f"{request.workload}/{request.mode}: service error: {error}",
-                )
+                if request.digest not in published:
+                    self._publish(
+                        request.digest, None, f"{request.workload}/{request.mode}: {reason}"
+                    )
         else:
-            self._running.pop(chunk.id, None)
-            self.stats.executed += len(executed)
             self.stats.trace_hits += trace_stats.hits
             self.stats.trace_built += trace_stats.built
             self.stats.trace_stored += trace_stats.stored
-            for digest, result, failure in executed:
-                self._publish(digest, result, failure)
         finally:
+            self._running.pop(chunk.id, None)
             self._pump()
 
     def _publish(self, digest: str, result, failure: Optional[str]) -> None:

@@ -11,16 +11,19 @@ all of them on completion.
 The table is deliberately free of sockets, asyncio and clocks: it is a
 synchronous state machine over opaque hashable waiter tokens, driven by the
 server's single event loop and property-tested in isolation (random
-interleavings of join/start/complete/cancel — see
+interleavings of join/leave/start/complete — see
 ``tests/test_service_properties.py``).
 
 Lifecycle of one flight::
 
     join (first) ──> pending ──start──> running ──complete/fail──> gone
-                        │                  │
-      leave (last waiter,│                 │ requeue (worker crash)
-      never started)     ▼                 ▼
-                       gone             pending
+                        │
+      leave (last waiter,│
+      never started)     ▼
+                       gone
+
+A running flight stays running through worker crashes: the pool retries
+its request in place, so the flight completes exactly once.
 
 Cancellation semantics: a waiter leaving a *pending* flight whose waiter
 set becomes empty cancels the flight entirely (the caller must also drop
@@ -97,9 +100,8 @@ class SingleflightTable:
     def start(self, digest: str) -> bool:
         """Mark the flight as executing; ``False`` if it no longer exists.
 
-        Starting the same flight twice without an intervening
-        :meth:`requeue` is a dispatcher bug — a digest must never run in
-        two chunks at once — and raises.
+        Starting the same flight twice is a dispatcher bug — a digest must
+        never run in two chunks at once — and raises.
         """
 
         flight = self._flights.get(digest)
@@ -109,13 +111,6 @@ class SingleflightTable:
             raise ServiceError(f"digest {digest[:12]} dispatched twice")
         flight.started = True
         return True
-
-    def requeue(self, digest: str) -> None:
-        """Return a started flight to pending (its chunk's worker crashed)."""
-
-        flight = self._flights.get(digest)
-        if flight is not None:
-            flight.started = False
 
     def complete(self, digest: str) -> tuple[frozenset, Optional[SimRequest]]:
         """Retire the flight; return its waiters (to notify) and request.

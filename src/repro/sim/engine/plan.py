@@ -67,19 +67,5 @@ class SimPlan:
     def items(self) -> Iterator[tuple[str, SimRequest]]:
         return iter(self._requests.items())
 
-    def workload_groups(self) -> dict[tuple[str, str, int], list[SimRequest]]:
-        """Unique requests grouped by :attr:`SimRequest.workload_key`.
-
-        Groups preserve first-seen order.  This is the unit of trace-artifact
-        resolution: every request in a group replays traces of the same
-        ``(workload, scale, seed)``, so the runners resolve each group's
-        artifacts — store lookup, build-and-persist on miss — exactly once.
-        """
-
-        groups: dict[tuple[str, str, int], list[SimRequest]] = {}
-        for request in self._requests.values():
-            groups.setdefault(request.workload_key, []).append(request)
-        return groups
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimPlan({len(self)} unique / {self.submitted} submitted)"

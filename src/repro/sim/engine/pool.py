@@ -7,12 +7,13 @@ through :func:`~repro.sim.engine.runner.execute_group` (the serial path,
 so results are bit-identical) with its kernel cache warm across chunks.
 
 A worker sends a heartbeat after every finished request, carrying that
-request's result, so a caller can bank each result as it lands and knows
-which requests a crashed chunk had already finished.  One that dies (EOF
-on its pipe) or stays silent for :data:`HANG_TIMEOUT` seconds is killed;
-only the call running on it fails, and its slot starts a fresh process on
-next use.  Retrying is the caller's policy.  Workers never outlive their
-parent: a SIGKILLed daemon or runner orphans none.
+request's result, so a caller can bank each result as it lands.  One that
+dies (EOF on its pipe) or stays silent for :data:`HANG_TIMEOUT` seconds is
+killed, and only the call running on it is affected: :meth:`WorkerPool.run`
+re-sends the requests the dead worker had not reported to a fresh process
+in the same slot, at most :data:`MAX_ATTEMPTS` times in all, so no
+finished request runs twice.  Workers never outlive their parent: a
+SIGKILLed daemon or runner orphans none.
 """
 
 from __future__ import annotations
@@ -34,9 +35,8 @@ from ...trace_store import TraceStore, TraceStoreStats
 #: longest *single* simulation.
 HANG_TIMEOUT = 300.0
 
-#: Total attempts per chunk (one try plus two crash retries) that the
-#: multiprocess runner and the daemon make before failing its requests.
-#: Both read it at call time, so tests can shorten it.
+#: Total attempts per chunk (one try plus two crash retries) before
+#: :meth:`WorkerPool.run` gives up.  Read at call time, so tests can shorten it.
 MAX_ATTEMPTS = 3
 
 #: How often a worker checks that the process that started it is alive.
@@ -179,18 +179,26 @@ class WorkerPool:
         self.replaced = 0
 
     def run(
-        self, requests: Sequence, on_executed: Optional[Callable[[Any], None]] = None
+        self,
+        requests: Sequence,
+        on_executed: Optional[Callable[[Any], None]] = None,
+        on_retry: Optional[Callable[[int, WorkerCrashedError], None]] = None,
     ) -> tuple[list, TraceStoreStats]:
         """Execute one chunk on a free worker; return ``execute_group``'s outcome.
 
         ``on_executed`` is called with each request's ``ExecutedRequest`` as
-        its heartbeat arrives, on the calling thread; the requests it saw
-        before an error are the ones the chunk finished.  Blocks, first for
-        a free worker if all are busy; thread-safe.  Raises
-        :class:`WorkerHungError` if the worker sent nothing for
-        :data:`HANG_TIMEOUT` seconds, :class:`WorkerCrashedError` if it died
-        or could not start or the pool is shut down, and
-        :class:`ChunkFailedError` if the chunk raised inside the worker.
+        its heartbeat arrives, on the calling thread.  When the worker dies
+        or hangs, the requests it had not reported go to a fresh process in
+        the same slot, at most :data:`MAX_ATTEMPTS` times in all, and
+        ``on_retry(attempt, error)`` hears of each retry.  The outcome lists
+        every reported request and the last attempt's trace counters.
+
+        Blocks, first for a free worker if all are busy; thread-safe.
+        Raises :class:`WorkerHungError` or :class:`WorkerCrashedError` when
+        the attempts run out ("gave up after N attempts"; a worker that
+        cannot start counts as crashed) or the pool is shut down, which is
+        never retried, and :class:`ChunkFailedError` if the chunk raised
+        inside the worker, which a retry would only repeat.
         """
 
         with self._cond:
@@ -199,8 +207,21 @@ class WorkerPool:
                 raise WorkerCrashedError("worker pool is shut down")
             slot = self._idle.pop()
             self._busy.add(slot)
+        executed: list = []
         try:
-            return self._execute(slot, list(requests), on_executed)
+            remaining = list(requests)
+            for attempt in range(1, MAX_ATTEMPTS + 1):
+                try:
+                    return executed, self._execute(slot, remaining, executed, on_executed)
+                except WorkerCrashedError as error:
+                    if self._closed:
+                        raise
+                    if attempt == MAX_ATTEMPTS:
+                        raise type(error)(f"{error}; gave up after {attempt} attempts") from error
+                    if on_retry is not None:
+                        on_retry(attempt, error)
+                    finished = {digest for digest, _, _ in executed}
+                    remaining = [r for r in remaining if r.digest not in finished]
         finally:
             with self._cond:
                 self._busy.discard(slot)
@@ -212,11 +233,12 @@ class WorkerPool:
                 self._stop(slot)
 
     def _execute(
-        self, slot: _Slot, requests: list, on_executed: Optional[Callable[[Any], None]]
-    ) -> tuple[list, TraceStoreStats]:
+        self, slot: _Slot, requests: list, executed: list, on_executed: Optional[Callable]
+    ) -> TraceStoreStats:
+        """One attempt: send ``requests``, bank each heartbeat in ``executed``."""
+
         if slot.process is None:
             self._start(slot)
-        executed: list = []
         try:
             slot.conn.send((requests, self.trace_store_dir))
             while True:
@@ -229,7 +251,7 @@ class WorkerPool:
                     if on_executed is not None:
                         on_executed(payload)
                 elif kind == "done":
-                    return executed, payload
+                    return payload
                 else:
                     raise ChunkFailedError(payload)
         except (EOFError, OSError) as error:

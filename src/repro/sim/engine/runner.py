@@ -37,10 +37,10 @@ Both runners are resilience-aware (see ``docs/resilience.md``):
   resumed run retries exactly the expired work).
 * :class:`MultiprocessRunner` runs its chunks on the
   :class:`~repro.sim.engine.pool.WorkerPool` the service daemon uses too:
-  a worker that dies or stops heartbeating is killed, the requests of its
-  chunk that it had not reported are retried on a fresh worker, at most
-  ``pool.MAX_ATTEMPTS`` times in all, and those that exhaust them fail
-  with a label instead of hanging the plan.
+  a worker that dies or stops heartbeating is killed, the pool retries the
+  requests of its chunk that it had not reported on a fresh worker, within
+  its attempt budget, and those still unreported then fail with a label
+  instead of hanging the plan.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import threading
 from abc import ABC, abstractmethod
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ...errors import (
     ChunkFailedError,
@@ -72,7 +72,6 @@ from ...workloads.base import Workload
 from ..modes import mode_available
 from ..results import SimulationResult
 from ..system import simulate
-from . import pool as pool_module
 from .pool import WorkerPool, default_workers
 from .request import SimRequest, resolve_policy
 
@@ -114,8 +113,13 @@ class ResilienceStats:
     requeues: int = 0
 
 
-def group_requests(requests: Sequence[SimRequest]) -> list[list[SimRequest]]:
-    """Group requests by workload key, preserving first-seen order."""
+def group_requests(requests: Iterable[SimRequest]) -> list[list[SimRequest]]:
+    """Group requests by :attr:`SimRequest.workload_key`, in first-seen order.
+
+    This is the unit of trace-artifact resolution: every request in a group
+    replays traces of the same ``(workload, scale, seed)``, so the runners
+    resolve each group's artifacts once, and the daemon chunks along it.
+    """
 
     groups: dict[tuple[str, str, int], list[SimRequest]] = {}
     for request in requests:
@@ -288,24 +292,18 @@ class SerialRunner(Runner):
         on_executed: Optional[ExecutedCallback] = None,
         deadline: DeadlineLike = None,
     ) -> list[ExecutedRequest]:
-        self.trace_stats = TraceStoreStats()
         self.resilience = ResilienceStats()
-        budget = Deadline.after(deadline)
         per_request = None
         if on_executed is not None:
             per_request = lambda done: on_executed([done])  # noqa: E731
-        executed: list[ExecutedRequest] = []
-        for group in group_requests(requests):
-            chunk, stats = execute_group(
-                group,
-                self.workloads,
-                store=self.trace_store,
-                deadline=budget,
-                on_executed=per_request,
-                resilience=self.resilience,
-            )
-            executed.extend(chunk)
-            self.trace_stats.merge(stats)
+        executed, self.trace_stats = execute_group(
+            requests,
+            self.workloads,
+            store=self.trace_store,
+            deadline=Deadline.after(deadline),
+            on_executed=per_request,
+            resilience=self.resilience,
+        )
         return executed
 
 
@@ -333,11 +331,10 @@ class MultiprocessRunner(Runner):
 
     One thread per worker feeds chunks to the pool; each result is handed
     to ``on_executed`` on the calling thread as its worker reports it.
-    When a worker crashes or hangs, the requests of its chunk it had not
-    reported are retried on a fresh worker, at most
-    :data:`~repro.sim.engine.pool.MAX_ATTEMPTS` times in all, and then
-    fail with a label; a chunk that raised inside its worker fails its
-    unreported requests at once, since a retry would repeat it.
+    When a worker crashes or hangs, the pool retries the requests of its
+    chunk it had not reported (:meth:`WorkerPool.run`); those still
+    unreported when it gives up, or when the chunk raised inside its
+    worker, fail with a label.
     """
 
     label = "multiprocess"
@@ -412,42 +409,38 @@ class MultiprocessRunner(Runner):
         # chunk ends; drained on the calling thread.
         landed: queue.SimpleQueue = queue.SimpleQueue()
 
-        def attempt(chunk: list[SimRequest]) -> None:
+        def crashed(attempt: Optional[int], error: WorkerCrashedError) -> None:
+            with lock:
+                self.resilience.hung_killed += isinstance(error, WorkerHungError)
+                self.resilience.requeues += attempt is not None  # None: the pool gave up
+
+        def execute(chunk: list[SimRequest]) -> None:
             reported: set[str] = set()
 
             def report(done: ExecutedRequest) -> None:
                 reported.add(done[0])
                 landed.put(done)
 
-            attempts = pool_module.MAX_ATTEMPTS
-            reason = ""
-            for number in range(1, attempts + 1):
-                remaining = [r for r in chunk if r.digest not in reported]
-                if not remaining:
-                    return
-                try:
-                    _, stats = pool.run(remaining, report)
-                except ChunkFailedError as error:
-                    reason = f"chunk failed in its worker: {error}"
-                    break
-                except WorkerCrashedError as error:
-                    if stopped.is_set():
-                        return  # the run is over; its caller labels the rest
-                    with lock:
-                        self.resilience.hung_killed += isinstance(error, WorkerHungError)
-                        self.resilience.requeues += number < attempts
-                    reason = f"{error}; gave up after {attempts} attempts"
-                else:
-                    with lock:
-                        self.trace_stats.merge(stats)
-                    return
+            try:
+                _, stats = pool.run(chunk, report, crashed)
+            except ChunkFailedError as error:
+                reason = f"chunk failed in its worker: {error}"
+            except WorkerCrashedError as error:
+                if stopped.is_set():
+                    return  # the run is over; its caller labels the rest
+                crashed(None, error)
+                reason = str(error)
+            else:
+                with lock:
+                    self.trace_stats.merge(stats)
+                return
             for r in chunk:
                 if r.digest not in reported:
                     landed.put((r.digest, None, f"{r.workload}/{r.mode}: {reason}"))
 
         def feed(chunk: list[SimRequest]) -> None:
             try:
-                attempt(chunk)
+                execute(chunk)
             finally:
                 landed.put(None)
 

@@ -15,7 +15,7 @@ Provides:
     for *ordering*; the hold-file is the synchronisation primitive).
   - ``svccrashonce`` — SIGKILLs its worker process the first time a given
     seed is built (leaving a marker file), then behaves normally: the
-    requeue path succeeds on the second attempt.
+    pool's retry succeeds on the second attempt.
   - ``svccrashalways`` — SIGKILLs the worker on every attempt, driving the
     bounded-retry → labelled-failure path.
 

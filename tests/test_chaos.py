@@ -9,13 +9,14 @@ promises:
 * a sweep killed mid-run resumes from its checkpoint manifest, executing
   only the missing requests with bit-identical results;
 * a hung worker is detected by the heartbeat watchdog, killed, and its
-  chunk requeued until it succeeds;
+  chunk retried by the pool until it succeeds;
 * the multiprocess runner banks each request as its worker reports it,
-  while the rest of that chunk still runs; after a crash it re-runs only
-  the requests the dead worker had not reported, bit-identically; it
-  labels a chunk that crashes on every attempt once the pool's attempt
-  budget is spent, and its deadline kills a held worker instead of
-  waiting for it;
+  while the rest of that chunk still runs; after a crash the pool re-runs
+  only the requests the dead worker had not reported, bit-identically,
+  and never retries once it is shut down; the runner labels a chunk that
+  crashes on every attempt once the pool's attempt budget is spent, keeps
+  what a chunk that raised had reported, and its deadline kills a held
+  worker instead of waiting for it;
 * a submission past its deadline fails promptly with a retryable label.
 """
 
@@ -184,8 +185,8 @@ class TestHungWorkerWatchdog:
             try:
                 # Bounded poll of the watchdog's own counter: the gated
                 # worker must be declared hung within the configured
-                # timeout.  Only then release the gate so the requeued
-                # attempt can succeed.
+                # timeout.  Only then release the gate so the pool's
+                # retry can succeed.
                 deadline = time.monotonic() + 60.0
                 while runner.resilience.hung_killed < 1:
                     assert time.monotonic() < deadline, "watchdog never fired"
@@ -334,6 +335,34 @@ class TestPooledDurability:
             assert batch[request].as_dict() == reference[request].as_dict()
 
 
+    def test_chunk_that_raises_keeps_what_it_reported(self, monkeypatch):
+        # Two chunks of three; the intsort chunk raises on its second request.
+        modes = ("none", "stride", "ghb-regular")
+        plan = SimPlan(tiny_request(w, m) for w in ("intsort", "randacc") for m in modes)
+        first, raising, last = (tiny_request("intsort", m) for m in modes)
+        execute = runner_module.execute_request
+
+        def raise_on_second(request, workload):
+            if request == raising:  # runs in the forked worker
+                raise RuntimeError("injected")
+            return execute(request, workload)
+
+        monkeypatch.setattr(runner_module, "execute_request", raise_on_second)
+        runner = MultiprocessRunner(workers=2, trace_store=None)
+        assert [len(chunk) for chunk in runner._chunk(list(plan))] == [3, 3]
+        outcomes = {d: (result, failure) for d, result, failure in runner.run(list(plan))}
+
+        assert outcomes[first.digest][0] is not None and outcomes[first.digest][1] is None
+        for request in (raising, last):
+            assert outcomes[request.digest] == (
+                None, f"intsort/{request.mode}: chunk failed in its worker: RuntimeError: injected"
+            )
+        for mode in modes:
+            assert outcomes[tiny_request("randacc", mode).digest][1] is None
+        assert runner.resilience.requeues == 0
+        assert multiprocessing.active_children() == []
+
+
 class TestRunnerWorkerPool:
     def test_crashed_worker_chunk_is_retried_bit_identically(self, svc_dir):
         with registered_test_workloads():
@@ -389,6 +418,67 @@ class TestRunnerWorkerPool:
         assert batch.stats.expired >= 1
         assert multiprocessing.active_children() == []
 
+    def test_pool_retries_the_unreported_requests_itself(self, svc_dir):
+        healthy, crasher = intsort_request(seed=18), request_for("svccrashonce", seed=541)
+        retries: list = []
+        with registered_test_workloads():
+            pool = WorkerPool(1)
+            try:
+                executed, _ = pool.run(
+                    [healthy, crasher], on_retry=lambda *retry: retries.append(retry)
+                )
+            finally:
+                pool.shutdown()
+        # The healthy request ran before the crash and is not run again.
+        assert [digest for digest, _, _ in executed] == [healthy.digest, crasher.digest]
+        assert all(result is not None and failure is None for _, result, failure in executed)
+        ((attempt, error),) = retries
+        assert attempt == 1 and isinstance(error, WorkerCrashedError)
+        assert pool.replaced == 1
+        assert multiprocessing.active_children() == []
+
+    def test_shut_down_pool_never_retries(self, tmp_path, monkeypatch):
+        held = intsort_request(seed=19)
+        hold, started = tmp_path / "hold", tmp_path / "held-started"
+        hold.touch()
+        execute = runner_module.execute_request
+
+        def gated(request, workload):  # runs in the forked worker
+            started.touch()
+            while hold.exists():
+                time.sleep(0.002)
+            return execute(request, workload)
+
+        monkeypatch.setattr(runner_module, "execute_request", gated)
+        pool = WorkerPool(1)
+        starts: list = []
+        start = pool._start
+        monkeypatch.setattr(pool, "_start", lambda slot: (starts.append(slot), start(slot)))
+        retries: list = []
+        raised: list = []
+
+        def drive() -> None:
+            try:
+                pool.run([held], on_retry=lambda *retry: retries.append(retry))
+            except WorkerCrashedError as error:
+                raised.append(error)
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 30.0
+            while not started.exists():
+                assert time.monotonic() < deadline, "the held chunk never started"
+                time.sleep(0.01)
+            pool.shutdown()
+            thread.join(timeout=30.0)
+        finally:
+            hold.unlink()
+        assert not thread.is_alive()
+        assert len(raised) == 1 and retries == []
+        assert len(starts) == 1  # no fresh worker after the shutdown kill
+        assert multiprocessing.active_children() == []
+
     def test_runner_under_thread_contention(self, svc_dir):
         """More workers than cores, two crashing chunks, fast thread switching."""
 
@@ -428,24 +518,24 @@ class TestRunnerWorkerPool:
         crashing = [request_for("svccrashonce", seed=s) for s in (521, 522)]
         expected = {d: r.as_dict() for d, r, _ in SerialRunner(trace_store=None).run(healthy)}
 
-        def run_one(request):
-            try:
-                return pool.run([request])
-            except WorkerCrashedError as error:
-                return error
-
         with registered_test_workloads():
             pool = WorkerPool(3)
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-5)
             try:
                 with ThreadPoolExecutor(8) as threads:
-                    outcomes = list(threads.map(run_one, healthy * 2 + crashing))
+                    # The pool retries each crash-once request itself, so
+                    # no call raises.
+                    outcomes = list(
+                        threads.map(lambda r: pool.run([r]), healthy * 2 + crashing)
+                    )
             finally:
                 sys.setswitchinterval(interval)
                 pool.shutdown()
-        crashes = [o for o in outcomes if isinstance(o, WorkerCrashedError)]
-        assert len(crashes) == len(crashing) == pool.replaced
+        assert pool.replaced == len(crashing)
+        for outcome in outcomes:
+            ((_, result, failure),), _ = outcome
+            assert failure is None and result is not None
         for outcome in outcomes[: 2 * len(healthy)]:
             ((digest, result, failure),), _ = outcome
             assert failure is None and result.as_dict() == expected[digest]

@@ -12,6 +12,7 @@ import signal
 import socket
 import subprocess
 import time
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.service import ServiceClient, spawn_local_daemon
 from repro.service.protocol import decode_message, encode_message, request_to_wire
 from repro.sim.engine import SimRequest
 from repro.sim.engine import pool as pool_module
+from repro.sim.engine import runner as runner_module
 
 from service_utils import SVC_TEST_DIR_ENV, ServerThread, registered_test_workloads
 
@@ -153,6 +155,77 @@ def test_crash_costs_only_the_chunk_on_the_dead_worker(svc_dir, monkeypatch):
     assert "chunk-requeued" not in [event["type"] for event in events]
     # One crash per dead worker: the crashing chunk ran twice.
     assert counters["crashes"] == 2
+
+
+def intsort_chunk() -> list[SimRequest]:
+    """Three requests of one workload group: one chunk on the daemon."""
+
+    return [
+        SimRequest(workload="intsort", mode=mode, scale="tiny", seed=42,
+                   config=SystemConfig.scaled())
+        for mode in ("none", "stride", "ghb-regular")
+    ]
+
+
+def test_crash_re_runs_only_the_unpublished_requests(tmp_path, monkeypatch):
+    """A worker that dies on a chunk's third request costs only that request."""
+
+    requests = intsort_chunk()
+    log, crashed = tmp_path / "completed", tmp_path / "crashed"
+    execute = runner_module.execute_request
+
+    def crash_once(request, workload):  # runs in the forked worker
+        if request == requests[2] and not crashed.exists():
+            crashed.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        outcome = execute(request, workload)
+        with open(log, "a") as completions:
+            completions.write(f"{request.digest}\n")
+        return outcome
+
+    monkeypatch.setattr(runner_module, "execute_request", crash_once)
+    with ServerThread(workers=1) as daemon:
+        with ServiceClient(daemon.address, timeout=120.0) as client:
+            sid = client.submit_nowait(requests)
+            read_until(client, "accepted", sid)
+            requeued = read_until(client, "chunk-requeued", sid)
+            done = read_until(client, "done", sid)
+        counters = wait_for_counter(daemon.address, "executed", 3)
+
+    assert (requeued["attempt"], requeued["requests"]) == (1, 1)
+    assert [outcome["status"] for outcome in done["outcomes"]] == ["ok"] * 3
+    assert crashed.exists()
+    assert Counter(log.read_text().split()) == Counter(r.digest for r in requests)
+    assert (counters["requeued"], counters["crashes"], counters["executed"]) == (1, 1, 3)
+
+
+def test_chunk_that_raises_keeps_its_published_results(monkeypatch):
+    """A chunk raising on its second request still delivers its first."""
+
+    requests = intsort_chunk()
+    execute = runner_module.execute_request
+
+    def raise_on_second(request, workload):  # runs in the forked worker
+        if request == requests[1]:
+            raise RuntimeError("injected")
+        return execute(request, workload)
+
+    monkeypatch.setattr(runner_module, "execute_request", raise_on_second)
+    with ServerThread(workers=1) as daemon:
+        with ServiceClient(daemon.address, timeout=120.0) as client:
+            sid = client.submit_nowait(requests)
+            events = [read_until(client, "accepted", sid)]
+            while events[-1]["type"] != "done":
+                events.append(client.read_event())
+
+    first, second, third = events[-1]["outcomes"]
+    assert first["status"] == "ok", first
+    assert second == {
+        "status": "failed",
+        "failure": "intsort/stride: service error: RuntimeError: injected",
+    }
+    assert third["status"] == "failed"
+    assert "chunk-requeued" not in [event["type"] for event in events]
 
 
 # ------------------------------------------------------- client disconnect

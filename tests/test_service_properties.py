@@ -5,10 +5,10 @@ synchronous, socket-free state machines, so they can be driven through
 randomised interleavings of their whole operation alphabet and checked
 against independent reference models:
 
-* **Singleflight**: random join/leave/start/requeue/complete sequences
-  never lose a waiter, never report creation twice, never allow a digest
-  to be dispatched twice without an intervening requeue, and leave the
-  table empty once every flight completes.
+* **Singleflight**: random join/leave/start/complete sequences never
+  lose a waiter, never report creation twice, never allow a digest to be
+  dispatched twice, and leave the table empty once every flight
+  completes.
 * **Scheduler**: a differential test against a list-based reference
   implementation, plus conservation — every queued request is popped
   exactly once or discarded exactly once, never both, never neither —
@@ -65,8 +65,7 @@ class SingleflightMachine(RuleBasedStateMachine):
     def leave(self, digest: str, waiter: str) -> None:
         flight = self.model.get(digest)
         # A pending flight is cancelled when no waiters remain after this
-        # leave — including a zero-waiter flight (everyone left while it
-        # was running, then a crash requeued it): nobody wants that work.
+        # leave: nobody wants that work.
         expected_cancelled = (
             flight is not None
             and not flight["started"]
@@ -91,13 +90,6 @@ class SingleflightMachine(RuleBasedStateMachine):
         assert started == (flight is not None)
         if flight is not None:
             flight["started"] = True
-
-    @rule(digest=st.sampled_from(DIGESTS))
-    def requeue(self, digest: str) -> None:
-        self.table.requeue(digest)
-        flight = self.model.get(digest)
-        if flight is not None:
-            flight["started"] = False
 
     @rule(digest=st.sampled_from(DIGESTS))
     def complete(self, digest: str) -> None:
@@ -145,14 +137,11 @@ class ReferenceScheduler:
         self.queues: dict[str, list[Chunk]] = {}
         self.rotation: list[str] = []
 
-    def add(self, chunk: Chunk, front: bool = False) -> None:
+    def add(self, chunk: Chunk) -> None:
         if chunk.key not in self.queues:
             self.queues[chunk.key] = []
             self.rotation.append(chunk.key)
-        if front:
-            self.queues[chunk.key].insert(0, chunk)
-        else:
-            self.queues[chunk.key].append(chunk)
+        self.queues[chunk.key].append(chunk)
 
     def next(self):
         while self.rotation:
@@ -188,7 +177,6 @@ scheduler_ops = st.lists(
             st.just("add"),
             st.sampled_from(KEYS),
             st.integers(min_value=1, max_value=3),
-            st.booleans(),
         ),
         st.tuples(st.just("next")),
         st.tuples(st.just("discard"), st.integers(min_value=0, max_value=7)),
@@ -209,20 +197,14 @@ def test_scheduler_matches_reference_and_conserves_requests(ops) -> None:
 
     for op in ops:
         if op[0] == "add":
-            _, key, size, front = op
+            _, key, size = op
             digests = [f"r{counter + i}" for i in range(size)]
             counter += size
             added.update(digests)
             # Two independently-built equal chunks (ids may differ; compare
             # by request content).
-            real.add(
-                Chunk(key=key, requests=[FakeRequest(d) for d in digests]),
-                front=front,
-            )
-            ref.add(
-                Chunk(key=key, requests=[FakeRequest(d) for d in digests]),
-                front=front,
-            )
+            real.add(Chunk(key=key, requests=[FakeRequest(d) for d in digests]))
+            ref.add(Chunk(key=key, requests=[FakeRequest(d) for d in digests]))
         elif op[0] == "next":
             real_chunk = real.next()
             ref_chunk = ref.next()

@@ -30,6 +30,7 @@ from repro.sim import (
     SimPlan,
     SimRequest,
 )
+from repro.sim.engine import group_requests
 from repro.sim.system import simulate
 from repro.trace_store import (
     TRACE_STORE_ENV,
@@ -503,10 +504,11 @@ class TestEngineIntegration:
         assert engine.stats.unavailable == 1 and engine.stats.failed == 0
 
     def test_plan_workload_groups(self, scaled_config):
-        plan = self._plan(scaled_config)
-        groups = plan.workload_groups()
-        assert set(groups) == {("intsort", "tiny", 42), ("randacc", "tiny", 42)}
-        assert all(len(group) == len(self.MODES) for group in groups.values())
+        groups = group_requests(self._plan(scaled_config))
+        assert [group[0].workload_key for group in groups] == [
+            ("intsort", "tiny", 42), ("randacc", "tiny", 42)
+        ]
+        assert all(len(group) == len(self.MODES) for group in groups)
 
 
 # ------------------------------------------------------------------- CLI
