@@ -82,6 +82,12 @@ class CacheConfig:
         return self.size_bytes // (self.associativity * self.line_bytes)
 
     def validate(self) -> None:
+        # The prefetchers, the address space and the line reads all compute
+        # lines with CACHE_LINE_BYTES, so a cache must agree with them.
+        if self.line_bytes != CACHE_LINE_BYTES:
+            raise ConfigurationError(
+                f"{self.name}: lines are {CACHE_LINE_BYTES} bytes, not {self.line_bytes}"
+            )
         if self.size_bytes <= 0 or self.associativity <= 0:
             raise ConfigurationError(f"{self.name}: size and associativity must be positive")
         if self.size_bytes % (self.associativity * self.line_bytes) != 0:
@@ -163,6 +169,8 @@ class ProgrammablePrefetcherConfig:
             raise ConfigurationError("PPU frequency must be positive")
         if self.observation_queue_entries < 1 or self.prefetch_queue_entries < 1:
             raise ConfigurationError("prefetcher queues must have at least one entry")
+        if self.global_registers < 1:
+            raise ConfigurationError("at least one global prefetcher register is required")
         if not 0.0 < self.ewma_alpha <= 1.0:
             raise ConfigurationError("ewma_alpha must be in (0, 1]")
 

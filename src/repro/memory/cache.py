@@ -112,13 +112,8 @@ class Cache:
         config.validate()
         self.config = config
         self._num_sets = config.num_sets
-        line_bytes = config.line_bytes
-        # num_sets is validated to be a power of two; line_bytes normally is
-        # (64), but fall back to division for exotic configurations.
-        self._line_shift = (
-            line_bytes.bit_length() - 1 if line_bytes & (line_bytes - 1) == 0 else None
-        )
-        self._line_bytes = line_bytes
+        # Both line_bytes (64) and num_sets are validated powers of two.
+        self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = self._num_sets - 1
         self._set_shift = self._num_sets.bit_length() - 1
         self._sets: list[dict[int, CacheLine]] = [dict() for _ in range(self._num_sets)]
@@ -135,8 +130,7 @@ class Cache:
         recomputing the set and tag.
         """
 
-        line_shift = self._line_shift
-        line = addr >> line_shift if line_shift is not None else addr // self._line_bytes
+        line = addr >> self._line_shift
         return self._sets[line & self._set_mask], line >> self._set_shift
 
     # ----------------------------------------------------------------- lookup
@@ -252,10 +246,6 @@ class Cache:
             for line in cache_set.values():
                 if line.prefetched and not line.used:
                     self.stats.prefetch_unused_at_end += 1
-
-    def reset(self) -> None:
-        self._sets = [dict() for _ in range(self._num_sets)]
-        self.stats = CacheStats()
 
     # ------------------------------------------------------------------ info
 

@@ -80,7 +80,3 @@ class DRAMModel:
         else:
             self.stats.demand_accesses += 1
         return completion
-
-    def reset(self) -> None:
-        self._channel_free = [0.0] * self.config.channels
-        self.stats = DRAMStats()

@@ -4,7 +4,7 @@
 files, the TLB and the DRAM model, and exposes the two entry points used by
 the rest of the simulator:
 
-``demand_access``
+``demand_access_time``
     called by the core timing model for every load and store in the dynamic
     trace; returns the completion time of the access.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 from math import inf
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from ..config import CACHE_LINE_BYTES, SystemConfig
 from ..errors import SimulationError
@@ -54,22 +54,6 @@ _ALWAYS_DUE = ((-inf,),)
 _NEVER_DUE = ()
 
 
-class AccessResult(NamedTuple):
-    """Outcome of a single demand access.
-
-    A ``NamedTuple`` rather than a dataclass: one is constructed per demand
-    access, and tuple construction is markedly cheaper on the hot path.
-    """
-
-    completion_time: float
-    level: str
-    translation_latency: float
-
-    @property
-    def l1_hit(self) -> bool:
-        return self.level == "l1"
-
-
 class MemoryHierarchy:
     """L1 + L2 + TLB + DRAM with prefetch support."""
 
@@ -91,33 +75,12 @@ class MemoryHierarchy:
         # is due.
         self._snoop_lo = self._snoop_hi = 0
         self._advance_due: Sequence[tuple] = _NEVER_DUE
-        # Level/translation of the most recent demand access, for the
-        # AccessResult-building demand_access wrapper.
-        self._last_level = "l1"
-        self._last_translation = 0.0
-        # Hot-path constants, hoisted out of the per-access attribute chain.
+        # Hot-path constants and structures, hoisted out of the per-access
+        # attribute chain: Cache.probe and the TLB's L1-hit path are inlined
+        # into demand_access_time/prefetch_access (one shift/mask or dict
+        # probe instead of a method call per access).
         self._l1_hit_latency = config.l1.hit_latency
         self._l2_hit_latency = config.l2.hit_latency
-        self._rebind_hot_refs()
-        # Memoised line reads for the prefetcher (see read_line_words):
-        # trace replay never writes the address space, so the 8-word tuple of
-        # a line is invariant for the lifetime of one simulation.
-        self._line_words_cache: dict[int, tuple[int, ...]] = {}
-        # Memoised is_mapped() verdicts for prefetch targets (the address
-        # space's region map is likewise fixed during a simulation).
-        self._mapped_cache: dict[int, bool] = {}
-
-    def _rebind_hot_refs(self) -> None:
-        """Re-resolve references the access paths use inline.
-
-        Cache.probe and the TLB's L1-hit path are inlined into
-        demand_access/prefetch_access (one shift/mask or dict probe instead
-        of a method call per access).  The backing structures are rebound by
-        ``Cache.reset``/``TLB.reset``, so :meth:`reset` calls this again.
-        A ``None`` line shift (non-power-of-two line size) makes the access
-        paths fall back to ``Cache.probe``.
-        """
-
         self._l1_sets = self.l1._sets
         self._l1_line_shift = self.l1._line_shift
         self._l1_set_mask = self.l1._set_mask
@@ -129,6 +92,13 @@ class MemoryHierarchy:
         self._tlb_page_bytes = self.tlb._page_bytes
         self._tlb_l1_entries = self.tlb._l1._entries
         self._tlb_stats = self.tlb.stats
+        # Memoised line reads for the prefetcher (see read_line_words):
+        # trace replay never writes the address space, so the 8-word tuple of
+        # a line is invariant for the lifetime of one simulation.
+        self._line_words_cache: dict[int, tuple[int, ...]] = {}
+        # Memoised is_mapped() verdicts for prefetch targets (the address
+        # space's region map is likewise fixed during a simulation).
+        self._mapped_cache: dict[int, bool] = {}
 
     # ----------------------------------------------------------------- hooks
 
@@ -160,21 +130,12 @@ class MemoryHierarchy:
 
     # ---------------------------------------------------------------- demand
 
-    def demand_access(self, addr: int, time: float, *, write: bool = False) -> AccessResult:
+    def demand_access_time(self, addr: int, time: float, *, write: bool = False) -> float:
         """Perform a demand load or store issued by the core at ``time``.
 
-        Compatibility wrapper around :meth:`demand_access_time` that also
-        reports the serving level and translation latency.  The core's replay
-        loop calls :meth:`demand_access_time` directly — it only needs the
-        completion time, and skipping the ``AccessResult`` construction is
-        measurable at one op per dynamic instruction.
+        Returns the completion time of the access.  A demand read is
+        reported to the snoop with the level that served it.
         """
-
-        completion = self.demand_access_time(addr, time, write=write)
-        return AccessResult(completion, self._last_level, self._last_translation)
-
-    def demand_access_time(self, addr: int, time: float, *, write: bool = False) -> float:
-        """Like :meth:`demand_access`, returning only the completion time."""
 
         if time < 0:
             raise SimulationError("access time must be non-negative")
@@ -208,13 +169,9 @@ class MemoryHierarchy:
 
         # One probe serves the hit, the in-flight merge and the miss fill
         # (Cache.probe, inlined).
-        line_shift = self._l1_line_shift
-        if line_shift is not None:
-            line_index = addr >> line_shift
-            cache_set = self._l1_sets[line_index & self._l1_set_mask]
-            tag = line_index >> self._l1_set_shift
-        else:
-            cache_set, tag = l1.probe(addr)
+        line_index = addr >> self._l1_line_shift
+        cache_set = self._l1_sets[line_index & self._l1_set_mask]
+        tag = line_index >> self._l1_set_shift
         line = cache_set.get(tag)
         hit_latency = self._l1_hit_latency
         if line is not None:
@@ -251,8 +208,6 @@ class MemoryHierarchy:
 
         if not write and self._snoop_lo <= addr < self._snoop_hi:
             self._demand_snoop(addr, t, level)
-        self._last_level = level
-        self._last_translation = translation_latency
         return completion
 
     # -------------------------------------------------------------- prefetch
@@ -279,7 +234,7 @@ class MemoryHierarchy:
         l1 = self.l1
         l1_stats = l1.stats
         l1_stats.prefetch_requests += 1
-        # TLB.translate's L1-hit path, inlined (as in demand_access).
+        # TLB.translate's L1-hit path, inlined (as in demand_access_time).
         page = addr // self._tlb_page_bytes
         tlb_stats = self._tlb_stats
         tlb_stats.accesses += 1
@@ -293,14 +248,10 @@ class MemoryHierarchy:
             translation_latency = self.tlb.miss(page)
         t = time + translation_latency
 
-        # Cache.probe, inlined (as in demand_access).
-        line_shift = self._l1_line_shift
-        if line_shift is not None:
-            line_index = addr >> line_shift
-            cache_set = self._l1_sets[line_index & self._l1_set_mask]
-            tag = line_index >> self._l1_set_shift
-        else:
-            cache_set, tag = l1.probe(addr)
+        # Cache.probe, inlined (as in demand_access_time).
+        line_index = addr >> self._l1_line_shift
+        cache_set = self._l1_sets[line_index & self._l1_set_mask]
+        tag = line_index >> self._l1_set_shift
         line = cache_set.get(tag)
         if line is not None:
             fill_time = line.fill_time
@@ -330,11 +281,6 @@ class MemoryHierarchy:
         heapq.heappush(completions, data_time)
         return data_time
 
-    def l1_mshr_next_free(self, time: float) -> float:
-        """Earliest time at or after ``time`` when the L1 can accept a prefetch."""
-
-        return self.l1_mshrs.next_free_time(time)
-
     # ------------------------------------------------------------------- L2
 
     def _access_l2(self, addr: int, time: float, is_prefetch: bool) -> tuple[float, str]:
@@ -345,14 +291,10 @@ class MemoryHierarchy:
         else:
             l2_stats.demand_read_accesses += 1
 
-        # Cache.probe, inlined (as in demand_access).
-        line_shift = self._l2_line_shift
-        if line_shift is not None:
-            line_index = addr >> line_shift
-            cache_set = self._l2_sets[line_index & self._l2_set_mask]
-            tag = line_index >> self._l2_set_shift
-        else:
-            cache_set, tag = l2.probe(addr)
+        # Cache.probe, inlined (as in demand_access_time).
+        line_index = addr >> self._l2_line_shift
+        cache_set = self._l2_sets[line_index & self._l2_set_mask]
+        tag = line_index >> self._l2_set_shift
         line = cache_set.get(tag)
         hit_latency = self._l2_hit_latency
         if line is not None:
@@ -381,11 +323,6 @@ class MemoryHierarchy:
         return dram_completion, "dram"
 
     # ------------------------------------------------------------------ misc
-
-    def read_line(self, addr: int) -> list[int]:
-        """Return the 8 data words of the cache line containing ``addr``."""
-
-        return self.address_space.read_line(addr)
 
     def read_line_words(self, addr: int) -> tuple[int, ...]:
         """The words of the line containing ``addr``, as a memoised tuple.
@@ -421,15 +358,3 @@ class MemoryHierarchy:
             dram=self.dram.stats.as_dict(),
             dropped_prefetches=self.dropped_prefetches,
         )
-
-    def reset(self) -> None:
-        self.l1.reset()
-        self.l2.reset()
-        self.l1_mshrs.reset()
-        self.l2_mshrs.reset()
-        self.tlb.reset()
-        self.dram.reset()
-        self.dropped_prefetches = 0
-        self._line_words_cache.clear()
-        self._mapped_cache.clear()
-        self._rebind_hot_refs()

@@ -1,14 +1,12 @@
-"""Cache-line and page arithmetic helpers.
+"""Line and alignment arithmetic for the address space.
 
 Addresses in the simulator are plain Python integers (64-bit virtual
-addresses).  These helpers keep the line/page arithmetic in one place so the
-line size and page size constants in :mod:`repro.config` are the single source
-of truth.
+addresses).  The line size comes from :mod:`repro.config`.
 """
 
 from __future__ import annotations
 
-from ..config import CACHE_LINE_BYTES, PAGE_BYTES, WORD_BYTES
+from ..config import CACHE_LINE_BYTES, WORD_BYTES
 
 WORDS_PER_LINE = CACHE_LINE_BYTES // WORD_BYTES
 
@@ -17,29 +15,6 @@ def line_address(addr: int, line_bytes: int = CACHE_LINE_BYTES) -> int:
     """Return the base address of the cache line containing ``addr``."""
 
     return addr - (addr % line_bytes)
-
-
-def line_index(addr: int, line_bytes: int = CACHE_LINE_BYTES) -> int:
-    """Return the line number (address divided by the line size)."""
-
-    return addr // line_bytes
-
-def line_offset_bytes(addr: int, line_bytes: int = CACHE_LINE_BYTES) -> int:
-    """Return the byte offset of ``addr`` within its cache line."""
-
-    return addr % line_bytes
-
-
-def line_offset_words(addr: int, line_bytes: int = CACHE_LINE_BYTES) -> int:
-    """Return the word offset of ``addr`` within its cache line."""
-
-    return (addr % line_bytes) // WORD_BYTES
-
-
-def page_number(addr: int, page_bytes: int = PAGE_BYTES) -> int:
-    """Return the virtual page number containing ``addr``."""
-
-    return addr // page_bytes
 
 
 def align_up(value: int, alignment: int) -> int:
@@ -51,13 +26,3 @@ def align_up(value: int, alignment: int) -> int:
     if remainder == 0:
         return value
     return value + alignment - remainder
-
-
-def lines_covering(addr: int, size_bytes: int, line_bytes: int = CACHE_LINE_BYTES) -> list[int]:
-    """Return the base addresses of every line touched by ``[addr, addr+size)``."""
-
-    if size_bytes <= 0:
-        return []
-    first = line_address(addr, line_bytes)
-    last = line_address(addr + size_bytes - 1, line_bytes)
-    return list(range(first, last + line_bytes, line_bytes))

@@ -75,8 +75,3 @@ class MSHRFile:
         """Record the completion time of the fill occupying the MSHR."""
 
         heapq.heappush(self._completions, completion_time)
-
-    def reset(self) -> None:
-        self._completions.clear()
-        self.total_allocations = 0
-        self.total_stall_cycles = 0.0

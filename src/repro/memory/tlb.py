@@ -127,8 +127,3 @@ class TLB:
         self._l2.insert(page)
         self._l1.insert(page)
         return self._walk_latency
-
-    def reset(self) -> None:
-        self._l1 = _LRUSet(self.config.l1_entries)
-        self._l2 = _LRUSet(self.config.l2_entries)
-        self.stats = TLBStats()

@@ -7,7 +7,10 @@ These implement the comparison points of Figure 7:
 * :class:`~repro.prefetch.ghb.GHBPrefetcher` — a Markov global-history-buffer
   (G/AC) prefetcher (Nesbit & Smith), in "regular" (SRAM-sized) and "large"
   (1 GiB of state, zero-cost lookups) configurations.
-* :class:`~repro.prefetch.none.NullPrefetcher` — the no-prefetching baseline.
+
+Both derive from :class:`~repro.prefetch.base.HardwarePrefetcher`, which
+attaches them to the hierarchy's demand snoop.  The no-prefetching baseline
+attaches nothing.
 
 Software prefetching is not a hardware unit; it is expressed directly in the
 workload traces as :attr:`~repro.cpu.trace.OpKind.SOFTWARE_PREFETCH` ops plus
@@ -16,12 +19,10 @@ their address-generation instruction overhead.
 
 from .base import HardwarePrefetcher
 from .ghb import GHBPrefetcher
-from .none import NullPrefetcher
 from .stride import StridePrefetcher
 
 __all__ = [
     "HardwarePrefetcher",
     "StridePrefetcher",
     "GHBPrefetcher",
-    "NullPrefetcher",
 ]

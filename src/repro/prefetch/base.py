@@ -4,29 +4,16 @@ A baseline prefetcher attaches to a :class:`~repro.memory.hierarchy.MemoryHierar
 through its demand snoop hook: every demand read is reported to the prefetcher
 (with the level that served it), the prefetcher trains its internal state, and
 any prefetch candidates it produces are issued straight back into the
-hierarchy as L1 prefetches.
+hierarchy as L1 prefetches.  The L1 counts what they issue:
+``prefetch_requests`` for each one it accepts, and the hierarchy's
+``dropped_prefetches`` for each one to an unmapped address.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 
 from ..memory.hierarchy import MemoryHierarchy
-
-
-@dataclass
-class PrefetcherStats:
-    """Counters common to all baseline prefetchers."""
-
-    observations: int = 0
-    prefetches_issued: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "observations": self.observations,
-            "prefetches_issued": self.prefetches_issued,
-        }
 
 
 class HardwarePrefetcher(ABC):
@@ -35,7 +22,6 @@ class HardwarePrefetcher(ABC):
     name = "base"
 
     def __init__(self) -> None:
-        self.stats = PrefetcherStats()
         self._hierarchy: MemoryHierarchy | None = None
 
     def attach(self, hierarchy: MemoryHierarchy) -> None:
@@ -44,25 +30,12 @@ class HardwarePrefetcher(ABC):
         self._hierarchy = hierarchy
         hierarchy.set_demand_snoop(self._on_snoop)
 
-    def detach(self) -> None:
-        if self._hierarchy is not None:
-            self._hierarchy.set_demand_snoop(None)
-            self._hierarchy = None
-
     # ------------------------------------------------------------------ hooks
 
     def _on_snoop(self, addr: int, time: float, level: str) -> None:
-        self.stats.observations += 1
-        candidates = self.train(addr, time, level)
-        if not candidates or self._hierarchy is None:
-            return
-        for target in candidates:
-            self.stats.prefetches_issued += 1
+        for target in self.train(addr, time, level):
             self._hierarchy.prefetch_access(target, time)
 
     @abstractmethod
     def train(self, addr: int, time: float, level: str) -> list[int]:
         """Observe a demand read and return addresses to prefetch (may be empty)."""
-
-    def reset(self) -> None:
-        self.stats = PrefetcherStats()

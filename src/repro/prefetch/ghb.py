@@ -103,8 +103,3 @@ class GHBPrefetcher(HardwarePrefetcher):
         elif len(self._index) >= self.config.index_entries:
             self._index.popitem(last=False)
         self._index[line] = position
-
-    def reset(self) -> None:
-        super().reset()
-        self._history.clear()
-        self._index.clear()

@@ -78,7 +78,3 @@ class StridePrefetcher(HardwarePrefetcher):
                 seen_lines.add(line)
                 candidates.append(line)
         return candidates
-
-    def reset(self) -> None:
-        super().reset()
-        self._table.clear()

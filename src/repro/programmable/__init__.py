@@ -10,17 +10,16 @@ The subpackage models every structure in Figure 3 of the paper:
 * :mod:`~repro.programmable.compiler` — ahead-of-time compilation of kernels
   to specialised Python closures (the engine's execution tier; digest-cached,
   bit-identical to the interpreter).
-* :mod:`~repro.programmable.filter` — the address filter and filter table.
 * :mod:`~repro.programmable.ppu` / :mod:`~repro.programmable.scheduler` — the
   programmable prefetch units and the observation scheduler.
 * :mod:`~repro.programmable.ewma` — the EWMA calculators that derive dynamic
   look-ahead distances.
-* :mod:`~repro.programmable.registers` — the global prefetcher registers.
 * :mod:`~repro.programmable.config_api` — the configuration the main program
   installs before a loop (address bounds, kernels, tags, globals).
 * :mod:`~repro.programmable.prefetcher` — the engine that ties it together and
-  plugs into the memory hierarchy, including the observation queue and the
-  prefetch request queue (drop-oldest deques).
+  plugs into the memory hierarchy.  It holds the address filter's table, the
+  global prefetcher registers, the observation queue and the prefetch
+  request queue (drop-oldest deques).
 """
 
 from .compiler import (
@@ -42,7 +41,6 @@ from .kernel import (
 )
 from .ppu import PPU
 from .prefetcher import EventTriggeredPrefetcher
-from .registers import GlobalRegisterFile
 from .scheduler import LowestFreeIdPolicy, RoundRobinPolicy
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "EWMA",
     "LookaheadCalculator",
     "PPU",
-    "GlobalRegisterFile",
     "EventTriggeredPrefetcher",
     "LowestFreeIdPolicy",
     "RoundRobinPolicy",

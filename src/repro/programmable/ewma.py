@@ -53,10 +53,6 @@ class EWMA:
     def value(self) -> Optional[float]:
         return self._value
 
-    def reset(self) -> None:
-        self._value = None
-        self.samples = 0
-
 
 @dataclass
 class LookaheadCalculator:
@@ -136,10 +132,3 @@ class LookaheadCalculator:
             distance = max(MIN_LOOKAHEAD, min(MAX_LOOKAHEAD, distance))
         self._cached_distance = distance
         return distance
-
-    def reset(self) -> None:
-        self.iteration_time.reset()
-        self.chain_latency.reset()
-        self._window_start_time = None
-        self._window_count = 0
-        self._cached_distance = None

@@ -8,6 +8,16 @@ memory-request tags of Section 4.7 or the filter table's ``PF Ptr`` entries).
 EWMA calculators (Section 4.5) turn observed iteration times and prefetch
 chain latencies into dynamic look-ahead distances that kernels can read.
 
+The engine holds the filter table (Section 4.2) and the global prefetcher
+registers itself.  The filter table is flattened per event source when the
+engine is built: the *load* table holds every range with a load kernel or
+an iteration timer, the *prefetch* table every range with a prefetch
+kernel or a chain mark.  Ranges may overlap; an address inside several
+ranges produces one observation per matching range that names a kernel,
+as in the paper.  The registers are the configured global values padded
+with zeros to the register-file size; kernels have no opcode that writes
+one, so every kernel reads that one list.
+
 The engine is a discrete-event model sharing the simulation's global clock
 (main-core cycles).  It is driven lazily: the memory hierarchy calls
 :meth:`EventTriggeredPrefetcher.advance_to` with the current time before every
@@ -58,9 +68,7 @@ from ..memory.hierarchy import MemoryHierarchy
 from .compiler import kernel_executor
 from .config_api import PrefetcherConfiguration
 from .ewma import LookaheadCalculator
-from .filter import AddressFilter
 from .ppu import EVENT_DISPATCH_OVERHEAD_PPU_CYCLES, PPU
-from .registers import GlobalRegisterFile
 from .scheduler import LowestFreeIdPolicy, SchedulingPolicy
 
 # Internal event kinds on the engine's heap.
@@ -81,8 +89,14 @@ class PrefetcherStats:
     :meth:`EventTriggeredPrefetcher.collect_stats` derives the rest: the
     PPU totals from the per-PPU counters and ``loads_snooped`` from the
     demand reads the L1 served while the engine was attached.
+    ``load_matches`` counts snooped loads inside at least one load-table
+    range; ``prefetch_matches`` counts issued prefetches and interesting
+    fills inside at least one prefetch-table range, so an untagged
+    prefetch into a watched range counts twice: at issue and at its fill.
     """
 
+    load_matches: int = 0
+    prefetch_matches: int = 0
     observations_created: int = 0
     observations_dropped: int = 0
     prefetches_dropped: int = 0
@@ -112,7 +126,13 @@ class EventTriggeredPrefetcher:
         self.cycle_ratio = system_config.ppu_cycle_ratio
         self.blocking = self.config.blocking_mode
 
-        self.filter = AddressFilter(configuration, self.config.filter_table_entries)
+        ranges = configuration.ranges
+        capacity = self.config.filter_table_entries
+        if len(ranges) > capacity:
+            raise ConfigurationError(
+                f"configuration declares {len(ranges)} address ranges, but the filter "
+                f"table only has {capacity} entries"
+            )
         self.observation_queue: deque[tuple] = deque(
             maxlen=self.config.observation_queue_entries
         )
@@ -125,13 +145,14 @@ class EventTriggeredPrefetcher:
             None if type(self.policy) is LowestFreeIdPolicy else self.policy.select
         )
 
-        self.globals = GlobalRegisterFile(self.config.global_registers)
-        for name, index in sorted(configuration.global_names.items(), key=lambda item: item[1]):
-            assigned = self.globals.define(name, configuration.global_values()[index])
-            if assigned != index:
-                raise ConfigurationError(
-                    f"global register {name!r} assigned index {assigned}, expected {index}"
-                )
+        values = configuration.global_values()
+        registers = self.config.global_registers
+        if len(values) > registers:
+            raise ConfigurationError(
+                f"out of global prefetcher registers (capacity {registers})"
+            )
+        # Its length is the register count: a kernel reading past it faults.
+        self._globals = values + [0] * (registers - len(values))
 
         self._streams = configuration.streams
         self._lookaheads: dict[str, LookaheadCalculator] = {
@@ -161,7 +182,8 @@ class EventTriggeredPrefetcher:
                 if entry.time_iterations and entry.stream is not None
                 else None,
             )
-            for _base, _end, entry in self.filter._load_entries
+            for entry in ranges
+            if entry.load_kernel is not None or entry.time_iterations
         ]
         # Convex hull of the load-watched ranges: the hierarchy enters the
         # snoop only for addresses inside [lo, hi) (see attach).
@@ -176,7 +198,8 @@ class EventTriggeredPrefetcher:
                 entry.base, entry.end, executor(entry.prefetch_kernel), entry.stream,
                 entry.chain_end, entry.chain_start,
             )
-            for _base, _end, entry in self.filter._prefetch_entries
+            for entry in ranges
+            if entry.prefetch_kernel is not None or entry.chain_end or entry.chain_start
         ]
         # Tags: tag -> (executor, stream, chain_end).  Configured tags are
         # non-negative, so an untagged request (-1) never matches.
@@ -185,10 +208,6 @@ class EventTriggeredPrefetcher:
             for tag, config in configuration.tags.items()
             if tag >= 0
         }
-        self._filter_stats = self.filter.stats
-        # The *live* register list (kernels cannot write globals), hoisted so
-        # no per-event context object needs to be built.
-        self._globals_view = self.globals.values_view()
         self._calc_by_index = {
             stream.index: self._lookaheads[name]
             for name, stream in self._streams.items()
@@ -200,10 +219,8 @@ class EventTriggeredPrefetcher:
         # The attached hierarchy's prefetch path and line-word memo (attach).
         self._prefetch_access = None
         self._line_words: dict[int, tuple[int, ...]] = {}
-        # Demand reads the L1 had served when the engine attached, and the
-        # reads snooped by earlier attachments.
+        # Demand reads the L1 had served when the engine attached.
         self._reads_at_attach = 0
-        self._reads_before = 0
         self._heap: list[tuple] = []
         self._sequence = 0
         self._all_busy_until = 0.0
@@ -227,20 +244,6 @@ class EventTriggeredPrefetcher:
         hierarchy.set_advance_hook(self.advance_to)
         hierarchy.gate_hooks(self._heap, self._load_lo, self._load_hi)
 
-    def detach(self) -> None:
-        if self._hierarchy is not None:
-            self._reads_before = self._reads_snooped()
-            self._hierarchy.set_demand_snoop(None)
-            self._hierarchy.set_advance_hook(None)
-            self._hierarchy = None
-
-    def _reads_snooped(self) -> int:
-        hierarchy = self._hierarchy
-        if hierarchy is None:
-            return self._reads_before
-        reads = hierarchy.l1.stats.demand_read_accesses
-        return self._reads_before + reads - self._reads_at_attach
-
     # ------------------------------------------------------------------ snoop
 
     def _on_snoop(self, addr: int, time: float, level: str) -> None:
@@ -254,7 +257,7 @@ class EventTriggeredPrefetcher:
                 continue
             if not matched:
                 matched = True
-                self._filter_stats.load_matches += 1
+                self.stats.load_matches += 1
             if calculator is not None:
                 # LookaheadCalculator.observe_iteration, inlined: it runs per
                 # matched load on timing ranges, and the common case only
@@ -347,7 +350,7 @@ class EventTriggeredPrefetcher:
         # dispatch only ever pushes a PPU's busy_until later).
         all_busy_until = self._all_busy_until
         blocking = self.blocking
-        globals_view = self._globals_view
+        global_registers = self._globals
         lookahead = self._lookahead_by_index
         cycle_ratio = self.cycle_ratio
         overhead = EVENT_DISPATCH_OVERHEAD_PPU_CYCLES
@@ -402,7 +405,7 @@ class EventTriggeredPrefetcher:
                         finish = event_time
                         while True:
                             prefetches, instructions, aborted = run(
-                                addr, line_base, line_words, globals_view, lookahead
+                                addr, line_base, line_words, global_registers, lookahead
                             )
                             ppu_stats.events_executed += 1
                             ppu_stats.instructions_executed += instructions
@@ -466,11 +469,6 @@ class EventTriggeredPrefetcher:
         stats.fills_observed += fills
         stats.observations_created += created
 
-    def drain(self, until: float) -> None:
-        """Run the engine past the end of the core trace (end-of-run cleanup)."""
-
-        self.advance_to(until)
-
     def _issue(self, request: tuple, time: float) -> Optional[float]:
         """Send ``request`` to the L1 at ``time``.
 
@@ -489,7 +487,7 @@ class EventTriggeredPrefetcher:
             return fill_time
         for entry in self._prefetch_entries:
             if entry[0] <= addr < entry[1]:
-                self._filter_stats.prefetch_matches += 1
+                self.stats.prefetch_matches += 1
                 return fill_time
         return fill_time if request[3] is not None else None
 
@@ -517,14 +515,13 @@ class EventTriggeredPrefetcher:
                 chain = None
             observations.append((run, addr, line_base, line_words, stream, chain))
 
-        # AddressFilter.match_prefetch, inlined (runs per interesting fill).
         matched = False
         for base, end, run, stream, chain_end, chain_start in self._prefetch_entries:
             if not base <= addr < end:
                 continue
             if not matched:
                 matched = True
-                self._filter_stats.prefetch_matches += 1
+                self.stats.prefetch_matches += 1
             stream = stream or request_stream
             chain = request_chain
             if chain_end and chain is not None and stream is not None:
@@ -538,12 +535,6 @@ class EventTriggeredPrefetcher:
 
     # ------------------------------------------------------------------ EWMAs
 
-    def _lookahead_for(self, stream: str) -> LookaheadCalculator:
-        calculator = self._lookaheads.get(stream)
-        if calculator is None:
-            raise ConfigurationError(f"stream {stream!r} was never configured")
-        return calculator
-
     def _lookahead_by_index(self, index: int) -> int:
         calculator = self._calc_by_index.get(index)
         if calculator is None:
@@ -551,17 +542,12 @@ class EventTriggeredPrefetcher:
         distance = calculator._cached_distance
         return distance if distance is not None else calculator.lookahead()
 
-    def lookahead_distance(self, stream: str) -> int:
-        """Current look-ahead distance for ``stream`` (exposed for analysis/tests)."""
-
-        return self._lookahead_for(stream).lookahead()
-
     # -------------------------------------------------------------- finalising
 
     def finalize(self, end_time: float) -> None:
         """Process trailing events and compute per-PPU activity factors."""
 
-        self.drain(end_time + 1.0)
+        self.advance_to(end_time + 1.0)
         self.stats.activity_factors = [
             ppu.activity_factor(end_time) for ppu in self.ppus
         ]
@@ -569,10 +555,14 @@ class EventTriggeredPrefetcher:
     def collect_stats(self) -> dict[str, object]:
         counted = self.stats
         per_ppu = [ppu.stats for ppu in self.ppus]
-        filter_stats = self.filter.stats
-        filter_stats.load_snoops = self._reads_snooped()
+        hierarchy = self._hierarchy
+        loads_snooped = (
+            hierarchy.l1.stats.demand_read_accesses - self._reads_at_attach
+            if hierarchy is not None
+            else 0
+        )
         return {
-            "loads_snooped": filter_stats.load_snoops,
+            "loads_snooped": loads_snooped,
             "observations_created": counted.observations_created,
             "observations_dropped": counted.observations_dropped,
             "events_executed": sum(s.events_executed for s in per_ppu),
@@ -586,7 +576,11 @@ class EventTriggeredPrefetcher:
             "activity_factors": list(counted.activity_factors),
             "observation_queue_dropped": counted.observations_dropped,
             "request_queue_dropped": counted.prefetches_dropped,
-            "filter": filter_stats.as_dict(),
+            "filter": {
+                "load_snoops": loads_snooped,
+                "load_matches": counted.load_matches,
+                "prefetch_matches": counted.prefetch_matches,
+            },
             "per_ppu": [s.as_dict() for s in per_ppu],
             "kernel_code_bytes": self.configuration.code_footprint_bytes(),
             "lookahead": {

@@ -43,8 +43,7 @@ rather than a fork of the timing model:
   software prefetch).
 
 Anything this module cannot replay bit-identically — programmable-prefetcher
-hooks, non-power-of-two line sizes, L1 and L2 lines of different sizes,
-negative addresses or instruction counts — raises
+hooks, negative addresses or instruction counts — raises
 :class:`~repro.errors.VectorBackendUnsupported` *before* touching any
 hierarchy state, so callers can fall back to the interpreter.
 """
@@ -84,23 +83,17 @@ _INT_COUNTERS = (
 )
 
 
-def _check_supported(hierarchy: MemoryHierarchy) -> int:
+def _check_supported(hierarchy: MemoryHierarchy) -> None:
     """Reject configurations the specialized loop cannot replay bit-identically.
 
-    Returns the line shift shared by L1 and L2.
+    Cache lines are 64 bytes at both levels (``CacheConfig.validate``), so
+    the loop rebuilds an L2 line index from the L1 set and tag.
     """
 
     if hierarchy._advance_hook is not None:
         raise VectorBackendUnsupported(
             "an advance hook is installed (programmable prefetcher attached)"
         )
-    l1_shift = hierarchy.l1._line_shift
-    l2_shift = hierarchy.l2._line_shift
-    if l1_shift is None or l2_shift is None:
-        raise VectorBackendUnsupported("non-power-of-two cache line size")
-    if l1_shift != l2_shift:
-        raise VectorBackendUnsupported("L1 and L2 line sizes differ")
-    return l1_shift
 
 
 def _mispredict_every(core_config: CoreConfig) -> int:
@@ -706,11 +699,11 @@ def replay_trace(
     supported envelope.
     """
 
-    line_shift = _check_supported(hierarchy)
+    _check_supported(hierarchy)
     plan = TraceColumnPlan(
         trace,
         page_bytes=hierarchy.tlb._page_bytes,
-        line_shift=line_shift,
+        line_shift=hierarchy._l1_line_shift,
         set_mask=hierarchy._l1_set_mask,
         set_shift=hierarchy._l1_set_shift,
         issue_width=core_config.issue_width,

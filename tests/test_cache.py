@@ -170,10 +170,3 @@ class TestStats:
         stats = small_cache().stats.as_dict()
         for key in ("demand_read_hit_rate", "prefetch_utilisation", "misses", "evictions"):
             assert key in stats
-
-    def test_reset(self):
-        cache = small_cache()
-        cache.insert(0x2000, 0.0)
-        cache.reset()
-        assert cache.resident_lines == 0
-        assert cache.stats.prefetch_fills == 0

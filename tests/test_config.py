@@ -96,6 +96,22 @@ class TestValidation:
             with pytest.raises(ConfigurationError):
                 ProgrammablePrefetcherConfig(**{queue: 0}).validate()
 
+    def test_prefetcher_rejects_an_empty_register_file(self):
+        with pytest.raises(ConfigurationError, match="global prefetcher register"):
+            ProgrammablePrefetcherConfig(global_registers=0).validate()
+
+    @pytest.mark.parametrize("line_bytes", [0, 32, 48, 128])
+    def test_cache_lines_must_be_64_bytes(self, line_bytes):
+        def cache(line_bytes):
+            return CacheConfig(
+                name="L1D", size_bytes=16 * 1024, associativity=2, hit_latency=2, mshrs=4,
+                line_bytes=line_bytes,
+            )
+
+        with pytest.raises(ConfigurationError, match=f"L1D: lines are 64 bytes, not {line_bytes}"):
+            cache(line_bytes).validate()
+        cache(CACHE_LINE_BYTES).validate()
+
     def test_l1_larger_than_l2_rejected(self):
         config = SystemConfig(
             l1=CacheConfig(name="L1D", size_bytes=2 * 1024 * 1024, associativity=2, hit_latency=2, mshrs=4)

@@ -1,7 +1,11 @@
-"""Documentation integrity: intra-repo Markdown links must resolve."""
+"""Documentation integrity: intra-repo Markdown links must resolve, and each
+package page lists exactly its package's modules."""
 
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -39,3 +43,18 @@ class TestDocsLinks:
         files = list(iter_markdown_files(REPO_ROOT))
         names = {path.name for path in files}
         assert "README.md" in names and "ARCHITECTURE.md" in names
+
+
+#: Docs pages headed by a package, e.g. "# Memory hierarchy (`repro.memory`)".
+PACKAGE_PAGES = ("compiler.md", "engine.md", "memory.md", "programmable.md")
+
+
+class TestPackagePages:
+    @pytest.mark.parametrize("page", PACKAGE_PAGES)
+    def test_component_table_lists_exactly_the_packages_modules(self, page):
+        text = (REPO_ROOT / "docs" / page).read_text(encoding="utf-8")
+        package = re.match(r"# .*\(`(repro(?:\.\w+)*)`\)\n", text).group(1)
+        listed = re.findall(r"^\| `(\w+\.py)` \|", text, flags=re.MULTILINE)
+        directory = REPO_ROOT / "src" / Path(*package.split("."))
+        modules = {path.name for path in directory.glob("*.py")} - {"__init__.py"}
+        assert sorted(listed) == sorted(modules), page

@@ -10,9 +10,10 @@ in ``tests/data/engine_paths.json`` come from ``tools/update_golden_stats.py``
 and must be reproduced bit for bit.
 
 Beyond the pinned matrix, every tiny programmable point is checked for the
-engine's conservation laws under three more configurations, and a
-scheduling policy object reused across runs must not carry state between
-them.
+engine's conservation laws under three more configurations, a scheduling
+policy object reused across runs must not carry state between them, and
+the engine's inlined lowest-free-id scan must dispatch exactly as the
+policy's ``select`` does.
 """
 
 import importlib.util
@@ -23,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import SystemConfig
-from repro.programmable.scheduler import RoundRobinPolicy
+from repro.programmable.scheduler import LowestFreeIdPolicy, RoundRobinPolicy
 from repro.sim import simulate
 from repro.sim.engine.request import resolve_policy
 from repro.sim.modes import PrefetchMode, mode_available
@@ -133,3 +134,26 @@ def test_policy_state_does_not_leak_between_runs(tiny_workloads):
     shared = RoundRobinPolicy()
     runs = [simulate(workload, PrefetchMode.MANUAL, config, policy=shared) for _ in range(2)]
     assert [result.as_dict() for result in runs] == [fresh.as_dict()] * 2
+
+
+class _SelectingLowestFreeId(LowestFreeIdPolicy):
+    """The paper's policy through its ``select``: the engine inlines the scan
+    only for ``LowestFreeIdPolicy`` itself, so a subclass is always asked."""
+
+    calls = 0  # on the class: the engine runs a private copy of the policy
+
+    def select(self, ppus, time):
+        type(self).calls += 1
+        return super().select(ppus, time)
+
+
+@pytest.mark.parametrize("mode", [PrefetchMode.MANUAL, PrefetchMode.MANUAL_BLOCKED])
+@pytest.mark.parametrize("workload_name", ["randacc", "hj2"])
+def test_inlined_dispatch_scan_matches_select(workload_name, mode, tiny_workloads):
+    workload = tiny_workloads.get(workload_name)
+    config = SystemConfig.scaled()
+    inlined = simulate(workload, mode, config)
+    _SelectingLowestFreeId.calls = 0
+    selected = simulate(workload, mode, config, policy=_SelectingLowestFreeId())
+    assert _SelectingLowestFreeId.calls > 0
+    assert selected.as_dict() == inlined.as_dict()

@@ -1,17 +1,8 @@
-"""Tests for cache-line and page arithmetic helpers."""
+"""Tests for the line and alignment arithmetic helpers."""
 
 import pytest
 
-from repro.memory.layout import (
-    WORDS_PER_LINE,
-    align_up,
-    line_address,
-    line_index,
-    line_offset_bytes,
-    line_offset_words,
-    lines_covering,
-    page_number,
-)
+from repro.memory.layout import WORDS_PER_LINE, align_up, line_address
 
 
 class TestLineArithmetic:
@@ -21,23 +12,8 @@ class TestLineArithmetic:
         assert line_address(64) == 64
         assert line_address(130) == 128
 
-    def test_line_index(self):
-        assert line_index(0) == 0
-        assert line_index(64) == 1
-        assert line_index(6400) == 100
-
-    def test_line_offsets(self):
-        assert line_offset_bytes(70) == 6
-        assert line_offset_words(72) == 1
-        assert line_offset_words(64) == 0
-
     def test_words_per_line(self):
         assert WORDS_PER_LINE == 8
-
-    def test_page_number(self):
-        assert page_number(0) == 0
-        assert page_number(4095) == 0
-        assert page_number(4096) == 1
 
 
 class TestAlignUp:
@@ -50,17 +26,3 @@ class TestAlignUp:
     def test_bad_alignment_rejected(self):
         with pytest.raises(ValueError):
             align_up(10, 0)
-
-
-class TestLinesCovering:
-    def test_single_line(self):
-        assert lines_covering(0, 8) == [0]
-
-    def test_crossing_boundary(self):
-        assert lines_covering(60, 8) == [0, 64]
-
-    def test_multiple_lines(self):
-        assert lines_covering(0, 256) == [0, 64, 128, 192]
-
-    def test_zero_size(self):
-        assert lines_covering(100, 0) == []

@@ -42,14 +42,6 @@ class TestMSHRFile:
         with pytest.raises(ConfigurationError):
             MSHRFile(0)
 
-    def test_reset(self):
-        mshrs = MSHRFile(1)
-        mshrs.allocate(0.0)
-        mshrs.register_fill(10.0)
-        mshrs.reset()
-        assert mshrs.in_flight == 0
-        assert mshrs.total_allocations == 0
-
 
 class TestDRAM:
     def test_single_access_latency(self):
@@ -77,13 +69,6 @@ class TestDRAM:
         assert dram.stats.prefetch_accesses == 1
         assert dram.stats.writebacks == 1
         assert dram.stats.total_accesses == 3
-
-    def test_reset(self):
-        dram = DRAMModel(DRAMConfig())
-        dram.access(0.0)
-        dram.reset()
-        assert dram.stats.total_accesses == 0
-        assert dram.access(0.0) == DRAMConfig().access_latency_cycles
 
 
 class TestTLB:
@@ -114,10 +99,3 @@ class TestTLB:
         tlb.translate(0, 0.0)
         tlb.translate(8, 0.0)
         assert tlb.stats.l1_hit_rate == pytest.approx(0.5)
-
-    def test_reset(self):
-        tlb = TLB(TLBConfig())
-        tlb.translate(0, 0.0)
-        tlb.reset()
-        assert tlb.stats.accesses == 0
-        assert tlb.translate(0, 0.0) > 0

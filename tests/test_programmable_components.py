@@ -1,7 +1,8 @@
 """Tests for the programmable prefetcher's building blocks.
 
-Covers the EWMA calculators, global registers, address filter, PPU
-bookkeeping, scheduling policies and the configuration API.
+Covers the EWMA calculators, PPU bookkeeping, scheduling policies and the
+configuration API.  The filter table and the global registers live in the
+engine; ``tests/test_engine.py`` covers them.
 """
 
 import math
@@ -11,10 +12,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.programmable.config_api import PrefetcherConfiguration
 from repro.programmable.ewma import EWMA, MAX_LOOKAHEAD, MIN_LOOKAHEAD, LookaheadCalculator
-from repro.programmable.filter import AddressFilter
 from repro.programmable.kernel import KernelBuilder
 from repro.programmable.ppu import PPU
-from repro.programmable.registers import GlobalRegisterFile
 from repro.programmable.scheduler import LowestFreeIdPolicy, RoundRobinPolicy
 
 
@@ -157,46 +156,6 @@ class TestLookaheadCalculator:
             time += 400.0
         assert calc.iteration_time.value == pytest.approx(100.0, rel=0.3)
 
-    def test_reset(self):
-        calc = LookaheadCalculator(iteration_window=1)
-        calc.observe_iteration(0.0)
-        calc.observe_iteration(10.0)
-        calc.observe_chain(0.0, 100.0)
-        calc.reset()
-        assert calc.lookahead() == calc.default_distance
-
-
-class TestGlobalRegisters:
-    def test_define_and_read(self):
-        regs = GlobalRegisterFile(4)
-        index = regs.define("base_A", 0x1234)
-        assert regs.read(index) == 0x1234
-        assert regs.index_of("base_A") == index
-
-    def test_redefine_updates_value(self):
-        regs = GlobalRegisterFile(4)
-        index = regs.define("x", 1)
-        assert regs.define("x", 2) == index
-        assert regs.read(index) == 2
-
-    def test_capacity_enforced(self):
-        regs = GlobalRegisterFile(2)
-        regs.define("a", 1)
-        regs.define("b", 2)
-        with pytest.raises(ConfigurationError):
-            regs.define("c", 3)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ConfigurationError):
-            GlobalRegisterFile(2).index_of("missing")
-
-    def test_snapshot_is_copy(self):
-        regs = GlobalRegisterFile(2)
-        regs.define("a", 5)
-        snapshot = regs.snapshot()
-        snapshot[0] = 99
-        assert regs.read(0) == 5
-
 
 class TestConfigurationAPI:
     def test_round_trip(self):
@@ -237,49 +196,24 @@ class TestConfigurationAPI:
         with pytest.raises(ConfigurationError):
             config.add_range("A", 100, 100)
 
+    def test_globals_keep_their_index_when_set_again(self):
+        config = PrefetcherConfiguration()
+        index = config.set_global("x", 1)
+        assert config.set_global("y", 7) == index + 1
+        assert config.set_global("x", 2) == index
+        values = config.global_values()
+        assert values == [2, 7]
+        values[0] = 99  # a copy: the engine pads its own register file
+        assert config.global_values() == [2, 7]
+        with pytest.raises(ConfigurationError):
+            config.global_index("missing")
+
     def test_tag_ids_stable_by_name(self):
         config = PrefetcherConfiguration()
         config.add_kernel(simple_kernel("k"))
         first = config.add_tag("t", "k")
         assert config.add_tag("t", "k") == first
         assert config.tag_by_name("t") == first
-
-
-class TestAddressFilter:
-    def _config(self):
-        config = PrefetcherConfiguration()
-        config.add_kernel(simple_kernel("on_load"))
-        config.add_kernel(simple_kernel("on_fill"))
-        config.add_stream("s")
-        config.add_range("A", 0x1000, 0x2000, load_kernel="on_load", stream="s", time_iterations=True)
-        config.add_range("B", 0x1800, 0x3000, prefetch_kernel="on_fill")
-        config.validate()
-        return config
-
-    def test_load_matching(self):
-        filt = AddressFilter(self._config(), max_entries=16)
-        assert [r.name for r in filt.match_load(0x1100)] == ["A"]
-        assert filt.match_load(0x4000) == []
-
-    def test_overlapping_ranges_both_match(self):
-        filt = AddressFilter(self._config(), max_entries=16)
-        assert len(filt.match_load(0x1900)) == 1  # B has no load kernel
-        assert len(filt.match_prefetch(0x1900)) == 1
-
-    def test_prefetch_matching(self):
-        filt = AddressFilter(self._config(), max_entries=16)
-        assert [r.name for r in filt.match_prefetch(0x2800)] == ["B"]
-
-    def test_capacity_enforced(self):
-        with pytest.raises(ConfigurationError):
-            AddressFilter(self._config(), max_entries=1)
-
-    def test_stats_recorded(self):
-        filt = AddressFilter(self._config(), max_entries=16)
-        filt.match_load(0x1100)
-        filt.match_load(0x9000)
-        assert filt.stats.load_snoops == 2
-        assert filt.stats.load_matches == 1
 
 
 class TestPPUAndScheduling:

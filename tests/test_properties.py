@@ -7,7 +7,7 @@ from repro.config import CacheConfig
 from repro.cpu.trace import TraceBuilder
 from repro.memory.address_space import AddressSpace
 from repro.memory.cache import Cache
-from repro.memory.layout import align_up, line_address, lines_covering
+from repro.memory.layout import align_up, line_address
 from repro.memory.mshr import MSHRFile
 from repro.programmable.ewma import EWMA, MAX_LOOKAHEAD, MIN_LOOKAHEAD, LookaheadCalculator
 from repro.programmable.interpreter import KernelContext, execute_kernel
@@ -29,13 +29,6 @@ class TestLayoutProperties:
         aligned = align_up(value, alignment)
         assert aligned % alignment == 0
         assert 0 <= aligned - value < alignment
-
-    @given(addresses, st.integers(min_value=1, max_value=4096))
-    def test_lines_covering_covers_every_byte(self, addr, size):
-        lines = lines_covering(addr, size)
-        assert line_address(addr) == lines[0]
-        assert line_address(addr + size - 1) == lines[-1]
-        assert all(b - a == 64 for a, b in zip(lines, lines[1:]))
 
 
 class TestAddressSpaceProperties:

@@ -17,28 +17,20 @@ from hypothesis import strategies as st
 from repro.config import SystemConfig
 from repro.cpu.core import OutOfOrderCore
 from repro.cpu.trace import TraceBuilder
-from repro.errors import VectorBackendUnsupported
+from repro.errors import ConfigurationError, VectorBackendUnsupported
 from repro.memory.address_space import AddressSpace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.prefetch.stride import StridePrefetcher
 from repro.sim import PrefetchMode, simulate
 from repro.sim import system as system_module
 from repro.sim.vector import TraceColumnPlan
+from repro.sim.vector import replay as replay_module
 from repro.sim.vector.replay import replay_trace
 
 
 @pytest.fixture(scope="module")
 def config():
     return SystemConfig.scaled()
-
-
-def _odd_lines(config: SystemConfig) -> SystemConfig:
-    """``config`` with 48-byte lines in both caches (no line shift exists)."""
-
-    return config.with_caches(
-        l1={"line_bytes": 48, "size_bytes": 48 * config.l1.associativity * 32},
-        l2={"line_bytes": 48, "size_bytes": 48 * config.l2.associativity * 256},
-    )
 
 
 class TestBackendSelection:
@@ -58,9 +50,12 @@ class TestBackendSelection:
         assert calls["replays"] == 1
 
     def test_refused_replay_falls_back_to_the_core(self, tiny_workloads, config, monkeypatch):
-        # Vector replay refuses 48-byte lines before touching the hierarchy,
-        # so simulate's core fallback matches a run that never tried it.
-        odd = _odd_lines(config)
+        # Vector replay refuses before touching the hierarchy, so simulate's
+        # core fallback matches a run that never tried it.
+        def unsupported(hierarchy):
+            raise VectorBackendUnsupported("refused at the support check")
+
+        monkeypatch.setattr(replay_module, "_check_supported", unsupported)
         workload = tiny_workloads.get("randacc")
         calls = {"refused": 0}
         original = system_module.replay_trace
@@ -73,14 +68,14 @@ class TestBackendSelection:
                 raise
 
         monkeypatch.setattr(system_module, "replay_trace", counting)
-        fallback = simulate(workload, PrefetchMode.STRIDE, odd)
+        fallback = simulate(workload, PrefetchMode.STRIDE, config)
         assert calls["refused"] == 1
 
         def refuse(*args, **kwargs):
             raise VectorBackendUnsupported("forced onto the interpreter core")
 
         monkeypatch.setattr(system_module, "replay_trace", refuse)
-        assert fallback.as_dict() == simulate(workload, PrefetchMode.STRIDE, odd).as_dict()
+        assert fallback.as_dict() == simulate(workload, PrefetchMode.STRIDE, config).as_dict()
 
 
 class TestLaneSupport:
@@ -95,21 +90,13 @@ class TestLaneSupport:
         with pytest.raises(VectorBackendUnsupported):
             replay_trace(workload.trace("plain"), hierarchy, config.core)
 
-    def test_non_power_of_two_line_size_is_rejected(self, config):
-        odd = _odd_lines(config)
-        builder = TraceBuilder()
-        builder.load(0)
-        hierarchy = MemoryHierarchy(odd, AddressSpace())
-        with pytest.raises(VectorBackendUnsupported, match="non-power-of-two"):
-            replay_trace(builder.build(), hierarchy, odd.core)
-
-    def test_differing_l1_and_l2_line_sizes_are_rejected(self, config):
-        mixed = config.with_caches(l2={"line_bytes": 128})
-        builder = TraceBuilder()
-        builder.load(0)
-        hierarchy = MemoryHierarchy(mixed, AddressSpace())
-        with pytest.raises(VectorBackendUnsupported, match="line sizes differ"):
-            replay_trace(builder.build(), hierarchy, mixed.core)
+    def test_caches_accept_only_64_byte_lines(self, config):
+        # Every mode's line arithmetic assumes 64-byte lines, so a cache with
+        # other lines is refused at configuration, before any replay.
+        with pytest.raises(ConfigurationError, match="L1D: lines are 64 bytes"):
+            config.with_caches(l1={"line_bytes": 48})
+        with pytest.raises(ConfigurationError, match="L2: lines are 64 bytes"):
+            config.with_caches(l2={"line_bytes": 128})
 
     def test_negative_addresses_are_rejected(self, config):
         builder = TraceBuilder()
