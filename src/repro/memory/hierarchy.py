@@ -9,10 +9,11 @@ the rest of the simulator:
     trace; returns the completion time of the access.
 
 ``prefetch_access``
-    called by a prefetcher (the programmable engine, the stride prefetcher,
-    the GHB prefetcher, or a software-prefetch trace op); brings a line into
-    the L1/L2 and returns the time its data is available, which is how the
-    event-triggered prefetcher learns when its own prefetches return.
+    called by the programmable engine, by ``demand_access_time`` for each
+    line a snoop returns, and by the interpreter core for a software-prefetch
+    trace op; brings a line into the L1/L2 and returns the time its data is
+    available, which is how the event-triggered prefetcher learns when its
+    own prefetches return.
 
 Two hooks let a prefetch engine observe the hierarchy the way the paper's
 address filter snoops the L1: ``demand_snoop`` is invoked for every demand
@@ -21,6 +22,12 @@ main core"), and ``advance_hook`` is invoked with the current time before
 each demand access so an event-driven engine can catch up with simulated
 time before the core looks at the cache state.  An engine whose hooks
 would do nothing for most accesses narrows them with :meth:`gate_hooks`.
+
+A snoop never calls into the hierarchy: it returns the lines to prefetch,
+and ``demand_access_time`` issues each one through ``prefetch_access`` at
+the snoop's time.  So the code that replays a demand read carries out the
+prefetches it triggers, and the vector replay loop
+(:mod:`repro.sim.vector.replay`) does the same without calling back here.
 """
 
 from __future__ import annotations
@@ -39,11 +46,14 @@ from .stats import HierarchyStats
 from .tlb import TLB
 
 #: Signature of the demand-read snoop callback: ``(address, time, level)``,
-#: where ``level`` is the level that served the access ("l1", "l1_inflight",
-#: "l2", "l2_inflight" or "dram").  The programmable prefetcher's address
-#: filter ignores the level (it snoops all loads); the stride and GHB
-#: baselines use it to train on hits/misses as their original designs do.
-SnoopHook = Callable[[int, float, str], None]
+#: where ``time`` is the read's post-translation time and ``level`` the level
+#: that served it ("l1", "l1_inflight", "l2", "l2_inflight" or "dram").  It
+#: returns the lines to prefetch at ``time``, in issue order, or ``None``.
+#: The programmable prefetcher's address filter ignores the level (it snoops
+#: all loads) and returns nothing, issuing through its own queue; the stride
+#: and GHB baselines train on hits/misses as their original designs do and
+#: return their candidates.
+SnoopHook = Callable[[int, float, str], Optional[Sequence[int]]]
 
 #: Signature of the time-advance callback: ``(time)``.
 AdvanceHook = Callable[[float], None]
@@ -134,7 +144,8 @@ class MemoryHierarchy:
         """Perform a demand load or store issued by the core at ``time``.
 
         Returns the completion time of the access.  A demand read is
-        reported to the snoop with the level that served it.
+        reported to the snoop with the level that served it, and each line
+        the snoop returns is prefetched at the read's post-translation time.
         """
 
         if time < 0:
@@ -207,7 +218,10 @@ class MemoryHierarchy:
             self.l1_mshrs.register_fill(completion)
 
         if not write and self._snoop_lo <= addr < self._snoop_hi:
-            self._demand_snoop(addr, t, level)
+            targets = self._demand_snoop(addr, t, level)
+            if targets:
+                for target in targets:
+                    self.prefetch_access(target, t)
         return completion
 
     # -------------------------------------------------------------- prefetch

@@ -1,12 +1,16 @@
 """Common interface for the baseline hardware prefetchers.
 
 A baseline prefetcher attaches to a :class:`~repro.memory.hierarchy.MemoryHierarchy`
-through its demand snoop hook: every demand read is reported to the prefetcher
-(with the level that served it), the prefetcher trains its internal state, and
-any prefetch candidates it produces are issued straight back into the
-hierarchy as L1 prefetches.  The L1 counts what they issue:
-``prefetch_requests`` for each one it accepts, and the hierarchy's
-``dropped_prefetches`` for each one to an unmapped address.
+by registering its :meth:`~HardwarePrefetcher.train` as the demand snoop:
+every demand read is reported to the prefetcher (with the level that served
+it), the prefetcher trains its internal state and returns the lines to
+prefetch.  The prefetcher never calls into the hierarchy; whoever replays
+the demand read issues the returned lines as L1 prefetches at the snoop's
+time (``MemoryHierarchy.demand_access_time`` on the interpreter path, the
+generated loop in :mod:`repro.sim.vector.replay` on the vector path).  The
+L1 counts what they issue: ``prefetch_requests`` for each one it accepts,
+and the hierarchy's ``dropped_prefetches`` for each one to an unmapped
+address.
 """
 
 from __future__ import annotations
@@ -21,20 +25,10 @@ class HardwarePrefetcher(ABC):
 
     name = "base"
 
-    def __init__(self) -> None:
-        self._hierarchy: MemoryHierarchy | None = None
-
     def attach(self, hierarchy: MemoryHierarchy) -> None:
-        """Attach to a hierarchy's demand snoop hook."""
+        """Register :meth:`train` as the hierarchy's demand snoop."""
 
-        self._hierarchy = hierarchy
-        hierarchy.set_demand_snoop(self._on_snoop)
-
-    # ------------------------------------------------------------------ hooks
-
-    def _on_snoop(self, addr: int, time: float, level: str) -> None:
-        for target in self.train(addr, time, level):
-            self._hierarchy.prefetch_access(target, time)
+        hierarchy.set_demand_snoop(self.train)
 
     @abstractmethod
     def train(self, addr: int, time: float, level: str) -> list[int]:

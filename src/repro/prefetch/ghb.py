@@ -17,15 +17,14 @@ As in the paper, the large configuration only helps workloads whose miss
 footprint both fits in the history and repeats (G500-List, ConjGrad); the
 others either touch too much data or never repeat an address.
 
-The history is stored as an append-only list indexed by a monotonically
-increasing position; capacity is enforced by treating entries older than
+The history is stored as two append-only columns indexed by a monotonically
+increasing position: the line address, and the position of that line's
+previous occurrence.  Capacity is enforced by treating entries older than
 ``history_entries`` positions as overwritten.  This is timing-equivalent to a
 circular buffer and keeps the linked "previous occurrence" chains simple.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from ..config import CACHE_LINE_BYTES, GHBPrefetcherConfig
 from .base import HardwarePrefetcher
@@ -37,69 +36,59 @@ class GHBPrefetcher(HardwarePrefetcher):
     name = "ghb"
 
     def __init__(self, config: GHBPrefetcherConfig | None = None, *, label: str | None = None) -> None:
-        super().__init__()
         self.config = config if config is not None else GHBPrefetcherConfig.regular()
         if label is not None:
             self.name = label
-        #: position -> (line_address, position of previous occurrence or -1)
-        self._history: list[tuple[int, int]] = []
-        #: line address -> most recent position in the history buffer
-        self._index: OrderedDict[int, int] = OrderedDict()
-
-    # ------------------------------------------------------------------ train
+        #: position -> line address
+        self._lines: list[int] = []
+        #: position -> position of the line's previous occurrence, or -1
+        self._previous: list[int] = []
+        #: line address -> most recent position, in recency order (oldest
+        #: first): a hit deletes and re-inserts its key, and the first key
+        #: is the LRU victim, as in the TLB's ``_LRUSet``.
+        self._index: dict[int, int] = {}
 
     def train(self, addr: int, time: float, level: str) -> list[int]:
         del time
-        line = addr - (addr % CACHE_LINE_BYTES)
-
         # Markov prefetchers train on L1 misses: hits carry no new
         # correlation information and would pollute the buffer.
         if level == "l1":
             return []
+        line = addr - (addr % CACHE_LINE_BYTES)
+        lines = self._lines
+        previous = self._previous
+        index = self._index
+        end = len(lines)
 
-        candidates = self._predict(line)
-        self._record(line)
-        return candidates
-
-    # ---------------------------------------------------------------- predict
-
-    def _is_live(self, position: int) -> bool:
-        """True when the history slot has not been (conceptually) overwritten."""
-
-        if position < 0 or position >= len(self._history):
-            return False
-        return len(self._history) - position <= self.config.history_entries
-
-    def _predict(self, line: int) -> list[int]:
-        position = self._index.get(line)
+        last = index.pop(line, -1)
         candidates: list[int] = []
-        seen: set[int] = set()
-        depth_remaining = self.config.depth
-        while position is not None and depth_remaining > 0 and self._is_live(position):
-            stored_line, previous = self._history[position]
-            if stored_line != line:
-                break
-            for offset in range(1, self.config.width + 1):
-                successor_pos = position + offset
-                if not self._is_live(successor_pos):
-                    break
-                successor_line, _ = self._history[successor_pos]
-                if successor_line != line and successor_line not in seen:
-                    seen.add(successor_line)
-                    candidates.append(successor_line)
-            position = previous if previous >= 0 else None
-            depth_remaining -= 1
+        if last >= 0:
+            # Follow the chain of the line's live occurrences, newest first,
+            # and collect up to ``width`` successors of each.  A slot is live
+            # while fewer than ``history_entries`` lines have been appended
+            # after it; the slice stops at the newest slot.  The bound never
+            # drops below 0, so it also ends the chain at -1.
+            config = self.config
+            oldest = end - config.history_entries
+            if oldest < 0:
+                oldest = 0
+            width = config.width
+            depth = config.depth
+            successors: list[int] = []
+            position = last
+            while depth and position >= oldest:
+                successors += lines[position + 1 : position + 1 + width]
+                position = previous[position]
+                depth -= 1
+            if successors:
+                # Each successor once, in order of first sight, never the line.
+                unique = dict.fromkeys(successors)
+                unique.pop(line, None)
+                candidates = list(unique)
+        elif len(index) >= self.config.index_entries:
+            del index[next(iter(index))]
+
+        index[line] = end
+        lines.append(line)
+        previous.append(last)
         return candidates
-
-    # ----------------------------------------------------------------- record
-
-    def _record(self, line: int) -> None:
-        previous = self._index.get(line, -1)
-        position = len(self._history)
-        self._history.append((line, previous))
-
-        if line in self._index:
-            self._index.move_to_end(line)
-        elif len(self._index) >= self.config.index_entries:
-            self._index.popitem(last=False)
-        self._index[line] = position

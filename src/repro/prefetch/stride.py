@@ -15,7 +15,6 @@ stable stride, which is exactly the failure mode the paper describes.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..config import CACHE_LINE_BYTES, StridePrefetcherConfig
@@ -38,21 +37,24 @@ class StridePrefetcher(HardwarePrefetcher):
     name = "stride"
 
     def __init__(self, config: StridePrefetcherConfig | None = None) -> None:
-        super().__init__()
         self.config = config if config is not None else StridePrefetcherConfig()
-        self._table: OrderedDict[int, _StrideEntry] = OrderedDict()
+        #: region -> stream entry, in recency order (oldest first): a hit
+        #: deletes and re-inserts its key, and the first key is the LRU
+        #: victim, as in the TLB's ``_LRUSet``.
+        self._table: dict[int, _StrideEntry] = {}
 
     def train(self, addr: int, time: float, level: str) -> list[int]:
         del time, level
         region = addr // _REGION_BYTES
-        entry = self._table.get(region)
+        table = self._table
+        entry = table.pop(region, None)
         if entry is None:
-            if len(self._table) >= self.config.table_entries:
-                self._table.popitem(last=False)
-            self._table[region] = _StrideEntry(last_addr=addr)
+            if len(table) >= self.config.table_entries:
+                del table[next(iter(table))]
+            table[region] = _StrideEntry(last_addr=addr)
             return []
 
-        self._table.move_to_end(region)
+        table[region] = entry
         stride = addr - entry.last_addr
         if stride == 0:
             return []

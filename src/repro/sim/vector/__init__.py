@@ -5,11 +5,12 @@ memory hierarchy with chunked numpy precomputation
 (:mod:`~repro.sim.vector.columns`) feeding a fused, bit-identical state
 machine (:mod:`~repro.sim.vector.replay`).
 
-Every non-programmable request replays here.  When a specific request falls
-outside the supported envelope (programmable modes, non-power-of-two line
-sizes, negative addresses or instruction counts), the caller replays through
-the interpreter core instead: the backend changes wall-clock time, never
-results, and the golden-stats suite pins that equivalence on both paths.
+Every non-programmable request replays here, and the replay loop issues
+that request's stride, GHB and software prefetches itself.  When a specific
+request falls outside the supported envelope (programmable modes, negative
+addresses or instruction counts), the caller replays through the interpreter
+core instead: the backend changes wall-clock time, never results, and the
+golden-stats suite pins that equivalence on both paths.
 """
 
 from __future__ import annotations

@@ -11,36 +11,42 @@ walk, and the cache/MSHR/TLB/DRAM bookkeeping.
 That state machine is *generated*, not handwritten: following the kernel
 compiler's idiom (:mod:`repro.programmable.compiler`), :func:`_chunk_source`
 emits one specialized replay loop per (core config, cache geometry, DRAM
-shape, prefetcher attachment) signature, with every configuration constant
-baked in as a literal and the L1/L2 probe, MSHR allocate, DRAM channel pick
-and cache fill all inlined into a single function body.  The source
-transcribes the interpreter's arithmetic *exactly* (same operations, same
-order, same float expressions), which is what the golden-stats gate demands;
-``exec`` of the compiled source is cached per signature, so a sweep over N
-workloads pays the (millisecond) compile once.
+shape, prefetcher attachment, software prefetches) signature, with every
+configuration constant baked in as a literal and the L1/L2 probe, MSHR
+allocate, DRAM channel pick and cache fill all inlined into a single
+function body.  The source transcribes the interpreter's arithmetic
+*exactly* (same operations, same order, same float expressions), which is
+what the golden-stats gate demands; ``exec`` of the compiled source is
+cached per signature, so a sweep over N workloads pays the (millisecond)
+compile once.
+
+The snoop contract (:data:`~repro.memory.hierarchy.SnoopHook`): an attached
+stride or GHB prefetcher's snoop is its ``train``, which returns the lines to
+prefetch and never calls into the hierarchy.  The loop issues each returned
+line at the snoop's time, and each software-prefetch op at its ready time,
+through an inlined transcription of ``MemoryHierarchy.prefetch_access``.
 
 Three safety invariants make the specialization a replay of the interpreter
 rather than a fork of the timing model:
 
-* **Shared state, not copies.**  The loop mutates the hierarchy's own cache
-  sets, MSHR heaps, TLB dicts and DRAM channels.  Prefetchers attached via
-  the demand snoop (stride, GHB) and software-prefetch ops still go through
-  ``MemoryHierarchy.prefetch_access``, so their mutations interleave with
-  the fused loop exactly as they do with the interpreter.
+* **The loop is the only writer.**  The loop mutates the hierarchy's own
+  cache sets, MSHR heaps, TLB dicts, DRAM channels and mapped-address memo,
+  and nothing else touches them during a replay: the demand snoop only
+  trains and returns lines, and every prefetch is issued by the loop itself
+  in the interpreter's order.
 * **Only exact arithmetic is reordered.**  Integer counters accumulate in
   loop locals and fold into the shared stats once at the end (integer
   addition commutes exactly); DRAM busy cycles are a multiple of the line
   service time and stay exact in float64, so they fold too.  Genuinely
-  order-dependent float state (MSHR stall cycles) is kept in locals only in
-  the *pure* variant — no snoop, no software prefetches — where this loop
-  is provably the sole writer, and is updated through the shared objects in
-  the general variant.
+  order-dependent float state (MSHR stall cycles) also lives in locals,
+  seeded from the hierarchy and assigned back: as the only writer, the
+  loop performs the interpreter's additions in the interpreter's order.
 * **Dead code is dropped only under a checked invariant.**  The
   interpreter's ``previous_issue`` term never exceeds ``fetch_clock`` when
   per-op instruction counts are non-negative (the column plan verifies
-  this); the TLB fast path reuses the previous op's page only while nothing
-  else can have touched TLB recency order (reset after every snoop or
-  software prefetch).
+  this); the TLB fast path reuses the previous translation's page, which
+  is the most recently used TLB entry because every translation of the
+  replay, demand or prefetch, goes through this loop and updates it.
 
 Anything this module cannot replay bit-identically — programmable-prefetcher
 hooks, negative addresses or instruction counts — raises
@@ -54,7 +60,7 @@ from collections import deque
 from heapq import heappop, heappush
 from typing import Callable
 
-from ...config import CoreConfig
+from ...config import CACHE_LINE_BYTES, CoreConfig
 from ...cpu.core import CoreStats
 from ...cpu.trace import OpKind, Trace
 from ...errors import VectorBackendUnsupported
@@ -68,6 +74,9 @@ _KIND_STORE = int(OpKind.STORE)
 _KIND_SWPF = int(OpKind.SOFTWARE_PREFETCH)
 _KIND_BRANCH = int(OpKind.BRANCH)
 
+#: Address bits below the cache line, at both levels (``CacheConfig.validate``).
+_LINE_SHIFT = CACHE_LINE_BYTES.bit_length() - 1
+
 #: Integer counters accumulated in loop locals and folded once per run.
 #: Order in this tuple is the order of the generated prologue/epilogue.
 _INT_COUNTERS = (
@@ -75,11 +84,14 @@ _INT_COUNTERS = (
     "l1_read_accesses", "l1_read_hits", "l1_write_accesses", "l1_write_hits",
     "l1_inflight_merges", "l1_misses", "l1_prefetch_used",
     "l1_evictions", "l1_dirty_evictions", "l1_prefetch_evicted_unused",
-    "l1_allocations",
+    "l1_allocations", "l1_prefetch_requests", "l1_prefetch_redundant",
+    "l1_prefetch_merged", "l1_prefetch_fills",
     "l2_read_accesses", "l2_read_hits", "l2_inflight_merges", "l2_misses",
     "l2_prefetch_used", "l2_evictions", "l2_dirty_evictions",
-    "l2_prefetch_evicted_unused", "l2_allocations",
-    "dram_demand", "dram_writebacks",
+    "l2_prefetch_evicted_unused", "l2_allocations", "l2_prefetch_requests",
+    "l2_prefetch_fills",
+    "dram_demand", "dram_prefetch", "dram_writebacks",
+    "dropped_prefetches",
 )
 
 
@@ -112,30 +124,38 @@ def _mispredict_every(core_config: CoreConfig) -> int:
 _COMPILED: dict[tuple, Callable] = {}
 
 
-def _tlb_block(load_time: str) -> str:
-    """The inlined TLB access shared by the load and store paths (indent 3).
+def _indent(block: str, depth: int) -> str:
+    """``block`` with every line indented ``depth`` levels."""
+
+    pad = "    " * depth
+    return "\n".join(pad + line for line in block.split("\n"))
+
+
+def _tlb_block(time: str) -> str:
+    """The inlined TLB access shared by every translation the loop makes.
 
     A TLB L1 hit has translation latency 0.0, and ``t + 0.0 == t`` bitwise
     for the non-negative floats the model produces, so both hit paths skip
     the addition the interpreter performs.  ``last_page`` short-circuits the
-    recency update: when the page matches the previous access it is already
-    the MRU tail, so the interpreter's delete/re-insert is a dict no-op.
+    recency update: when the page matches the previous translation it is
+    already the MRU tail, so the interpreter's delete/re-insert is a dict
+    no-op.
     """
 
     return f"""\
-            tlb_accesses += 1
-            if page == last_page:
-                tlb_l1_hits += 1
-                t = {load_time}
-            elif page in tlb_l1:
-                del tlb_l1[page]
-                tlb_l1[page] = None
-                tlb_l1_hits += 1
-                last_page = page
-                t = {load_time}
-            else:
-                t = {load_time} + tlb_miss(page)
-                last_page = page"""
+tlb_accesses += 1
+if page == last_page:
+    tlb_l1_hits += 1
+    t = {time}
+elif page in tlb_l1:
+    del tlb_l1[page]
+    tlb_l1[page] = None
+    tlb_l1_hits += 1
+    last_page = page
+    t = {time}
+else:
+    t = {time} + tlb_miss(page)
+    last_page = page"""
 
 
 def _chunk_source(
@@ -147,48 +167,37 @@ def _chunk_source(
     l1_hit: int,
     l1_cap: int,
     l1_assoc: int,
-    l1_shift: int,
+    l1_set_mask: int,
+    l1_set_shift: int,
     l2_hit: int,
     l2_cap: int,
     l2_assoc: int,
-    l2_mask: int,
-    l2_shift: int,
+    l2_set_mask: int,
+    l2_set_shift: int,
     dram_lat: int,
     svc: int,
     channels: int,
+    page_bytes: int,
     has_snoop: bool,
-    shared: bool,
+    has_swpf: bool,
 ) -> str:
     """Emit the specialized chunk-replay function for one signature.
 
     Every statement mirrors a statement in ``OutOfOrderCore.run``,
-    ``MemoryHierarchy.demand_access_time``/``_access_l2``,
+    ``MemoryHierarchy.demand_access_time``/``prefetch_access``/``_access_l2``,
     ``MSHRFile.allocate``, ``Cache.fill_entry`` or ``DRAMModel.access``;
     when editing either side, keep them in lockstep — the golden suite and
     the differential harness will catch a divergence, not tolerate it.
 
-    ``shared`` selects the general variant: LRU counters and MSHR stall
-    floats live on the hierarchy objects because snoop-driven prefetchers
-    or software-prefetch ops interleave writes with ours.  The pure variant
-    (no snoop, no SWPF ops in the trace) keeps them in locals for the whole
-    chunk and writes them back once.
+    ``has_snoop`` adds the demand snoop and the prefetches it returns;
+    ``has_swpf`` adds the software-prefetch branch.  Both issue through
+    one inlined ``prefetch_access``.
     """
 
-    pure = not shared
+    def level(name: str, depth: int) -> str:
+        """Record the serving level of a demand read (only the snoop reads it)."""
 
-    if pure:
-        l1_stall_stmt = "l1_stall += grant - t"
-        l2_stall_stmt = "l2_stall += l2_grant - time2"
-    else:
-        l1_stall_stmt = "l1_mshrs.total_stall_cycles += grant - t"
-        l2_stall_stmt = "l2_mshrs.total_stall_cycles += l2_grant - time2"
-
-    # Optional ``level`` tracking: only the demand snoop consumes it.
-    lvl_l1 = '\n                    level = "l1"' if has_snoop else ""
-    lvl_l1_inflight = '\n                    level = "l1_inflight"' if has_snoop else ""
-    lvl_l2 = '\n                        level = "l2"' if has_snoop else ""
-    lvl_l2_inflight = '\n                        level = "l2_inflight"' if has_snoop else ""
-    lvl_dram = '\n                    level = "dram"' if has_snoop else ""
+        return f'\n{"    " * depth}level = "{name}"' if has_snoop else ""
 
     # ----- prologue -------------------------------------------------------
     lines = ["def _replay_chunk_compiled(state, chunk):"]
@@ -215,16 +224,13 @@ def _chunk_source(
     last_page = state.last_page
     load_latency_total = state.load_latency_total
     load_stall_total = state.load_stall_total
-    dram_busy = state.dram_busy""" % rob)
-    if pure:
-        lines.append("""\
     l1_stall = state.l1_stall
-    l2_stall = state.l2_stall""")
-    else:
+    l2_stall = state.l2_stall
+    dram_busy = state.dram_busy""" % rob)
+    if has_snoop or has_swpf:
         lines.append("""\
-    l1_mshrs = state.l1_mshrs
-    l2_mshrs = state.l2_mshrs
-    prefetch_access = state.prefetch_access""")
+    mapped_cache = state.mapped_cache
+    is_mapped = state.is_mapped""")
     if has_snoop:
         lines.append("    snoop = state.snoop")
     for name in _INT_COUNTERS:
@@ -234,13 +240,13 @@ def _chunk_source(
     dep_pos = 0""")
 
     # ----- loop header ----------------------------------------------------
-    # The pure variant never reads op addresses (pages and set/tag columns
-    # are precomputed; no snoop or software prefetch needs the raw
-    # address), so its zip carries one column less.  The cache-line index
-    # is not a column at all: on the rare L1 miss it is reassembled from
-    # the set/tag pair (``tag << set_shift | set_index``), which is exact
-    # because the set count is a power of two.
-    if shared:
+    # Without a snoop or a software prefetch the loop never reads op
+    # addresses (pages and set/tag columns are precomputed), so its zip
+    # carries one column less.  The cache-line index is not a column at
+    # all: on the rare L1 miss it is reassembled from the set/tag pair
+    # (``tag << set_shift | set_index``), which is exact because the set
+    # count is a power of two.
+    if has_snoop or has_swpf:
         lines.append("""\
     for kind, addr, fetch_incr, dep_end, page, set_index, tag in zip(
         chunk.kinds, chunk.addrs, chunk.fetch_incr, chunk.dep_ends,
@@ -274,118 +280,175 @@ def _chunk_source(
             if dep_time > deps_ready:
                 deps_ready = dep_time""")
 
-    # ----- shared inline blocks ------------------------------------------
+    # ----- shared blocks (indent 0; placed with _indent) ------------------
     l1_mshr_block = f"""\
-                while l1_completions and l1_completions[0] <= t:
-                    heappop(l1_completions)
-                if len(l1_completions) < {l1_cap!r}:
-                    grant = t
-                else:
-                    grant = l1_completions[0]
-                    {l1_stall_stmt}
-                    while l1_completions and l1_completions[0] <= grant:
-                        heappop(l1_completions)
-                l1_allocations += 1"""
+while l1_completions and l1_completions[0] <= t:
+    heappop(l1_completions)
+if len(l1_completions) < {l1_cap!r}:
+    grant = t
+else:
+    grant = l1_completions[0]
+    l1_stall += grant - t
+    while l1_completions and l1_completions[0] <= grant:
+        heappop(l1_completions)
+l1_allocations += 1"""
 
     if channels == 2:
         dram_block = f"""\
-                    free0 = channel_free[0]
-                    free1 = channel_free[1]
-                    if free1 < free0:
-                        start = time3 if time3 > free1 else free1
-                        channel_free[1] = start + {svc!r}
-                    else:
-                        start = time3 if time3 > free0 else free0
-                        channel_free[0] = start + {svc!r}"""
+free0 = channel_free[0]
+free1 = channel_free[1]
+if free1 < free0:
+    start = time3 if time3 > free1 else free1
+    channel_free[1] = start + {svc!r}
+else:
+    start = time3 if time3 > free0 else free0
+    channel_free[0] = start + {svc!r}"""
     else:
         dram_block = f"""\
-                    dram_channel = 0
-                    dram_earliest = channel_free[0]
-                    for dram_i in range(1, {channels!r}):
-                        dram_free = channel_free[dram_i]
-                        if dram_free < dram_earliest:
-                            dram_earliest = dram_free
-                            dram_channel = dram_i
-                    start = time3 if time3 > dram_earliest else dram_earliest
-                    channel_free[dram_channel] = start + {svc!r}"""
+dram_channel = 0
+dram_earliest = channel_free[0]
+for dram_i in range(1, {channels!r}):
+    dram_free = channel_free[dram_i]
+    if dram_free < dram_earliest:
+        dram_earliest = dram_free
+        dram_channel = dram_i
+start = time3 if time3 > dram_earliest else dram_earliest
+channel_free[dram_channel] = start + {svc!r}"""
 
-    l2_block = f"""\
-                time2 = grant + {l1_hit!r}
-                line_index = tag << {l1_shift!r} | set_index
-                l2_read_accesses += 1
-                l2_set = l2_sets[line_index & {l2_mask!r}]
-                l2_tag = line_index >> {l2_shift!r}
-                l2_line = l2_set.get(l2_tag)
-                if l2_line is not None:
-                    del l2_set[l2_tag]
-                    l2_set[l2_tag] = l2_line
-                    if l2_line.prefetched and not l2_line.used:
-                        l2_line.used = True
-                        l2_prefetch_used += 1
-                    fill_time = l2_line.fill_time
-                    if fill_time <= time2:
-                        l2_read_hits += 1
-                        complete = time2 + {l2_hit!r}{lvl_l2}
-                    else:
-                        l2_inflight_merges += 1
-                        earliest = time2 + {l2_hit!r}
-                        complete = fill_time if fill_time > earliest else earliest{lvl_l2_inflight}
-                else:
-                    l2_misses += 1
-                    while l2_completions and l2_completions[0] <= time2:
-                        heappop(l2_completions)
-                    if len(l2_completions) < {l2_cap!r}:
-                        l2_grant = time2
-                    else:
-                        l2_grant = l2_completions[0]
-                        {l2_stall_stmt}
-                        while l2_completions and l2_completions[0] <= l2_grant:
-                            heappop(l2_completions)
-                    l2_allocations += 1
-                    time3 = l2_grant + {l2_hit!r}
-{dram_block}
-                    dram_busy += {svc!r}
-                    dram_demand += 1
-                    complete = start + {dram_lat!r}
-                    l2_existing = l2_set.get(l2_tag)
-                    if l2_existing is not None:
-                        if complete < l2_existing.fill_time:
-                            l2_existing.fill_time = complete
-                        del l2_set[l2_tag]
-                        l2_set[l2_tag] = l2_existing
-                    else:
-                        if len(l2_set) >= {l2_assoc!r}:
-                            l2_victim = l2_set.pop(next(iter(l2_set)))
-                            l2_evictions += 1
-                            if l2_victim.dirty:
-                                l2_dirty_evictions += 1
-                                dram_writebacks += 1
-                            if l2_victim.prefetched and not l2_victim.used:
-                                l2_prefetch_evicted_unused += 1
-                        l2_set[l2_tag] = CacheLine(l2_tag, complete, False, False, False)
-                    heappush(l2_completions, complete){lvl_dram}"""
+    def l2_block(is_prefetch: bool, done: str) -> str:
+        """``_access_l2`` for an L1 miss granted at ``grant``; result in ``done``."""
 
-    def l1_fill_block(write: bool) -> str:
-        dirty_merge = (
-            "\n                    l1_existing.dirty = True" if write else ""
-        )
+        demand = not is_prefetch
+        requests = "l2_prefetch_requests" if is_prefetch else "l2_read_accesses"
+        read_hit = "\n        l2_read_hits += 1" if demand else ""
+        dram_count = "dram_prefetch" if is_prefetch else "dram_demand"
+        fill_count = "\n        l2_prefetch_fills += 1" if is_prefetch else ""
         return f"""\
-                l1_existing = cache_set.get(tag)
-                if l1_existing is not None:
-                    if complete < l1_existing.fill_time:
-                        l1_existing.fill_time = complete{dirty_merge}
-                    del cache_set[tag]
-                    cache_set[tag] = l1_existing
-                else:
-                    if len(cache_set) >= {l1_assoc!r}:
-                        l1_victim = cache_set.pop(next(iter(cache_set)))
-                        l1_evictions += 1
-                        if l1_victim.dirty:
-                            l1_dirty_evictions += 1
-                        if l1_victim.prefetched and not l1_victim.used:
-                            l1_prefetch_evicted_unused += 1
-                    cache_set[tag] = CacheLine(tag, complete, False, False, {write!r})
-                heappush(l1_completions, complete)"""
+time2 = grant + {l1_hit!r}
+line_index = tag << {l1_set_shift!r} | set_index
+{requests} += 1
+l2_set = l2_sets[line_index & {l2_set_mask!r}]
+l2_tag = line_index >> {l2_set_shift!r}
+l2_line = l2_set.get(l2_tag)
+if l2_line is not None:
+    del l2_set[l2_tag]
+    l2_set[l2_tag] = l2_line
+    if l2_line.prefetched and not l2_line.used:
+        l2_line.used = True
+        l2_prefetch_used += 1
+    fill_time = l2_line.fill_time
+    if fill_time <= time2:{read_hit}
+        {done} = time2 + {l2_hit!r}{level("l2", 2) if demand else ""}
+    else:
+        l2_inflight_merges += 1
+        earliest = time2 + {l2_hit!r}
+        {done} = fill_time if fill_time > earliest else earliest{level("l2_inflight", 2) if demand else ""}
+else:
+    l2_misses += 1
+    while l2_completions and l2_completions[0] <= time2:
+        heappop(l2_completions)
+    if len(l2_completions) < {l2_cap!r}:
+        l2_grant = time2
+    else:
+        l2_grant = l2_completions[0]
+        l2_stall += l2_grant - time2
+        while l2_completions and l2_completions[0] <= l2_grant:
+            heappop(l2_completions)
+    l2_allocations += 1
+    time3 = l2_grant + {l2_hit!r}
+{_indent(dram_block, 1)}
+    dram_busy += {svc!r}
+    {dram_count} += 1
+    {done} = start + {dram_lat!r}
+    l2_existing = l2_set.get(l2_tag)
+    if l2_existing is not None:
+        if {done} < l2_existing.fill_time:
+            l2_existing.fill_time = {done}
+        del l2_set[l2_tag]
+        l2_set[l2_tag] = l2_existing
+    else:
+        if len(l2_set) >= {l2_assoc!r}:
+            l2_victim = l2_set.pop(next(iter(l2_set)))
+            l2_evictions += 1
+            if l2_victim.dirty:
+                l2_dirty_evictions += 1
+                dram_writebacks += 1
+            if l2_victim.prefetched and not l2_victim.used:
+                l2_prefetch_evicted_unused += 1
+        l2_set[l2_tag] = CacheLine(l2_tag, {done}, {is_prefetch!r}, False, False){fill_count}
+    heappush(l2_completions, {done}){level("dram", 1) if demand else ""}"""
+
+    def l1_fill_block(write: bool, prefetched: bool, done: str) -> str:
+        """``Cache.fill_entry`` on the probed L1 set, then the MSHR's fill."""
+
+        dirty_merge = "\n        l1_existing.dirty = True" if write else ""
+        fill_count = "\n    l1_prefetch_fills += 1" if prefetched else ""
+        return f"""\
+l1_existing = cache_set.get(tag)
+if l1_existing is not None:
+    if {done} < l1_existing.fill_time:
+        l1_existing.fill_time = {done}{dirty_merge}
+    del cache_set[tag]
+    cache_set[tag] = l1_existing
+else:
+    if len(cache_set) >= {l1_assoc!r}:
+        l1_victim = cache_set.pop(next(iter(cache_set)))
+        l1_evictions += 1
+        if l1_victim.dirty:
+            l1_dirty_evictions += 1
+        if l1_victim.prefetched and not l1_victim.used:
+            l1_prefetch_evicted_unused += 1
+    cache_set[tag] = CacheLine(tag, {done}, {prefetched!r}, False, {write!r}){fill_count}
+heappush(l1_completions, {done})"""
+
+    def l1_miss_block(write: bool) -> str:
+        """A demand miss: MSHR, L2 and L1 fill; the completion in ``complete``."""
+
+        return "\n".join((
+            "l1_misses += 1",
+            l1_mshr_block,
+            l2_block(False, "complete"),
+            l1_fill_block(write, False, "complete"),
+        ))
+
+    def prefetch_block(target: str, time: str, locate: bool) -> str:
+        """``prefetch_access(target, time)``, its fill time discarded.
+
+        Software-prefetch ops arrive with ``page``, ``set_index`` and
+        ``tag`` from the columns; snooped lines are ``locate``d here.  The
+        demand path's names are reused; ``complete`` is left alone.
+        """
+
+        located = f"""
+    page = {target} // {page_bytes!r}
+    set_index = {target} >> {_LINE_SHIFT!r} & {l1_set_mask!r}
+    tag = {target} >> {_LINE_SHIFT + l1_set_shift!r}""" if locate else ""
+        miss = "\n".join((
+            l1_mshr_block,
+            l2_block(True, "data_time"),
+            l1_fill_block(False, True, "data_time"),
+        ))
+        return f"""\
+mapped = mapped_cache.get({target})
+if mapped is None:
+    if len(mapped_cache) >= 65536:
+        mapped_cache.clear()
+    mapped = is_mapped({target})
+    mapped_cache[{target}] = mapped
+if not mapped:
+    dropped_prefetches += 1
+else:
+    l1_prefetch_requests += 1{located}
+{_indent(_tlb_block(time), 1)}
+    cache_set = l1_sets[set_index]
+    line = cache_set.get(tag)
+    if line is not None:
+        if line.fill_time <= t:
+            l1_prefetch_redundant += 1
+        else:
+            l1_prefetch_merged += 1
+    else:
+{_indent(miss, 2)}"""
 
     # ----- LOAD -----------------------------------------------------------
     lines.append(f"""\
@@ -395,7 +458,7 @@ def _chunk_source(
                 loads_len -= 1
                 if lq_ready > deps_ready:
                     deps_ready = lq_ready
-{_tlb_block("deps_ready")}
+{_indent(_tlb_block("deps_ready"), 3)}
             l1_read_accesses += 1
             cache_set = l1_sets[set_index]
             line = cache_set.get(tag)
@@ -403,32 +466,34 @@ def _chunk_source(
                 fill_time = line.fill_time
                 if fill_time <= t:
                     l1_read_hits += 1
-                    complete = t + {l1_hit!r}{lvl_l1}
+                    complete = t + {l1_hit!r}{level("l1", 5)}
                 else:
                     l1_inflight_merges += 1
                     earliest = t + {l1_hit!r}
-                    complete = fill_time if fill_time > earliest else earliest{lvl_l1_inflight}
+                    complete = fill_time if fill_time > earliest else earliest{level("l1_inflight", 5)}
                 del cache_set[tag]
                 cache_set[tag] = line
                 if line.prefetched and not line.used:
                     line.used = True
                     l1_prefetch_used += 1
             else:
-                l1_misses += 1
-{l1_mshr_block}
-{l2_block}
-{l1_fill_block(False)}""")
-    if has_snoop:
-        lines.append("""\
-            snoop(addr, t, level)
-            last_page = -1""")
-    lines.append(f"""\
+{_indent(l1_miss_block(False), 4)}
             loads_append(complete)
             loads_len += 1
             latency = complete - deps_ready
             load_latency_total += latency
             if latency > {alu!r}:
                 load_stall_total += latency""")
+    # The interpreter runs the snoop and its prefetches inside the demand
+    # access, before the load-queue bookkeeping above; that bookkeeping
+    # touches no hierarchy state, so the order between them is free.
+    if has_snoop:
+        lines.append(f"""\
+            targets = snoop(addr, t, level)
+            if targets:
+                snoop_time = t
+                for target in targets:
+{_indent(prefetch_block("target", "snoop_time", True), 5)}""")
 
     # ----- COMPUTE (the second most common kind gets the second test) -----
     lines.append(f"""\
@@ -442,7 +507,7 @@ def _chunk_source(
     # miss path is overwritten below.
     lines.append(f"""\
         elif kind == {_KIND_STORE!r}:
-{_tlb_block("deps_ready")}
+{_indent(_tlb_block("deps_ready"), 3)}
             l1_write_accesses += 1
             cache_set = l1_sets[set_index]
             line = cache_set.get(tag)
@@ -458,10 +523,7 @@ def _chunk_source(
                     line.used = True
                     l1_prefetch_used += 1
             else:
-                l1_misses += 1
-{l1_mshr_block}
-{l2_block}
-{l1_fill_block(True)}
+{_indent(l1_miss_block(True), 4)}
             complete = deps_ready + {alu!r}""")
 
     # ----- BRANCH ---------------------------------------------------------
@@ -480,12 +542,11 @@ def _chunk_source(
             branch_counter += 1
             complete = deps_ready + {alu!r}""")
 
-    # ----- SOFTWARE_PREFETCH (absent from pure traces by construction) ----
-    if shared:
+    # ----- SOFTWARE_PREFETCH (only for traces that carry them) ------------
+    if has_swpf:
         lines.append(f"""\
         elif kind == {_KIND_SWPF!r}:
-            prefetch_access(addr, deps_ready)
-            last_page = -1
+{_indent(prefetch_block("addr", "deps_ready", False), 3)}
             complete = deps_ready + {alu!r}""")
 
     # ----- everything else (CONFIG costs a single instruction) -----------
@@ -510,11 +571,9 @@ def _chunk_source(
     state.last_page = last_page
     state.load_latency_total = load_latency_total
     state.load_stall_total = load_stall_total
-    state.dram_busy = dram_busy""")
-    if pure:
-        lines.append("""\
     state.l1_stall = l1_stall
-    state.l2_stall = l2_stall""")
+    state.l2_stall = l2_stall
+    state.dram_busy = dram_busy""")
     for name in _INT_COUNTERS:
         lines.append(f"    state.{name} = {name}")
 
@@ -522,7 +581,7 @@ def _chunk_source(
 
 
 def _chunk_fn(
-    hierarchy: MemoryHierarchy, core_config: CoreConfig, *, has_snoop: bool, shared: bool
+    hierarchy: MemoryHierarchy, core_config: CoreConfig, *, has_snoop: bool, has_swpf: bool
 ) -> Callable:
     """The compiled chunk-replay function for one hierarchy's signature."""
 
@@ -538,6 +597,7 @@ def _chunk_fn(
         hierarchy._l1_hit_latency,
         hierarchy.l1_mshrs._capacity,
         l1._associativity,
+        hierarchy._l1_set_mask,
         hierarchy._l1_set_shift,
         hierarchy._l2_hit_latency,
         hierarchy.l2_mshrs._capacity,
@@ -547,8 +607,9 @@ def _chunk_fn(
         dram._access_latency,
         dram._service_cycles,
         len(dram._channel_free),
+        hierarchy._tlb_page_bytes,
         has_snoop,
-        shared,
+        has_swpf,
     )
     fn = _COMPILED.get(key)
     if fn is None:
@@ -575,38 +636,33 @@ class _ReplayState:
 
     __slots__ = (
         # static references into the hierarchy
-        "hierarchy", "l1", "l2", "l1_sets", "l2_sets",
-        "l1_mshrs", "l2_mshrs", "l1_completions", "l2_completions",
-        "channel_free", "tlb_l1", "tlb_miss", "prefetch_access", "snoop",
-        "chunk_fn", "pure",
+        "hierarchy", "l1_sets", "l2_sets", "l1_completions", "l2_completions",
+        "channel_free", "tlb_l1", "tlb_miss", "mapped_cache", "is_mapped", "snoop",
+        "chunk_fn",
         # core timing state
         "completion", "retires", "outstanding_loads", "loads_len",
         "fetch_clock", "last_retire", "branch_counter", "last_page",
         "load_latency_total", "load_stall_total",
-        # pure-variant mirrors of order-dependent shared floats
+        # order-dependent MSHR stall floats, written back at the end
         "l1_stall", "l2_stall",
         # exact float accumulator (multiples of the DRAM service time)
         "dram_busy",
     ) + _INT_COUNTERS
 
-    def __init__(self, hierarchy: MemoryHierarchy, core_config: CoreConfig, shared: bool) -> None:
+    def __init__(self, hierarchy: MemoryHierarchy, core_config: CoreConfig, has_swpf: bool) -> None:
         self.hierarchy = hierarchy
-        self.l1 = hierarchy.l1
-        self.l2 = hierarchy.l2
         self.l1_sets = hierarchy.l1._sets
         self.l2_sets = hierarchy.l2._sets
-        self.l1_mshrs = hierarchy.l1_mshrs
-        self.l2_mshrs = hierarchy.l2_mshrs
         self.l1_completions = hierarchy.l1_mshrs._completions
         self.l2_completions = hierarchy.l2_mshrs._completions
         self.channel_free = hierarchy.dram._channel_free
         self.tlb_l1 = hierarchy._tlb_l1_entries
         self.tlb_miss = hierarchy.tlb.miss
-        self.prefetch_access = hierarchy.prefetch_access
+        self.mapped_cache = hierarchy._mapped_cache
+        self.is_mapped = hierarchy.address_space.is_mapped
         self.snoop = hierarchy._demand_snoop
-        self.pure = not shared
         self.chunk_fn = _chunk_fn(
-            hierarchy, core_config, has_snoop=self.snoop is not None, shared=shared
+            hierarchy, core_config, has_snoop=self.snoop is not None, has_swpf=has_swpf
         )
 
         self.completion: list[float] = []
@@ -620,10 +676,10 @@ class _ReplayState:
         self.load_latency_total = 0.0
         self.load_stall_total = 0.0
 
-        # Pure variant: this loop is the sole writer of the MSHR stall
-        # accumulators, so the state carries them (seeded with the current
-        # values) and *assigns* them back — bit-identical to the
-        # interpreter's in-place adds because the add order is preserved.
+        # The loop is the only writer of the MSHR stall accumulators, so the
+        # state carries them (seeded with the current values) and *assigns*
+        # them back — bit-identical to the interpreter's in-place adds
+        # because the add order is preserved.
         self.l1_stall = hierarchy.l1_mshrs.total_stall_cycles
         self.l2_stall = hierarchy.l2_mshrs.total_stall_cycles
         self.dram_busy = 0.0
@@ -635,8 +691,7 @@ class _ReplayState:
         """Apply the locally accumulated counters to the shared stats objects.
 
         Integer addition is commutative and exact, so folding once at the
-        end produces the same totals as the interpreter's per-op increments
-        even though prefetch paths incremented the same objects mid-run.
+        end produces the same totals as the interpreter's per-op increments.
         The DRAM busy fold is float but exact (every term is a multiple of
         the line service time, far below 2**53).
         """
@@ -646,7 +701,7 @@ class _ReplayState:
         tlb_stats.accesses += self.tlb_accesses
         tlb_stats.l1_hits += self.tlb_l1_hits
 
-        l1_stats = self.l1.stats
+        l1_stats = hierarchy.l1.stats
         l1_stats.demand_read_accesses += self.l1_read_accesses
         l1_stats.demand_read_hits += self.l1_read_hits
         l1_stats.demand_write_accesses += self.l1_write_accesses
@@ -657,8 +712,12 @@ class _ReplayState:
         l1_stats.evictions += self.l1_evictions
         l1_stats.dirty_evictions += self.l1_dirty_evictions
         l1_stats.prefetch_evicted_unused += self.l1_prefetch_evicted_unused
+        l1_stats.prefetch_requests += self.l1_prefetch_requests
+        l1_stats.prefetch_redundant += self.l1_prefetch_redundant
+        l1_stats.prefetch_merged += self.l1_prefetch_merged
+        l1_stats.prefetch_fills += self.l1_prefetch_fills
 
-        l2_stats = self.l2.stats
+        l2_stats = hierarchy.l2.stats
         l2_stats.demand_read_accesses += self.l2_read_accesses
         l2_stats.demand_read_hits += self.l2_read_hits
         l2_stats.inflight_merges += self.l2_inflight_merges
@@ -667,17 +726,21 @@ class _ReplayState:
         l2_stats.evictions += self.l2_evictions
         l2_stats.dirty_evictions += self.l2_dirty_evictions
         l2_stats.prefetch_evicted_unused += self.l2_prefetch_evicted_unused
+        l2_stats.prefetch_requests += self.l2_prefetch_requests
+        l2_stats.prefetch_fills += self.l2_prefetch_fills
 
-        self.l1_mshrs.total_allocations += self.l1_allocations
-        self.l2_mshrs.total_allocations += self.l2_allocations
-        if self.pure:
-            self.l1_mshrs.total_stall_cycles = self.l1_stall
-            self.l2_mshrs.total_stall_cycles = self.l2_stall
+        hierarchy.l1_mshrs.total_allocations += self.l1_allocations
+        hierarchy.l2_mshrs.total_allocations += self.l2_allocations
+        hierarchy.l1_mshrs.total_stall_cycles = self.l1_stall
+        hierarchy.l2_mshrs.total_stall_cycles = self.l2_stall
 
-        dram_stats = self.hierarchy.dram.stats
+        dram_stats = hierarchy.dram.stats
         dram_stats.demand_accesses += self.dram_demand
+        dram_stats.prefetch_accesses += self.dram_prefetch
         dram_stats.writebacks += self.dram_writebacks
         dram_stats.busy_cycles += self.dram_busy
+
+        hierarchy.dropped_prefetches += self.dropped_prefetches
 
 
 # --------------------------------------------------------------------------
@@ -712,13 +775,9 @@ def replay_trace(
 
     counts = plan.kind_counts()
     software_prefetches = counts[_KIND_SWPF]
-    state = _ReplayState(
-        hierarchy,
-        core_config,
-        shared=hierarchy._demand_snoop is not None or software_prefetches > 0,
-    )
+    state = _ReplayState(hierarchy, core_config, has_swpf=software_prefetches > 0)
     chunk_fn = state.chunk_fn
-    for chunk in plan.chunks(want_addrs=not state.pure):
+    for chunk in plan.chunks(want_addrs=state.snoop is not None or software_prefetches > 0):
         chunk_fn(state, chunk)
     state.fold_stats()
 

@@ -1,12 +1,16 @@
 """Tests for the stride and GHB baseline prefetchers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import GHBPrefetcherConfig, StridePrefetcherConfig, SystemConfig
 from repro.memory.address_space import AddressSpace
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.prefetch.ghb import GHBPrefetcher
 from repro.prefetch.stride import StridePrefetcher
+
+from ghb_oracle import GHBOracle
 
 
 class TestStridePrefetcher:
@@ -41,8 +45,10 @@ class TestStridePrefetcher:
         prefetcher = StridePrefetcher(StridePrefetcherConfig(table_entries=2))
         prefetcher.train(0x0001_0000, 0.0, "dram")
         prefetcher.train(0x0002_0000, 0.0, "dram")
+        prefetcher.train(0x0001_0040, 0.0, "dram")  # the first stream is used again
         prefetcher.train(0x0003_0000, 0.0, "dram")
-        assert len(prefetcher._table) <= 2
+        # The least recently used stream is the one evicted.
+        assert list(prefetcher._table) == [0x1, 0x3]
 
     def test_attach_issues_prefetches_into_hierarchy(self):
         config = SystemConfig.scaled()
@@ -104,3 +110,39 @@ class TestGHBPrefetcher:
         candidates = prefetcher.train(sequence[0], 0.0, "dram")
         assert len(candidates) <= 2 * 4
 
+
+_LEVELS = ("l1", "l1_inflight", "l2", "l2_inflight", "dram")
+
+
+class TestGHBMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        index_entries=st.integers(min_value=1, max_value=12),
+        history_entries=st.integers(min_value=1, max_value=24),
+        depth=st.integers(min_value=1, max_value=5),
+        width=st.integers(min_value=1, max_value=4),
+        stream=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=15),
+                st.integers(min_value=0, max_value=63),
+                st.sampled_from(_LEVELS),
+            ),
+            min_size=50,
+            max_size=200,
+        ),
+    )
+    def test_candidates_match_call_for_call(
+        self, index_entries, history_entries, depth, width, stream
+    ):
+        # Few lines and tiny tables: lines recur, index entries are evicted
+        # and history slots age out within one stream.
+        config = GHBPrefetcherConfig(
+            index_entries=index_entries, history_entries=history_entries,
+            depth=depth, width=width,
+        )
+        prefetcher = GHBPrefetcher(config)
+        oracle = GHBOracle(config)
+        for call, (line, offset, level) in enumerate(stream):
+            addr = 0x4000 + 64 * line + offset
+            expected = oracle.train(addr, float(call), level)
+            assert prefetcher.train(addr, float(call), level) == expected, call

@@ -155,6 +155,44 @@ class TestPrefetchPath:
         assert hier.l1_mshrs.next_free_time(0.0) > 0.0
 
 
+class TestSnoopContract:
+    def test_returned_lines_are_prefetched_at_the_reads_translated_time(self):
+        # A snoop returns what to prefetch; demand_access_time issues each
+        # line in order, as a caller of prefetch_access at the time the
+        # snoop saw would.
+        def fresh():
+            space = AddressSpace()
+            space.allocate_array("data", 4096, values=range(4096))
+            return MemoryHierarchy(SystemConfig.scaled(), space), space.regions[0].base
+
+        snooped, base = fresh()
+        issued, _ = fresh()
+        # Two lines, one of them twice (a merge), and an unmapped one.
+        targets = [base + 64 * 9, base + 64 * 30, base + 64 * 9, 0x40]
+        snoop_times, read_times = [], []
+
+        def returning(addr, time, level):
+            snoop_times.append(time)
+            return targets
+
+        snooped.set_demand_snoop(returning)
+        issued.set_demand_snoop(lambda addr, time, level: read_times.append(time))
+        completion = snooped.demand_access_time(base, 5.0)
+        assert issued.demand_access_time(base, 5.0) == completion
+        for target in targets:
+            issued.prefetch_access(target, read_times[0])
+
+        # The cold read walked the page table, so the snoop's time is the
+        # translated one, not the issue time.
+        assert snoop_times == read_times and read_times[0] > 5.0
+        assert snooped.collect_stats() == issued.collect_stats()
+        l1 = snooped.l1.stats
+        assert (l1.prefetch_requests, l1.prefetch_fills, l1.prefetch_merged) == (3, 2, 1)
+        assert snooped.dropped_prefetches == 1
+        for target in targets[:2]:
+            assert snooped.l1.lookup(target) == issued.l1.lookup(target)
+
+
 class TestStatsCollection:
     def test_collect_stats_structure(self, hierarchy):
         hier, space, _ = hierarchy

@@ -10,16 +10,19 @@ Two layers of evidence that the backend is a pure wall-clock change:
    interpreter core.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import SystemConfig
+from repro.config import GHBPrefetcherConfig, SystemConfig
 from repro.cpu.core import OutOfOrderCore
 from repro.cpu.trace import TraceBuilder
 from repro.errors import ConfigurationError, VectorBackendUnsupported
 from repro.memory.address_space import AddressSpace
 from repro.memory.hierarchy import MemoryHierarchy
+from repro.prefetch.ghb import GHBPrefetcher
 from repro.prefetch.stride import StridePrefetcher
 from repro.sim import PrefetchMode, simulate
 from repro.sim import system as system_module
@@ -119,20 +122,54 @@ class TestLaneSupport:
         assert stats.dram["demand_accesses"] == 0
 
 
+#: The one mapped region of the harness's address space.  Generated
+#: addresses fall mostly inside it.  Half of them land on a few hot lines
+#: that recur, three quarters of them just below the region's end and the
+#: rest just past it, so demand reads, walks and software prefetches often
+#: reach past the end; the other half fall anywhere from a quarter of the
+#: region's size below it to a quarter past its end.  A prefetch outside
+#: the region is dropped as unmapped.
+_REGION_BASE = 1 << 16
+_REGION_BYTES = 1 << 16
+_MARGIN = _REGION_BYTES // 4
+_HOT_LINES = 32
+_HOT_BASE = _REGION_BASE + _REGION_BYTES - 64 * (_HOT_LINES * 3 // 4)
+_WALK_LOADS = 6
+
+_ADDRESS = st.one_of(
+    st.integers(min_value=0, max_value=_HOT_LINES - 1).map(lambda line: _HOT_BASE + 64 * line),
+    st.integers(
+        min_value=_REGION_BASE - _MARGIN, max_value=_REGION_BASE + _REGION_BYTES + _MARGIN - 8
+    ),
+)
+
 # One generated op: (kind, raw address, compute size, raw dependence seeds).
+# A "walk" is _WALK_LOADS loads from the address with a stride of ``count``
+# lines, the pattern a stride prefetcher locks onto; walks from the same hot
+# line repeat a miss sequence, which the GHB correlates.
 _OP = st.tuples(
-    st.sampled_from(["load", "store", "compute", "branch", "swpf"]),
-    st.integers(min_value=0, max_value=(1 << 16) - 8),
+    st.sampled_from(["load", "store", "compute", "branch", "swpf", "walk"]),
+    _ADDRESS,
     st.integers(min_value=1, max_value=4),
     st.lists(st.integers(min_value=0, max_value=1 << 30), max_size=2),
 )
 
 
-def _build_trace(ops):
-    """Deterministically map generated op specs onto a valid trace."""
+def _harness_space():
+    space = AddressSpace()
+    space.map_region("harness", _REGION_BASE, _REGION_BYTES)
+    return space
+
+
+def _build_trace(ops, *, software_prefetches=True):
+    """Deterministically map generated op specs onto a valid trace.
+
+    Without ``software_prefetches``, "swpf" ops become loads.
+    """
 
     builder = TraceBuilder()
-    for index, (kind, addr, count, dep_seeds) in enumerate(ops):
+    for kind, addr, count, dep_seeds in ops:
+        index = len(builder)
         deps = [seed % index for seed in dep_seeds] if index else []
         if kind == "load":
             builder.load(addr, deps)
@@ -142,15 +179,22 @@ def _build_trace(ops):
             builder.compute(count, deps)
         elif kind == "branch":
             builder.branch(deps)
-        else:
+        elif kind == "swpf" and software_prefetches:
             builder.software_prefetch(addr, deps)
+        elif kind == "swpf":
+            builder.load(addr, deps)
+        else:
+            builder.load(addr, deps)
+            for step in range(1, _WALK_LOADS):
+                builder.load(addr + step * count * 64)
     return builder.build()
 
 
 #: Cache geometries as ``with_caches`` overrides of the scaled preset: each
 #: compiles its own specialised replay loop (set mask and shift,
 #: associativity, MSHRs).  The small ones make generated traces evict and
-#: stall on MSHRs.
+#: stall on MSHRs; the smallest also has a TLB small enough that demand and
+#: prefetch translations evict each other's pages.
 GEOMETRIES = {
     "scaled": {},
     "l1-8k": {"l1": {"size_bytes": 8 * 1024}},
@@ -161,8 +205,16 @@ GEOMETRIES = {
     "l1-512-direct-mapped": {
         "l1": {"size_bytes": 512, "associativity": 1, "mshrs": 2},
         "l2": {"size_bytes": 4 * 1024, "associativity": 2, "mshrs": 3},
+        "tlb": {"l1_entries": 3, "l2_entries": 6},
     },
 }
+
+
+def _geometry_config(geometry):
+    overrides = dict(GEOMETRIES[geometry])
+    tlb = overrides.pop("tlb", None)
+    config = SystemConfig.scaled().with_caches(**overrides)
+    return replace(config, tlb=replace(config.tlb, **tlb)) if tlb else config
 
 
 class TestColumnPlan:
@@ -173,8 +225,8 @@ class TestColumnPlan:
         geometry=st.sampled_from(sorted(GEOMETRIES)),
     )
     def test_chunks_carry_each_ops_l1_set_tag_and_page(self, ops, chunk_ops, geometry):
-        config = SystemConfig.scaled().with_caches(**GEOMETRIES[geometry])
-        hierarchy = MemoryHierarchy(config, AddressSpace())
+        config = _geometry_config(geometry)
+        hierarchy = MemoryHierarchy(config, _harness_space())
         l1 = hierarchy.l1
         page_bytes = hierarchy.tlb._page_bytes
         trace = _build_trace(ops)
@@ -201,14 +253,26 @@ class TestColumnPlan:
         assert position == len(trace)
 
 
-def _run_both(trace, config, *, with_stride):
+#: The prefetcher each harness lane attaches.  The GHB is small enough for
+#: generated traces to evict index entries and age history slots out.
+LANES = {
+    "none": lambda config: None,
+    "stride": lambda config: StridePrefetcher(config.stride),
+    "ghb": lambda config: GHBPrefetcher(
+        GHBPrefetcherConfig(index_entries=64, history_entries=64, depth=4, width=3)
+    ),
+}
+
+
+def _run_both(trace, config, lane):
     """Replay ``trace`` through interpreter and vector backends."""
 
     outcomes = []
     for backend in ("interp", "vector"):
-        hierarchy = MemoryHierarchy(config, AddressSpace())
-        if with_stride:
-            StridePrefetcher(config.stride).attach(hierarchy)
+        hierarchy = MemoryHierarchy(config, _harness_space())
+        prefetcher = LANES[lane](config)
+        if prefetcher is not None:
+            prefetcher.attach(hierarchy)
         if backend == "interp":
             core_stats = OutOfOrderCore(config.core, hierarchy).run(trace)
         else:
@@ -223,28 +287,120 @@ def _run_both(trace, config, *, with_stride):
 class TestDifferentialHarness:
     """Random op sequences must replay identically through both backends."""
 
+    @pytest.mark.parametrize("lane", sorted(LANES))
     @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-    @settings(max_examples=40, deadline=None)
-    @given(ops=st.lists(_OP, max_size=120))
-    def test_pure_lane_matches_interpreter(self, geometry, ops):
-        config = SystemConfig.scaled().with_caches(**GEOMETRIES[geometry])
-        trace = _build_trace(ops)
-        (interp_core, interp_hier), (vector_core, vector_hier) = _run_both(
-            trace, config, with_stride=False
-        )
-        assert vector_core == interp_core
-        assert vector_hier == interp_hier
+    def test_lane_matches_interpreter(self, geometry, lane):
+        # Every example replays twice: with its software prefetches, and
+        # with them turned into loads, the trace shape the none, stride and
+        # GHB modes replay.  Prefetches from either source issue through
+        # the loop's inlined prefetch path.  Traces of at least 20 ops make
+        # nearly every example fill an L1 line by prefetch, and many drop
+        # one as unmapped; the totals check that the harness reaches both.
+        config = _geometry_config(geometry)
+        totals = {"prefetch_fills": 0, "dropped_prefetches": 0}
 
-    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
-    @settings(max_examples=40, deadline=None)
-    @given(ops=st.lists(_OP, max_size=120))
-    def test_snooped_lane_matches_interpreter(self, geometry, ops):
-        # A stride prefetcher installs a demand snoop, driving the shared
-        # (attribute-backed) loop variant plus the prefetch interactions.
-        config = SystemConfig.scaled().with_caches(**GEOMETRIES[geometry])
-        trace = _build_trace(ops)
-        (interp_core, interp_hier), (vector_core, vector_hier) = _run_both(
-            trace, config, with_stride=True
-        )
-        assert vector_core == interp_core
-        assert vector_hier == interp_hier
+        @settings(max_examples=30, deadline=None)
+        @given(ops=st.lists(_OP, min_size=20, max_size=120))
+        def replays_identically(ops):
+            for software_prefetches in (True, False):
+                trace = _build_trace(ops, software_prefetches=software_prefetches)
+                (interp_core, interp_hier), (vector_core, vector_hier) = _run_both(
+                    trace, config, lane
+                )
+                assert vector_core == interp_core
+                assert vector_hier == interp_hier
+                totals["prefetch_fills"] += interp_hier.l1["prefetch_fills"]
+                totals["dropped_prefetches"] += interp_hier.dropped_prefetches
+
+        replays_identically()
+        assert totals["prefetch_fills"] > 0, totals
+        assert totals["dropped_prefetches"] > 0, totals
+
+
+def _two_pass_walk(software_prefetches):
+    """Loads on every line of the harness region and 16 lines past it, twice.
+
+    The first pass misses everywhere and the second misses again on the
+    lines the L1 evicted, so a stride and a GHB prefetcher both issue; with
+    ``software_prefetches`` each load is preceded by a prefetch four lines
+    ahead.  Targets past the region's end are dropped.
+    """
+
+    builder = TraceBuilder()
+    for _ in range(2):
+        for line in range(_REGION_BYTES // 64 + 16):
+            addr = _REGION_BASE + 64 * line
+            if software_prefetches:
+                builder.software_prefetch(addr + 4 * 64)
+            load = builder.load(addr)
+            builder.compute(2, [load])
+    return builder.build()
+
+
+class TestLoopIssuesItsPrefetches:
+    """The vector loop carries out every prefetch it replays itself."""
+
+    #: The regular GHB remembers the whole first pass.
+    PREFETCHERS = {
+        "stride": lambda config: StridePrefetcher(config.stride),
+        "ghb": lambda config: GHBPrefetcher(GHBPrefetcherConfig.regular()),
+        "software": lambda config: None,
+    }
+
+    @pytest.mark.parametrize("lane", sorted(PREFETCHERS))
+    def test_replay_never_calls_prefetch_access(self, lane, monkeypatch):
+        config = SystemConfig.scaled()
+        trace = _two_pass_walk(software_prefetches=lane == "software")
+
+        def hierarchy():
+            hierarchy = MemoryHierarchy(config, _harness_space())
+            prefetcher = self.PREFETCHERS[lane](config)
+            if prefetcher is not None:
+                prefetcher.attach(hierarchy)
+            return hierarchy
+
+        expected = hierarchy()
+        expected_core = OutOfOrderCore(config.core, expected).run(trace)
+
+        def refuse(self, addr, time):
+            raise AssertionError("vector replay called MemoryHierarchy.prefetch_access")
+
+        monkeypatch.setattr(MemoryHierarchy, "prefetch_access", refuse)
+        replayed = hierarchy()
+        core = replay_trace(trace, replayed, config.core)
+        for hier in (expected, replayed):
+            hier.finalize()
+        assert core.as_dict() == expected_core.as_dict()
+        assert replayed.collect_stats() == expected.collect_stats()
+        assert expected.l1.stats.prefetch_fills > 0
+        assert expected.dropped_prefetches > 0
+
+    def test_snooped_lines_issue_at_the_reads_translated_time(self):
+        # The first read of a page walks the page table, so its snoop sees a
+        # later time than the read's issue time.  A second read merging
+        # with the snooped line's fill inherits that fill time, so its
+        # latency shows when the prefetch was issued.
+        config = SystemConfig.scaled()
+        first = _REGION_BASE + 64
+        target = _REGION_BASE + 64 * 40
+        builder = TraceBuilder()
+        builder.load(first)
+        builder.load(target)
+        trace = builder.build()
+
+        def replayed(replay):
+            hierarchy = MemoryHierarchy(config, _harness_space())
+            hierarchy.set_demand_snoop(
+                lambda addr, time, level: [target] if addr == first else None
+            )
+            core_stats = replay(hierarchy)
+            hierarchy.finalize()
+            return core_stats.as_dict(), hierarchy.collect_stats()
+
+        interp = replayed(lambda hierarchy: OutOfOrderCore(config.core, hierarchy).run(trace))
+        vector = replayed(lambda hierarchy: replay_trace(trace, hierarchy, config.core))
+        assert vector == interp
+        hierarchy_stats = interp[1]
+        assert hierarchy_stats.tlb["walks"] == 1
+        assert hierarchy_stats.l1["prefetch_fills"] == 1
+        assert hierarchy_stats.l1["inflight_merges"] == 1
